@@ -18,11 +18,11 @@
 #   --reps N             interleaved repetitions per side (default 5)
 #   -- perf args...      forwarded to BOTH binaries verbatim, e.g.
 #                        -- --sets 1 --scenarios paper-table2 \
-#                           --schemes EDF,laEDF,BAS-2 --engine event
+#                           --schemes EDF,laEDF,BAS-2
 #
 # Every invocation runs with --sets as given (default 1 rep inside the
 # binary) and a fixed --seed, so each (side, rep) times the identical
-# workload; the per-cell key is (scenario, scheme, battery, engine).
+# workload; the per-cell key is (scenario, scheme, battery).
 # Exit 1 if no cell could be parsed from both sides.
 set -u
 
@@ -71,9 +71,9 @@ for r in $(seq 1 "$REPS"); do
 done
 
 # Flat bas-perf cells, one per line: pull (scenario, scheme, battery,
-# engine, steps_per_sec) into "side|key value" rows for awk.
+# steps_per_sec) into "side|key value" rows for awk.
 extract() { # $1=side $2=json
-  sed -n 's/.*"scenario": *"\([^"]*\)".*"scheme": *"\([^"]*\)".*"battery": *"\([^"]*\)".*"engine": *"\([^"]*\)".*"steps_per_sec": *\([0-9.eE+-]*\).*/'"$1"'|\1\/\2\/\3\/\4 \5/p' "$2"
+  sed -n 's/.*"scenario": *"\([^"]*\)".*"scheme": *"\([^"]*\)".*"battery": *"\([^"]*\)".*"steps_per_sec": *\([0-9.eE+-]*\).*/'"$1"'|\1\/\2\/\3 \4/p' "$2"
 }
 
 ROWS="$WORK/rows.txt"

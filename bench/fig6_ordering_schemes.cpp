@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   }
   const int sets =
       cli.get_flag("full") ? 40 : static_cast<int>(cli.get_int("sets"));
+  cli.show_effective("sets", sets);
   const int max_graphs = static_cast<int>(cli.get_int("max-graphs"));
 
   // The taskgraphs axis owns the graph count; refuse the override

@@ -10,7 +10,7 @@
 // so every cell of one rep times the same task-graph sets (CRN for
 // perf: a cell ratio is a code ratio, not a workload ratio).
 //
-// Outputs BENCH_perf.json (schema "bas-perf/4", documented in
+// Outputs BENCH_perf.json (schema "bas-perf/5", documented in
 // EXPERIMENTS.md, "Performance"): per-cell counters, rates, the flat
 // k_* kernel counters and the flat ph_* phase-profile fields — all
 // driven off one obs::Metrics registry so the schema cannot drift from
@@ -76,7 +76,6 @@ struct Cell {
   std::string scenario;
   std::string scheme;
   std::string battery;
-  std::string engine;  // "tick" or "event"
 };
 
 struct CellResult {
@@ -132,7 +131,7 @@ std::size_t scheme_index(const std::string& label) {
 }
 
 /// Metric lane order shared by the direct loop and the campaign
-/// pipeline: 7 hot-path lanes, the 12 per-kernel battery counters in
+/// pipeline: 7 hot-path lanes, the 10 per-kernel battery counters in
 /// KernelCounters declaration order, then the phase profile — 8
 /// per-phase ns lanes (obs::phase_field order) plus the total boundary
 /// count. Counters are exact in doubles (far below 2^53); the ph_*
@@ -141,7 +140,7 @@ std::size_t scheme_index(const std::string& label) {
 /// so their ph_* lanes are zero by construction.
 constexpr std::size_t kLaneElapsed = 6;     ///< index of elapsed_s
 constexpr std::size_t kLaneKernel = 7;      ///< first k_* lane
-constexpr std::size_t kLanePhase = 19;      ///< first ph_* lane
+constexpr std::size_t kLanePhase = 17;      ///< first ph_* lane
 const std::vector<std::string> make_metric_names() {
   std::vector<std::string> names = {
       "steps",       "battery_draws", "battery_interval_advances",
@@ -149,7 +148,7 @@ const std::vector<std::string> make_metric_names() {
       "elapsed_s",
       "k_exp_sweeps", "k_exp_calls",  "k_decay_hits", "k_decay_misses",
       "k_gain_hits",  "k_gain_misses", "k_kibam_shared_exps", "k_pow_hits",
-      "k_pow_misses", "k_batch_calls", "k_batch_lanes", "k_fast_advances"};
+      "k_pow_misses", "k_fast_advances"};
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     names.push_back(obs::phase_field(static_cast<obs::Phase>(p)));
   }
@@ -179,9 +178,7 @@ void fold_metrics(CellResult* out, const std::vector<double>& m) {
   k.kibam_shared_exps += u64(m[kLaneKernel + 6]);
   k.pow_hits += u64(m[kLaneKernel + 7]);
   k.pow_misses += u64(m[kLaneKernel + 8]);
-  k.batch_calls += u64(m[kLaneKernel + 9]);
-  k.batch_lanes += u64(m[kLaneKernel + 10]);
-  k.fast_advances += u64(m[kLaneKernel + 11]);
+  k.fast_advances += u64(m[kLaneKernel + 9]);
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     out->phases.ns[p] += u64(m[kLanePhase + static_cast<std::size_t>(p)]);
   }
@@ -207,7 +204,6 @@ std::vector<double> time_rep(const Cell& cell, std::uint64_t seed, int rep,
   auto config = scn.sim_config(util::Rng::hash_combine(rep_seed, 1000u));
   config.record_perf_counters = true;
   config.record_phase_profile = profile;
-  config.engine = sim::engine_from_string(cell.engine);
   const auto battery = exp::make_battery(cell.battery);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -232,8 +228,6 @@ std::vector<double> time_rep(const Cell& cell, std::uint64_t seed, int rep,
                                d(k.kibam_shared_exps),
                                d(k.pow_hits),
                                d(k.pow_misses),
-                               d(k.batch_calls),
-                               d(k.batch_lanes),
                                d(k.fast_advances)};
   std::uint64_t laps = 0;
   for (int p = 0; p < obs::kPhaseCount; ++p) {
@@ -282,12 +276,11 @@ void write_direct_trace(const Cell& cell, std::uint64_t seed,
   config.record_perf_counters = true;
   config.record_phase_profile = true;  // phase spans on the wall-clock track
   config.record_trace = true;  // per-slice accounting, no battery merging
-  config.engine = sim::engine_from_string(cell.engine);
   const auto battery = exp::make_battery(cell.battery);
 
   obs::TraceLog log;
   log.name_process(obs::kSimPid, "sim: " + cell.scenario + "/" + cell.scheme +
-                                     "/" + cell.battery + "/" + cell.engine);
+                                     "/" + cell.battery);
   log.name_process(obs::kProfilerPid, "profiler phases (wall clock)");
   config.trace_log = &log;
   sim::simulate_scheme(set, proc, kind, config, battery.get());
@@ -305,8 +298,7 @@ std::vector<CellResult> run_campaign(const std::vector<Cell>& cells,
   spec.title = "perf-hotpath-campaign";
   std::vector<std::string> labels;
   for (const auto& cell : cells) {
-    labels.push_back(cell.scenario + "/" + cell.scheme + "/" + cell.battery +
-                     "/" + cell.engine);
+    labels.push_back(cell.scenario + "/" + cell.scheme + "/" + cell.battery);
   }
   spec.grid.add("cell", labels);
   spec.metrics = kMetricNames;
@@ -335,9 +327,9 @@ std::vector<CellResult> run_campaign(const std::vector<Cell>& cells,
   return out;
 }
 
-constexpr const char* kSchema = "bas-perf/4";
+constexpr const char* kSchema = "bas-perf/5";
 
-/// The flat numeric fields of one bas-perf/4 cell, as a metrics
+/// The flat numeric fields of one bas-perf/5 cell, as a metrics
 /// registry in schema order. One builder serves the JSON emitter and
 /// any future consumer, so the cell schema and the registry names
 /// cannot drift apart.
@@ -367,8 +359,6 @@ obs::Metrics cell_metrics(const CellResult& r) {
   metrics.set("k_kibam_shared_exps", u(k.kibam_shared_exps));
   metrics.set("k_pow_hits", u(k.pow_hits));
   metrics.set("k_pow_misses", u(k.pow_misses));
-  metrics.set("k_batch_calls", u(k.batch_calls));
-  metrics.set("k_batch_lanes", u(k.batch_lanes));
   metrics.set("k_fast_advances", u(k.fast_advances));
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     metrics.set(obs::phase_field(static_cast<obs::Phase>(p)),
@@ -386,8 +376,6 @@ std::string to_json(const std::vector<CellResult>& results,
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"sets\": " << sets << ",\n";
   out << "  \"seed\": " << seed << ",\n";
-  out << "  \"kernel_counters_compiled_in\": "
-      << (bat::KernelCounters::compiled_in ? "true" : "false") << ",\n";
   out << "  \"profile_compiled_in\": "
       << (obs::PhaseProfile::compiled_in ? "true" : "false") << ",\n";
   out << "  \"cells\": [\n";
@@ -398,8 +386,7 @@ std::string to_json(const std::vector<CellResult>& results,
     // would split a cell in two. The fields and their order come from
     // the cell_metrics registry.
     out << "    {\"scenario\": \"" << r.cell.scenario << "\", \"scheme\": \""
-        << r.cell.scheme << "\", \"battery\": \"" << r.cell.battery
-        << "\", \"engine\": \"" << r.cell.engine << "\"";
+        << r.cell.scheme << "\", \"battery\": \"" << r.cell.battery << "\"";
     const obs::Metrics metrics = cell_metrics(r);
     for (const auto& entry : metrics.entries()) {
       out << ", \"" << entry.name << "\": " << obs::format_value(entry.value);
@@ -489,10 +476,6 @@ std::vector<BaselineCell> load_baseline(const std::string& path) {
         extract_number(chunk, "steps_per_sec", &cell.steps_per_sec)) {
       // The `": "`-anchored needle cannot match "steps_per_sec".
       extract_number(chunk, "steps", &cell.steps);  // optional
-      if (!extract_string(chunk, "engine", &cell.cell.engine)) {
-        // Baselines recorded before the engine axis timed the tick loop.
-        cell.cell.engine = "tick";
-      }
       cells.push_back(std::move(cell));
     }
     at = end;
@@ -513,8 +496,7 @@ int check_against_baseline(const std::vector<CellResult>& results,
     for (const auto& b : baseline) {
       if (b.cell.scenario != r.cell.scenario ||
           b.cell.scheme != r.cell.scheme ||
-          b.cell.battery != r.cell.battery ||
-          b.cell.engine != r.cell.engine || !(b.steps_per_sec > 0.0)) {
+          b.cell.battery != r.cell.battery || !(b.steps_per_sec > 0.0)) {
         continue;
       }
       ++matched;
@@ -523,10 +505,10 @@ int check_against_baseline(const std::vector<CellResult>& results,
       if (regressed) {
         ++regressions;
       }
-      std::printf("baseline %-14s x %-6s x %-10s x %-5s %10s vs %10s "
+      std::printf("baseline %-14s x %-6s x %-10s %10s vs %10s "
                   "steps/s (%.2fx)%s\n",
                   r.cell.scenario.c_str(), r.cell.scheme.c_str(),
-                  r.cell.battery.c_str(), r.cell.engine.c_str(),
+                  r.cell.battery.c_str(),
                   fmt_rate(r.steps_per_sec()).c_str(),
                   fmt_rate(b.steps_per_sec).c_str(), ratio,
                   regressed ? "  <-- REGRESSION" : "");
@@ -569,15 +551,13 @@ int main(int argc, char** argv) {
                    {"cache", ""},
                    {"store", "jsonl"},
                    {"trace-out", ""},
-                   {"engine", "both"},
                    {"scenarios", ""},
                    {"schemes", ""},
                    {"batteries", ""}});
 
-    // Dense cells (paper-table2, ippp-diurnal) gate "no regression";
-    // the sparse cells (idle-heavy, sporadic-sensor) are the event
-    // engine's headline win and are timed under both engines so the
-    // speedup is visible in every report.
+    // Dense cells (paper-table2, ippp-diurnal) stress the decision
+    // loop; the sparse cells (idle-heavy, sporadic-sensor) stress the
+    // battery merge windows.
     std::vector<std::string> scenarios{"paper-table2", "ippp-diurnal",
                                        "idle-heavy", "sporadic-sensor"};
     std::vector<std::string> schemes{"EDF", "laEDF", "BAS-2"};
@@ -622,14 +602,8 @@ int main(int argc, char** argv) {
         batteries.push_back(item);
       }
     }
-    std::vector<std::string> engines;
-    if (const auto v = cli.get("engine"); v == "both") {
-      engines = {"tick", "event"};
-    } else {
-      sim::engine_from_string(v);  // eager validation, lists known values
-      engines = {v};
-    }
     const std::uint64_t seed = cli.get_u64("seed");
+    cli.show_effective("sets", sets);
 
     util::print_banner("Hot-path perf: steps/sec, draws/sec, sims/sec");
     std::printf("config: %s\nmode: %s, %d set(s) per cell\n\n",
@@ -639,9 +613,7 @@ int main(int argc, char** argv) {
     for (const auto& scenario : scenarios) {
       for (const auto& battery : batteries) {
         for (const auto& scheme : schemes) {
-          for (const auto& engine : engines) {
-            cells.push_back({scenario, scheme, battery, engine});
-          }
+          cells.push_back({scenario, scheme, battery});
         }
       }
     }
@@ -669,12 +641,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    util::Table table({"scenario", "scheme", "battery", "engine", "sims",
+    util::Table table({"scenario", "scheme", "battery", "sims",
                        "steps", "steps/s", "draws/s", "adv/s", "sims/s",
                        "scored/step", "grows"});
     for (const auto& r : results) {
       table.add_row(
-          {r.cell.scenario, r.cell.scheme, r.cell.battery, r.cell.engine,
+          {r.cell.scenario, r.cell.scheme, r.cell.battery,
            util::Table::num(static_cast<long long>(r.sims)),
            util::Table::num(static_cast<long long>(r.steps)),
            fmt_rate(r.steps_per_sec()), fmt_rate(r.draws_per_sec()),
@@ -688,30 +660,28 @@ int main(int argc, char** argv) {
     }
     table.print();
 
-    // Per-kernel counter table (BAS_KERNEL_COUNTERS builds). exp/probe
-    // is the attribution figure for the batched/fast-series work: full
-    // exp sweeps cost one exp per series term, fast advances one total.
-    if (bat::KernelCounters::compiled_in) {
-      std::printf("\nper-kernel battery counters:\n");
-      util::Table ktable({"scenario", "scheme", "battery", "engine",
-                          "exp_sweeps", "exp_calls", "decay h/m", "gain h/m",
-                          "kibam_shx", "pow h/m", "batch c/l", "fast_adv"});
-      auto hm = [](std::uint64_t h, std::uint64_t m) {
-        return std::to_string(h) + "/" + std::to_string(m);
-      };
-      for (const auto& r : results) {
-        const auto& k = r.kernel;
-        ktable.add_row(
-            {r.cell.scenario, r.cell.scheme, r.cell.battery, r.cell.engine,
-             util::Table::num(static_cast<long long>(k.exp_sweeps)),
-             util::Table::num(static_cast<long long>(k.exp_calls)),
-             hm(k.decay_hits, k.decay_misses), hm(k.gain_hits, k.gain_misses),
-             util::Table::num(static_cast<long long>(k.kibam_shared_exps)),
-             hm(k.pow_hits, k.pow_misses), hm(k.batch_calls, k.batch_lanes),
-             util::Table::num(static_cast<long long>(k.fast_advances))});
-      }
-      ktable.print();
+    // Per-kernel counter table. exp/probe is the attribution figure for
+    // the fast-series work: full exp sweeps cost one exp per series
+    // term, fast advances one total.
+    std::printf("\nper-kernel battery counters:\n");
+    util::Table ktable({"scenario", "scheme", "battery", "exp_sweeps",
+                        "exp_calls", "decay h/m", "gain h/m", "kibam_shx",
+                        "pow h/m", "fast_adv"});
+    auto hm = [](std::uint64_t h, std::uint64_t m) {
+      return std::to_string(h) + "/" + std::to_string(m);
+    };
+    for (const auto& r : results) {
+      const auto& k = r.kernel;
+      ktable.add_row(
+          {r.cell.scenario, r.cell.scheme, r.cell.battery,
+           util::Table::num(static_cast<long long>(k.exp_sweeps)),
+           util::Table::num(static_cast<long long>(k.exp_calls)),
+           hm(k.decay_hits, k.decay_misses), hm(k.gain_hits, k.gain_misses),
+           util::Table::num(static_cast<long long>(k.kibam_shared_exps)),
+           hm(k.pow_hits, k.pow_misses),
+           util::Table::num(static_cast<long long>(k.fast_advances))});
     }
+    ktable.print();
 
     // Per-phase profile table (BAS_PROFILE builds): where the measured
     // step time goes, from each cell's dedicated profiled rep.
@@ -722,8 +692,7 @@ int main(int argc, char** argv) {
     // Campaign-mode cells carry no profiled rep and are skipped.
     if (obs::PhaseProfile::compiled_in) {
       std::printf("\nper-phase profile (%% of phase total):\n");
-      std::vector<std::string> header{"scenario", "scheme", "battery",
-                                      "engine"};
+      std::vector<std::string> header{"scenario", "scheme", "battery"};
       for (int p = 0; p < obs::kPhaseCount; ++p) {
         header.push_back(obs::phase_name(static_cast<obs::Phase>(p)));
       }
@@ -738,7 +707,7 @@ int main(int argc, char** argv) {
         }
         any = true;
         std::vector<std::string> row{r.cell.scenario, r.cell.scheme,
-                                     r.cell.battery, r.cell.engine};
+                                     r.cell.battery};
         for (int p = 0; p < obs::kPhaseCount; ++p) {
           const double share =
               100.0 * static_cast<double>(r.phases.ns[p]) / total;
@@ -757,29 +726,6 @@ int main(int argc, char** argv) {
         ptable.print();
       } else {
         std::printf("  (campaign mode: no profiled rep per cell)\n");
-      }
-    }
-
-    // Event-vs-tick speedup per cell, measured on end-to-end sims/sec —
-    // the two engines do different amounts of per-"step" work, so
-    // steps/sec is not comparable across them; whole simulations are.
-    if (engines.size() == 2) {
-      std::printf("\nevent/tick speedup (sims/sec):\n");
-      for (const auto& r : results) {
-        if (r.cell.engine != "event") {
-          continue;
-        }
-        for (const auto& t : results) {
-          if (t.cell.engine == "tick" && t.cell.scenario == r.cell.scenario &&
-              t.cell.scheme == r.cell.scheme &&
-              t.cell.battery == r.cell.battery && t.sims_per_sec() > 0.0) {
-            std::printf("  %-15s x %-6s x %-10s %.2fx\n",
-                        r.cell.scenario.c_str(), r.cell.scheme.c_str(),
-                        r.cell.battery.c_str(),
-                        r.sims_per_sec() / t.sims_per_sec());
-            break;
-          }
-        }
       }
     }
 

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   }
   const int sets =
       cli.get_flag("full") ? 25 : static_cast<int>(cli.get_int("sets"));
+  cli.show_effective("sets", sets);
 
   // Materialize every preset with the CLI overrides applied, plus its
   // platform, up front; jobs index into these read-only vectors.

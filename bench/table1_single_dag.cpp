@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
                                                 {"max-tasks", "15"},
                                                 {"full", "false"}}));
   const int dags = cli.get_flag("full") ? 200 : static_cast<int>(cli.get_int("dags"));
+  cli.show_effective("dags", dags);
   const int min_tasks = static_cast<int>(cli.get_int("min-tasks"));
   const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
 

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   }
   const int sets =
       cli.get_flag("full") ? 100 : static_cast<int>(cli.get_int("sets"));
+  cli.show_effective("sets", sets);
   const auto scn = scenario::from_cli(cli);
   const auto proc = scn.make_processor();
 

@@ -67,11 +67,12 @@ std::unique_ptr<Battery> DiffusionBattery::fresh_clone() const {
 
 void DiffusionBattery::fill_decay(double t) const {
   if (t == decay_t_) {
-    BAS_KC(++kc_.decay_hits);
+    ++kc_.decay_hits;
     return;
   }
-  BAS_KC(++kc_.decay_misses; ++kc_.exp_sweeps;
-         kc_.exp_calls += static_cast<std::uint64_t>(terms_));
+  ++kc_.decay_misses;
+  ++kc_.exp_sweeps;
+  kc_.exp_calls += static_cast<std::uint64_t>(terms_);
   const double* r = rates();
   double* d = decay();
   for (std::size_t i = 0; i < terms_; ++i) {
@@ -83,10 +84,10 @@ void DiffusionBattery::fill_decay(double t) const {
 void DiffusionBattery::fill_terms(double current_a, double t) const {
   fill_decay(t);
   if (t == gain_t_ && current_a == gain_current_a_) {
-    BAS_KC(++kc_.gain_hits);
+    ++kc_.gain_hits;
     return;
   }
-  BAS_KC(++kc_.gain_misses);
+  ++kc_.gain_misses;
   const double* r = rates();
   const double* d = decay();
   double* g = gain();
@@ -152,7 +153,7 @@ double DiffusionBattery::sigma_after_c_fast(double current_a,
   // Strength-reduced decays: x = e^{-β²t}; x^{m²} = x^{(m-1)²}·x^{2m-1}
   // — one exp for the whole series. The recurrence itself is a serial
   // dependence chain, so it stays scalar by construction.
-  BAS_KC(++kc_.exp_calls);
+  ++kc_.exp_calls;
   const double x = std::exp(-params_.beta_squared * t);
   const double x_sq = x * x;
   double* fd = fast_decay();
@@ -184,7 +185,7 @@ void DiffusionBattery::advance_with_fast_decays(double current_a, double t) {
 }
 
 double DiffusionBattery::do_advance_interval(double current_a, double dt_s) {
-  BAS_KC(++kc_.fast_advances);
+  ++kc_.fast_advances;
   if (sigma_after_c_fast(current_a, dt_s) < params_.alpha_c) {
     advance_with_fast_decays(current_a, dt_s);
     return dt_s;
@@ -209,28 +210,6 @@ double DiffusionBattery::do_advance_interval(double current_a, double dt_s) {
 
 double DiffusionBattery::do_sigma_after(double current_a, double t_s) const {
   return sigma_after_c(current_a, t_s) / params_.alpha_c;
-}
-
-void DiffusionBattery::do_sigma_after_batch(const double* currents,
-                                            std::size_t n, double t_s,
-                                            double* out) const {
-  // One decay sweep at the shared t (memo-keyed, so a repeated-t batch
-  // costs zero exps); each lane then evaluates the scalar probe's exact
-  // expression — storing the gain subexpression in a register instead
-  // of the gain lane is an identity, so out[i] is bitwise the scalar
-  // sigma_after(currents[i], t). The gain memo is left untouched.
-  fill_decay(t_s);
-  const double* r = rates();
-  const double* d = decay();
-  const double* s = s_lane();
-  for (std::size_t lane = 0; lane < n; ++lane) {
-    const double current_a = currents[lane];
-    double sigma = drawn_c_ + current_a * t_s;
-    for (std::size_t i = 0; i < terms_; ++i) {
-      sigma += 2.0 * (s[i] * d[i] + current_a * (1.0 - d[i]) / r[i]);
-    }
-    out[lane] = sigma / params_.alpha_c;
-  }
 }
 
 void DiffusionBattery::do_reset() {

@@ -54,21 +54,17 @@ class DiffusionBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  /// Merged-window fast path (event engine window flushes only): the
+  /// Merged-window fast path (battery merge-window flushes only): the
   /// same exact recurrence, but with the per-term decays produced by
   /// strength reduction — x = e^{-β²t}, decay_m = x^{m²} via
   /// x^{m²} = x^{(m-1)²} · x^{2m-1} — so each probe costs 1 exp and
   /// ~2 multiplies per term instead of one exp per term. Not bitwise
   /// equal to the std::exp sweep (~1e-13 relative on the decays), which
   /// is why it lives behind the interval-advance hook the per-slice
-  /// draw path never takes; covered by the PR 8 written waiver in
-  /// EXPERIMENTS.md ("Kernel instrumentation & batching").
+  /// draw path never takes; covered by the written waiver in
+  /// EXPERIMENTS.md ("Kernel instrumentation").
   double do_advance_interval(double current_a, double dt_s) override;
   double do_sigma_after(double current_a, double t_s) const override;
-  /// One shared decay sweep at t serves every current lane; each lane's
-  /// arithmetic is the scalar probe's exactly (bit-identical outputs).
-  void do_sigma_after_batch(const double* currents, std::size_t n,
-                            double t_s, double* out) const override;
   void do_reset() override;
 
  private:

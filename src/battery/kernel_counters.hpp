@@ -1,13 +1,12 @@
 #pragma once
 // Per-kernel battery cache/work counters (the MAGPIE BENCH_NOTES
-// recipe: land cheap hit/miss counters behind a compile flag *before*
-// optimizing, so every batching/vectorization win is attributable).
+// recipe: land cheap hit/miss counters *before* optimizing, so every
+// kernel win is attributable).
 //
-// Counting is always-on at runtime when compiled in — a handful of
-// integer increments on paths that already touch the same cache lines —
-// and compiles out entirely under -DBAS_KERNEL_COUNTERS=0 (the CMake
-// option of the same name). The counters live on the Battery and are
-// cleared by Battery::reset(); the simulator engines copy them into
+// Counting is always on — a handful of integer increments on paths
+// that already touch the same cache lines; an A/B of the former
+// compile-out switch measured 1.001x. The counters live on the Battery
+// and are cleared by Battery::reset(); the simulator copies them into
 // SimResult::perf.kernel when SimConfig::record_perf_counters is set,
 // which is how bench/perf_hotpath surfaces them per cell.
 //
@@ -16,32 +15,14 @@
 
 #include <cstdint>
 
-#ifndef BAS_KERNEL_COUNTERS
-#define BAS_KERNEL_COUNTERS 1
-#endif
-
-#if BAS_KERNEL_COUNTERS
-#define BAS_KC(...)  \
-  do {               \
-    __VA_ARGS__;     \
-  } while (0)
-#else
-#define BAS_KC(...) \
-  do {              \
-  } while (0)
-#endif
-
 namespace bas::bat {
 
 /// Per-kernel work and memo-hit counters. Semantics per field are tied
 /// to the kernel that owns them (see EXPERIMENTS.md, "Kernel
-/// instrumentation & batching" for the full table).
+/// instrumentation" for the full table).
 struct KernelCounters {
-  /// True when the build compiled the increments in (BAS_KERNEL_COUNTERS).
-  static constexpr bool compiled_in = BAS_KERNEL_COUNTERS != 0;
-
   /// Full per-term exponential sweeps (diffusion: one e^{-rate·t} per
-  /// series term). The denominator of the batching win.
+  /// series term).
   std::uint64_t exp_sweeps = 0;
   /// Scalar std::exp evaluations across all kernels (a sweep of M terms
   /// counts M; the strength-reduced fast series counts 1 per probe).
@@ -59,11 +40,6 @@ struct KernelCounters {
   /// Peukert (current -> effective rate) memo: a hit skips the pow.
   std::uint64_t pow_hits = 0;
   std::uint64_t pow_misses = 0;
-  /// sigma_after_batch invocations and total lanes they served. One
-  /// rate-table/exp sweep per call covers batch_lanes/batch_calls
-  /// probes on average.
-  std::uint64_t batch_calls = 0;
-  std::uint64_t batch_lanes = 0;
   /// Diffusion strength-reduced interval advances (the merged-window
   /// fast series: 1 exp per probe instead of one per term).
   std::uint64_t fast_advances = 0;
@@ -80,8 +56,6 @@ struct KernelCounters {
     kibam_shared_exps += o.kibam_shared_exps;
     pow_hits += o.pow_hits;
     pow_misses += o.pow_misses;
-    batch_calls += o.batch_calls;
-    batch_lanes += o.batch_lanes;
     fast_advances += o.fast_advances;
     return *this;
   }

@@ -35,7 +35,7 @@ double KibamBattery::y1_after(double current_a, double t) const {
   const double k = params_.k_rate;
   const double c = params_.c_fraction;
   const double y0 = y1_ + y2_;
-  BAS_KC(++kc_.exp_calls);
+  ++kc_.exp_calls;
   const double e = std::exp(-k * t);
   // Manwell-McGowan closed form for constant current I over [0, t].
   return y1_ * e + (y0 * k * c - current_a) * (1.0 - e) / k -
@@ -46,7 +46,7 @@ double KibamBattery::y2_after(double current_a, double t) const {
   const double k = params_.k_rate;
   const double c = params_.c_fraction;
   const double y0 = y1_ + y2_;
-  BAS_KC(++kc_.exp_calls);
+  ++kc_.exp_calls;
   const double e = std::exp(-k * t);
   return y2_ * e + y0 * (1.0 - c) * (1.0 - e) -
          current_a * (1.0 - c) * (k * t - 1.0 + e) / k;
@@ -57,7 +57,8 @@ void KibamBattery::wells_after(double current_a, double t, double* y1_out,
   const double k = params_.k_rate;
   const double c = params_.c_fraction;
   const double y0 = y1_ + y2_;
-  BAS_KC(++kc_.kibam_shared_exps; ++kc_.exp_calls);
+  ++kc_.kibam_shared_exps;
+  ++kc_.exp_calls;
   const double e = std::exp(-k * t);
   *y1_out = y1_ * e + (y0 * k * c - current_a) * (1.0 - e) / k -
             current_a * c * (k * t - 1.0 + e) / k;
@@ -65,38 +66,10 @@ void KibamBattery::wells_after(double current_a, double t, double* y1_out,
             current_a * (1.0 - c) * (k * t - 1.0 + e) / k;
 }
 
-double KibamBattery::lane_depletion(double current_a, double e,
-                                    double one_minus_e,
-                                    double kt_term) const {
-  const double k = params_.k_rate;
-  const double c = params_.c_fraction;
-  const double y0 = y1_ + y2_;
-  const double y1_end = y1_ * e + (y0 * k * c - current_a) * one_minus_e / k -
-                        current_a * c * kt_term / k;
-  // Empty when the available well drains: depletion 1 at y1_end == 0.
-  return 1.0 - y1_end / (c * params_.capacity_c);
-}
-
 double KibamBattery::do_sigma_after(double current_a, double t_s) const {
-  BAS_KC(++kc_.exp_calls);
-  const double e = std::exp(-params_.k_rate * t_s);
-  return lane_depletion(current_a, e, 1.0 - e,
-                        params_.k_rate * t_s - 1.0 + e);
-}
-
-void KibamBattery::do_sigma_after_batch(const double* currents,
-                                        std::size_t n, double t_s,
-                                        double* out) const {
-  // The t-only subexpressions of the closed form, evaluated once for
-  // the whole batch; lane_depletion reuses them verbatim, so each lane
-  // is bitwise the scalar probe at the same current.
-  BAS_KC(++kc_.kibam_shared_exps; ++kc_.exp_calls);
-  const double e = std::exp(-params_.k_rate * t_s);
-  const double one_minus_e = 1.0 - e;
-  const double kt_term = params_.k_rate * t_s - 1.0 + e;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lane_depletion(currents[i], e, one_minus_e, kt_term);
-  }
+  // Empty when the available well drains: depletion 1 at y1 == 0.
+  return 1.0 - y1_after(current_a, t_s) /
+                   (params_.c_fraction * params_.capacity_c);
 }
 
 double KibamBattery::do_draw(double current_a, double dt_s) {

@@ -50,23 +50,12 @@ class KibamBattery final : public Battery {
  protected:
   double do_draw(double current_a, double dt_s) override;
   double do_sigma_after(double current_a, double t_s) const override;
-  /// One shared e^{-kt} (and its two derived t-terms) serves every
-  /// current lane; per-lane arithmetic is the scalar probe's exactly.
-  void do_sigma_after_batch(const double* currents, std::size_t n,
-                            double t_s, double* out) const override;
   void do_reset() override;
 
  private:
   /// y1 after drawing `current_a` for `t` seconds from state (y1_, y2_).
   double y1_after(double current_a, double t) const;
   double y2_after(double current_a, double t) const;
-  /// Available-well depletion for one lane given the three hoisted
-  /// t-subexpressions of the closed form (e = e^{-kt},
-  /// one_minus_e = 1 − e, kt_term = k·t − 1 + e). Hoisting whole
-  /// subexpressions preserves every association, so the result is
-  /// bitwise the inline formula's.
-  double lane_depletion(double current_a, double e, double one_minus_e,
-                        double kt_term) const;
   /// Both wells after the same interval, evaluating the shared
   /// e^{-kt} once. The per-well expressions are identical to
   /// y1_after/y2_after — this is the main-path fast lane that halves

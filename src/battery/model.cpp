@@ -42,22 +42,6 @@ double Battery::sigma_after(double current_a, double t_s) const {
   return do_sigma_after(current_a, t_s);
 }
 
-void Battery::sigma_after_batch(std::span<const double> currents, double t_s,
-                                std::span<double> out) const {
-  if (t_s < 0.0) {
-    throw std::invalid_argument("Battery::sigma_after_batch: negative time");
-  }
-  if (out.size() < currents.size()) {
-    throw std::invalid_argument(
-        "Battery::sigma_after_batch: output span too short");
-  }
-  if (currents.empty()) {
-    return;
-  }
-  BAS_KC(++kc_.batch_calls; kc_.batch_lanes += currents.size());
-  do_sigma_after_batch(currents.data(), currents.size(), t_s, out.data());
-}
-
 void Battery::reset() {
   do_reset();
   kc_.clear();

@@ -12,7 +12,6 @@
 // (mAh) and battery lifetime.
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "battery/kernel_counters.hpp"
@@ -47,8 +46,8 @@ class Battery {
   /// dt_s). Every kernel's do_draw already advances state in closed
   /// form over an arbitrary dt — diffusion sweeps its rate table once,
   /// KiBaM applies its single-exponential step, Peukert and the ideal
-  /// cell are O(1) — so one merged call replaces what the tick engine
-  /// issues as a draw per executed slice. (The stochastic model is the
+  /// cell are O(1) — so one merged call replaces a draw per executed
+  /// slice. (The stochastic model is the
   /// exception: its do_draw steps internal slots of fixed width, so an
   /// interval advance still pays per-slot cost and only saves the call
   /// overhead.) Returns the sustained duration, exactly like draw().
@@ -65,16 +64,7 @@ class Battery {
   /// same memo buffers the draw path keys on t.
   double sigma_after(double current_a, double t_s) const;
 
-  /// Batch depletion probe: out[i] = sigma_after(currents[i], t_s),
-  /// bit-identical lane for lane to the scalar calls in sequence. The
-  /// default loops the scalar probe; diffusion/KiBaM/Peukert override it
-  /// so one rate-table/exp sweep at the shared t serves every lane.
-  /// Throws std::invalid_argument when out is shorter than currents.
-  void sigma_after_batch(std::span<const double> currents, double t_s,
-                         std::span<double> out) const;
-
-  /// Per-kernel cache/work counters (cleared by reset(); increments
-  /// compile out under BAS_KERNEL_COUNTERS=0).
+  /// Per-kernel cache/work counters (cleared by reset()).
   const KernelCounters& kernel_counters() const noexcept { return kc_; }
 
   virtual bool empty() const = 0;
@@ -106,25 +96,18 @@ class Battery {
   /// evaluation of the same closed form when the merged-window caller
   /// tolerates documented non-bitwise arithmetic (diffusion's
   /// strength-reduced series — see EXPERIMENTS.md, "Kernel
-  /// instrumentation & batching"). The per-slice draw() path never
-  /// routes through here, so window-0 and tick-engine runs stay
-  /// bit-frozen regardless of overrides.
+  /// instrumentation"). The per-slice draw() path never routes
+  /// through here, so window-0 runs stay bit-frozen regardless of
+  /// overrides.
   virtual double do_advance_interval(double current_a, double dt_s) {
     return do_draw(current_a, dt_s);
   }
-  /// Scalar depletion probe behind sigma_after().
+  /// Depletion probe behind sigma_after().
   virtual double do_sigma_after(double current_a, double t_s) const = 0;
-  /// Batch probe behind sigma_after_batch(); default is the scalar loop.
-  virtual void do_sigma_after_batch(const double* currents, std::size_t n,
-                                    double t_s, double* out) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = do_sigma_after(currents[i], t_s);
-    }
-  }
   virtual void do_reset() = 0;
 
-  /// Incremented by the kernels via BAS_KC(...); mutable so const probe
-  /// paths (sigma_after, memo fills) can count their hits.
+  /// Incremented by the kernels; mutable so const probe paths
+  /// (sigma_after, memo fills) can count their hits.
   mutable KernelCounters kc_;
 
  private:

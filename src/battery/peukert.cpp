@@ -27,10 +27,10 @@ std::unique_ptr<Battery> PeukertBattery::fresh_clone() const {
 
 double PeukertBattery::effective_rate(double current_a) const {
   if (current_a == last_current_a_) {
-    BAS_KC(++kc_.pow_hits);
+    ++kc_.pow_hits;
     return last_rate_;
   }
-  BAS_KC(++kc_.pow_misses);
+  ++kc_.pow_misses;
   const double ratio = std::max(1.0, current_a / params_.reference_current_a);
   // pow(1, y) is exactly 1 (IEC 60559), so sub-reference currents can
   // skip the call without perturbing a bit.
@@ -50,14 +50,6 @@ double PeukertBattery::do_sigma_after(double current_a, double t_s) const {
   }
   return (consumed_c_ + effective_rate(current_a) * t_s) /
          params_.capacity_c;
-}
-
-void PeukertBattery::do_sigma_after_batch(const double* currents,
-                                          std::size_t n, double t_s,
-                                          double* out) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = do_sigma_after(currents[i], t_s);
-  }
 }
 
 double PeukertBattery::do_draw(double current_a, double dt_s) {

@@ -36,11 +36,6 @@ class PeukertBattery final : public Battery {
  protected:
   double do_draw(double current_a, double dt_s) override;
   double do_sigma_after(double current_a, double t_s) const override;
-  /// Loops the scalar probe body directly (one virtual dispatch per
-  /// batch); lanes share the rate memo exactly as scalar calls in
-  /// sequence would.
-  void do_sigma_after_batch(const double* currents, std::size_t n,
-                            double t_s, double* out) const override;
   void do_reset() override;
 
  private:

@@ -83,7 +83,7 @@ double StochasticBattery::do_sigma_after(double current_a, double t_s) const {
   const double k = params_.kinetics.k_rate;
   const double c = params_.kinetics.c_fraction;
   const double y0 = y1_ + y2_;
-  BAS_KC(++kc_.exp_calls);
+  ++kc_.exp_calls;
   const double e = std::exp(-k * t_s);
   // Manwell-McGowan closed form from (y1_, y2_) — the expectation of
   // the Bernoulli-quantized drift the slots realize.

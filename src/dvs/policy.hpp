@@ -53,12 +53,11 @@ class DvsPolicy {
 
   /// True when select() is a pure function of per-run constants — it
   /// reads neither `now` nor any dynamic GraphStatus field — so one
-  /// call's result holds for the whole run. The event engine uses this
-  /// to hoist frequency selection (and the realized plan) out of its
-  /// inner loop; the tick engine ignores it, and since the hoisted
-  /// value is exactly what every per-step call would have returned, the
-  /// engines still agree. Policies with any dynamic input must return
-  /// false (the default).
+  /// call's result holds for the whole run. The simulator uses this to
+  /// hoist frequency selection (and the realized plan) out of its inner
+  /// loop; the hoisted value is exactly what every per-step call would
+  /// have returned. Policies with any dynamic input must return false
+  /// (the default).
   virtual bool run_constant() const { return false; }
 
   /// Clears internal state (if any) for a fresh simulation run.

@@ -90,8 +90,6 @@ void fill(Metrics& metrics, const sim::PerfCounters& perf) {
   metrics.set("k_kibam_shared_exps", u(k.kibam_shared_exps));
   metrics.set("k_pow_hits", u(k.pow_hits));
   metrics.set("k_pow_misses", u(k.pow_misses));
-  metrics.set("k_batch_calls", u(k.batch_calls));
-  metrics.set("k_batch_lanes", u(k.batch_lanes));
   metrics.set("k_fast_advances", u(k.fast_advances));
   // Phase profile (ph_*), in phase order; all zero unless the build
   // compiled BAS_PROFILE in and the run recorded perf counters.

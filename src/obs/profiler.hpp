@@ -1,21 +1,16 @@
 #pragma once
-// Scoped phase profiling of the simulator engines (the BAS_PROFILE
-// CMake option, mirroring BAS_KERNEL_COUNTERS).
+// Scoped phase profiling of the simulator loop (the BAS_PROFILE CMake
+// option).
 //
-// The scheduling loops are partitioned into a fixed phase taxonomy —
-// the same phases in both engines, so a tick/event profile is
-// comparable phase for phase:
+// The scheduling loop is partitioned into a fixed phase taxonomy:
 //
-//   queue-ops        release scanning / event dispatch, queue pushes,
-//                    merge-window observation flushes
-//   incremental-maint event engine only: maintaining the persistent
-//                    EDF order and write-through status snapshot at
+//   queue-ops        event dispatch, queue pushes, merge-window
+//                    observation flushes
+//   incremental-maint maintaining the persistent EDF order and
+//                    write-through status snapshot at
 //                    releases/completions plus the deadline-expiry
-//                    watch (work the per-step rebuild used to do under
-//                    bookkeeping; the tick engine never laps it)
-//   bookkeeping      status snapshot + EDF ordering (tick engine's
-//                    per-step rebuild), post-slice completion
-//                    bookkeeping
+//                    watch
+//   bookkeeping      post-slice completion bookkeeping
 //   dvs-select       DvsPolicy::select + realize (the scheme's DVS half)
 //   candidate-build  ready-list candidate enumeration
 //   estimate-score   estimator lookups + priority scoring
@@ -117,7 +112,7 @@ struct PhaseProfile {
 
 #if BAS_PROFILE
 
-/// The engines' boundary timer. Accumulates raw ticks per phase;
+/// The simulator's boundary timer. Accumulates raw ticks per phase;
 /// finish() converts to ns in one run-level calibration (wall span /
 /// tick span) and adds into the attached profile. With a TraceLog
 /// attached, every lap additionally emits a wall-clock phase span on
@@ -192,8 +187,8 @@ class PhaseClock {
 
 #else  // !BAS_PROFILE
 
-/// Compiled-out shell: every member is an empty inline, so the engines'
-/// mark()/lap() calls vanish entirely in default builds.
+/// Compiled-out shell: every member is an empty inline, so the
+/// simulator's mark()/lap() calls vanish entirely in default builds.
 class PhaseClock {
  public:
   PhaseClock(PhaseProfile*, TraceLog*) {}

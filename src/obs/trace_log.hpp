@@ -5,7 +5,7 @@
 //
 // One TraceLog serves both trace producers in the repo:
 //
-//   single sim run   the engines emit release/completion instants,
+//   single sim run   the simulator emits release/completion instants,
 //                    per-node execution spans (sim-time timeline,
 //                    pid kSimPid, tid = graph) and — in BAS_PROFILE
 //                    builds — per-step phase spans (wall-clock

@@ -395,7 +395,7 @@ std::string ScenarioSpec::fingerprint() const {
       << " ac=" << sim.ac_lo_frac << ".." << sim.ac_hi_frac
       << " ac-jitter=" << sim.ac_jitter
       << " stop-on-empty=" << (sim.stop_when_battery_empty ? 1 : 0)
-      << " engine=" << sim::to_string(sim.engine)
+      << " engine=event"  // literal: keeps pre-one-engine caches valid
       << " battery-window=" << sim.battery_window_s
       << " " << arrival::fingerprint(sim.arrival);
   return out.str();
@@ -479,13 +479,12 @@ std::map<std::string, std::string> with_scenario_defaults(
       "period-hi",             "spread",
       "battery",               "processor",
       "horizon",               "ac-model",
-      "engine",                "battery-window",
-      "arrival",               "arrival.jitter",
-      "arrival.gap",           "arrival.rate-scale",
-      "arrival.diurnal-amp",   "arrival.diurnal-period",
-      "arrival.burst-factor",  "arrival.burst-period",
-      "arrival.burst-duty",    "arrival.trace",
-      "arrival.trace-repeat"};
+      "battery-window",        "arrival",
+      "arrival.jitter",        "arrival.gap",
+      "arrival.rate-scale",    "arrival.diurnal-amp",
+      "arrival.diurnal-period", "arrival.burst-factor",
+      "arrival.burst-period",  "arrival.burst-duty",
+      "arrival.trace",         "arrival.trace-repeat"};
   for (const char* field : kOverrideFields) {
     defaults.emplace(std::string("scenario.") + field, "");
   }
@@ -534,11 +533,6 @@ void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
   }
   if (const auto v = value("ac-model"); !v.empty()) {
     spec.sim.ac_model = ac_model_from_string(v);
-  }
-  if (const auto v = value("engine"); !v.empty()) {
-    // Eager validation: an unknown engine label fails here, at parse
-    // time, with the known-values list — not inside a campaign worker.
-    spec.sim.engine = sim::engine_from_string(v);
   }
   if (const auto v = value("battery-window"); !v.empty()) {
     spec.sim.battery_window_s = parse_double("battery-window", v);
@@ -627,7 +621,7 @@ bool handle_list_request(const util::Cli& cli) {
       "\nOverride any field of the chosen preset with "
       "--scenario.FIELD=VALUE (fields: utilization, util-basis, graphs, "
       "min-nodes, max-nodes, period-lo, period-hi, spread, battery, "
-      "processor, horizon, ac-model, engine, battery-window, arrival, "
+      "processor, horizon, ac-model, battery-window, arrival, "
       "arrival.jitter, arrival.gap, "
       "arrival.rate-scale, arrival.diurnal-amp, arrival.diurnal-period, "
       "arrival.burst-factor, arrival.burst-period, arrival.burst-duty, "

@@ -61,16 +61,6 @@ class HistoryEstimator final : public Estimator {
     return 0.6 * wc_cycles;  // prior: mean of U(0.2, 1.0)
   }
 
-  // One virtual dispatch per decision point; each lane devirtualizes to
-  // the dense lookup above (final class).
-  void estimate_batch(const EstimateQuery* queries, std::size_t n,
-                      double* out) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = estimate(queries[i].graph, queries[i].node,
-                        queries[i].wc_cycles, queries[i].actual_cycles);
-    }
-  }
-
   void observe(int graph, tg::NodeId node, double actual_cycles) override {
     const auto g = static_cast<std::size_t>(graph);
     if (g >= ema_.size()) {

@@ -7,24 +7,13 @@
 // determines the optimality of the schedule. ... One [technique] is to
 // keep history of previous instances of each task." (§4.2)
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "taskgraph/graph.hpp"
 
 namespace bas::sched {
-
-/// One estimate() call's inputs, for the batched entry point.
-struct EstimateQuery {
-  int graph = 0;
-  tg::NodeId node = 0;
-  double wc_cycles = 0.0;
-  double actual_cycles = 0.0;
-};
 
 class Estimator {
  public:
@@ -37,20 +26,6 @@ class Estimator {
   /// look at it; it exists so all estimators share one call signature.
   virtual double estimate(int graph, tg::NodeId node, double wc_cycles,
                           double actual_cycles) = 0;
-
-  /// Estimates `n` queries into `out` — out[i] must equal the scalar
-  /// estimate() call sequence bitwise, including any internal
-  /// random-stream consumption (same contract as
-  /// PriorityPolicy::score_batch). The default loops the virtual scalar
-  /// call; the history estimator overrides it so the scheduler pays one
-  /// virtual dispatch per decision point instead of one per candidate.
-  virtual void estimate_batch(const EstimateQuery* queries, std::size_t n,
-                              double* out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = estimate(queries[i].graph, queries[i].node,
-                        queries[i].wc_cycles, queries[i].actual_cycles);
-    }
-  }
 
   /// Feedback after the task completes, for history-based estimators.
   virtual void observe(int /*graph*/, tg::NodeId /*node*/,

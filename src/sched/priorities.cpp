@@ -63,16 +63,6 @@ class PubsPriority final : public PriorityPolicy {
     return x_k / denom;
   }
 
-  // One virtual dispatch per decision point; the inner calls
-  // devirtualize (final class), so each lane is the scalar score body
-  // (and shares the per-graph memo across lanes).
-  void score_batch(const Candidate* candidates, std::size_t n, double now,
-                   double* out) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = score(candidates[i], now);
-    }
-  }
-
   void reset() override {
     // NaN keys can never match, so the first score() recomputes. (A
     // stale hit would still be exact — the cached values are pure
@@ -112,14 +102,6 @@ class RandomPriority final : public PriorityPolicy {
   explicit RandomPriority(std::uint64_t seed) : seed_(seed), rng_(seed) {}
   std::string name() const override { return "Random"; }
   double score(const Candidate&, double) override { return rng_.uniform(); }
-  // Lane i draws i-th — the same stream order as scalar calls in
-  // sequence, which the tick-vs-event CRN contract depends on.
-  void score_batch(const Candidate*, std::size_t n, double,
-                   double* out) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = rng_.uniform();
-    }
-  }
   bool stochastic() const override { return true; }
   void reset() override { rng_ = util::Rng(seed_); }
 

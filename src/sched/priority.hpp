@@ -6,7 +6,6 @@
 // runs the lowest-scoring candidate that passes the feasibility check.
 // Scores need only be comparable within one decision instant.
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -47,24 +46,11 @@ class PriorityPolicy {
   /// broken deterministically by (graph, node) in the scheduler.
   virtual double score(const Candidate& candidate, double now) = 0;
 
-  /// Scores `n` candidates into `out` — out[i] must equal the scalar
-  /// score(candidates[i], now) call sequence bitwise, including any
-  /// internal random-stream consumption (the CRN contract). The default
-  /// loops the virtual scalar call; hot policies (pUBS, Random)
-  /// override it so the scheduler pays one virtual dispatch per
-  /// decision point instead of one per candidate.
-  virtual void score_batch(const Candidate* candidates, std::size_t n,
-                           double now, double* out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = score(candidates[i], now);
-    }
-  }
-
   /// True when score() consumes randomness from an internal stream.
-  /// The event engine must then score every candidate in exactly the
-  /// tick engine's sequence — even lone candidates whose order cannot
-  /// matter — so the stream stays aligned across engines (the CRN
-  /// contract the tick-vs-event equivalence tests rely on).
+  /// The simulator must then score every candidate at every decision
+  /// point — even lone candidates whose order cannot matter — so the
+  /// stream advances once per candidate whatever the ready-list size
+  /// (the draw sequence the goldens pin).
   virtual bool stochastic() const { return false; }
 
   /// True when score() reads Candidate::estimate_cycles. When false the

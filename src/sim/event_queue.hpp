@@ -1,11 +1,11 @@
 #pragma once
-// Deterministic discrete-event queue — the spine of the event-driven
-// simulator core (Engine::kEvent).
+// Deterministic discrete-event queue — the spine of the simulator loop
+// (simulator.cpp).
 //
 // The queue orders pending events by (time, kind, actor), a strict
 // total order: two events never tie, so the pop sequence is unique and
 // independent of insertion order and of how the heap happened to be
-// laid out. That invariance is what keeps event-engine runs
+// laid out. That invariance is what keeps simulation runs
 // bit-reproducible for any thread count under the campaign runner (the
 // same property util::insertion_sort documents for the scheduling
 // sorts). The shape follows gacspp's CScheduleable priority-queue

@@ -2,6 +2,11 @@
 // Event-driven simulation of a scheduling scheme over a periodic
 // task-graph set on a DVS processor, optionally discharging a battery
 // inline — the experimental apparatus behind every table and figure.
+// One loop (simulator.cpp): a priority queue of (time, kind, actor)
+// events — releases, battery observations, horizon — with battery
+// decay/recovery evaluated over merged intervals in one closed-form
+// kernel call (SimConfig::battery_window_s; EXPERIMENTS.md,
+// "Event-driven core" has the numerical-equivalence argument).
 //
 // Decision points are exactly the paper's: task-graph releases and node
 // completions. Releases are pulled from a per-graph ArrivalProcess
@@ -21,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "arrival/arrival.hpp"
@@ -38,32 +42,10 @@ namespace bas::sim {
 namespace detail {
 // Per-run working state (instance/arrival runtime, status snapshots,
 // EDF order, candidate and phase lists, event queue), owned by the
-// Simulator and reused across steps and runs so the scheduling loops
-// allocate nothing in steady state. Defined in engine_internal.hpp,
-// shared by both engines.
+// Simulator and reused across steps and runs so the scheduling loop
+// allocates nothing in steady state. Defined in simulator.cpp.
 struct Scratch;
 }  // namespace detail
-
-/// Which inner loop drives the simulation.
-enum class Engine {
-  /// The PR 5 decision-stepping loop: scan arrivals for due releases at
-  /// the top of every step, draw the battery once per executed slice.
-  /// Kept selectable for A/B runs; bit-frozen by golden tests.
-  kTick,
-  /// The discrete-event core (default): a priority queue of
-  /// (time, kind, actor) events — releases, completions, battery
-  /// observations, horizon — with battery decay/recovery evaluated over
-  /// merged intervals in one closed-form kernel call (see
-  /// SimConfig::battery_window_s and EXPERIMENTS.md, "Event-driven
-  /// core" for the numerical-equivalence argument).
-  kEvent,
-};
-
-std::string to_string(Engine engine);
-/// Parses "tick" / "event"; throws std::invalid_argument listing the
-/// known values otherwise (the eager-validation contract CLI override
-/// paths rely on).
-Engine engine_from_string(const std::string& text);
 
 /// How per-instance actual computations relate across instances.
 enum class AcModel {
@@ -121,22 +103,17 @@ struct SimConfig {
   /// perf_hotpath profiles one dedicated rep instead of the timed
   /// ones. No-op (and free) unless the build compiled BAS_PROFILE in.
   bool record_phase_profile = false;
-  /// Debug cross-check of the event engine's incrementally maintained
-  /// state: at every decision point the engine additionally rebuilds
-  /// the EDF order (via the original util::insertion_sort path) and the
-  /// four dynamic status-snapshot fields from scratch and throws
-  /// std::logic_error if either differs from the maintained copy.
-  /// Instrumentation only — the check reads state and compares, so an
-  /// enabled run that does not throw is byte-identical to a disabled
-  /// one. The tick engine has no incremental state and ignores the
-  /// flag. Far too slow for benchmarks; meant for tests.
+  /// Debug cross-check of the incrementally maintained scheduler
+  /// state: at every decision point the simulator additionally rebuilds
+  /// the EDF order (via util::insertion_sort) and the four dynamic
+  /// status-snapshot fields from scratch and throws std::logic_error if
+  /// either differs from the maintained copy. Instrumentation only —
+  /// the check reads state and compares, so an enabled run that does
+  /// not throw is byte-identical to a disabled one. Far too slow for
+  /// benchmarks; meant for tests.
   bool check_incremental_state = false;
-  /// Which inner loop runs the simulation. Folded into
-  /// ScenarioSpec::fingerprint(), so campaign caches from one engine
-  /// never satisfy jobs of the other.
-  Engine engine = Engine::kEvent;
-  /// Event engine only: the maximum wall-clock span of one battery
-  /// merge window. Busy/idle slices shorter than this accrue into a
+  /// The maximum simulated span of one battery merge window.
+  /// Busy/idle slices shorter than this accrue into a
   /// charge-equivalent mean-current interval that hits the kernel once
   /// at the next battery-observation point; constant stretches of at
   /// least this length (long idle gaps) are always evaluated exactly in
@@ -147,7 +124,7 @@ struct SimConfig {
   /// it everywhere.
   double battery_window_s = 5.0;
   /// Optional Chrome-trace sink (obs/trace_log.hpp), not owned. When
-  /// attached the engines emit release/completion instants and — with
+  /// attached the simulator emits release/completion instants and — with
   /// record_trace — per-node execution spans on the sim-time track,
   /// plus per-step phase spans in BAS_PROFILE builds. Instrumentation
   /// only: never enters a fingerprint, sink or store record, so
@@ -169,34 +146,29 @@ struct PerfCounters {
   /// allocate or grow. Steady state should hold this at a small warmup
   /// constant — the zero-alloc property bench/perf_hotpath tracks.
   std::uint64_t scratch_grows = 0;
-  /// Event engine: events dispatched from the queue (releases,
-  /// battery observations, horizon) plus completion dispatches of the
-  /// running-slice register. Tick engine: 0.
+  /// Events dispatched from the queue (releases, battery observations,
+  /// horizon) plus completion dispatches of the running-slice register.
   std::uint64_t events_popped = 0;
-  /// Event engine: executed slices whose battery evaluation was
-  /// deferred into a merge window instead of an individual kernel call
-  /// — per-slice "ticks" of battery stepping that were skipped. The
-  /// attribution counter behind the sparse-scenario win. Tick: 0.
+  /// Executed slices whose battery evaluation was deferred into a merge
+  /// window instead of an individual kernel call — per-slice draws
+  /// that were skipped. 0 with merging off (window 0, profile, trace).
   std::uint64_t ticks_skipped = 0;
   /// Closed-form battery advances over merged or long-constant
   /// intervals (window flushes + whole idle gaps). Every one replaces
-  /// what the tick engine issues as per-slice draws. Tick: 0.
+  /// a run of per-slice draws. 0 with merging off.
   std::uint64_t battery_interval_advances = 0;
-  /// Event engine: sorted insert/erase operations on the persistently
-  /// maintained EDF order (releases and completions are the only
-  /// points it can change). Each step used to pay a full rebuild +
-  /// sort; the attribution counter behind the incremental-state win.
-  /// Tick: 0.
+  /// Sorted insert/erase operations on the persistently maintained EDF
+  /// order (releases and completions are the only points it can
+  /// change) — the attribution counter behind the incremental-state
+  /// win over a per-step rebuild + sort.
   std::uint64_t edf_incremental_ops = 0;
-  /// Simulated seconds of empty time crossed in single jumps (both
-  /// engines jump idle gaps; the counter makes the sparse/dense mix of
-  /// a scenario visible in perf reports).
+  /// Simulated seconds of empty time crossed in single jumps (the
+  /// counter makes the sparse/dense mix of a scenario visible in perf
+  /// reports).
   double idle_time_jumped_s = 0.0;
   /// Per-kernel battery cache/work counters, copied from the attached
   /// battery at the end of the run (all zero when no battery is
-  /// attached or the build compiled them out — check
-  /// bat::KernelCounters::compiled_in). See battery/kernel_counters.hpp
-  /// for field semantics.
+  /// attached). See battery/kernel_counters.hpp for field semantics.
   bat::KernelCounters kernel;
   /// Per-phase wall time of the scheduling loop (obs/profiler.hpp).
   /// All zero unless the build compiled BAS_PROFILE in (check
@@ -263,11 +235,6 @@ class Simulator {
   SimResult run(bat::Battery* battery = nullptr);
 
  private:
-  // The two inner loops (tick_engine.cpp / event_engine.cpp); run()
-  // dispatches on config_.engine.
-  SimResult run_tick(bat::Battery* battery);
-  SimResult run_event(bat::Battery* battery);
-
   const tg::TaskGraphSet& set_;
   const dvs::Processor& proc_;
   core::Scheme& scheme_;

@@ -127,10 +127,17 @@ std::uint64_t Cli::get_u64(const std::string& name) const {
   return std::stoull(get(name));
 }
 
+void Cli::show_effective(const std::string& key, long long value) {
+  get(key);  // throws on an undeclared option
+  shown_[key] = std::to_string(value);
+}
+
 std::string Cli::summary() const {
   std::ostringstream out;
   bool first = true;
-  for (const auto& [key, value] : values_) {
+  for (const auto& [key, parsed] : values_) {
+    const auto shown = shown_.find(key);
+    const std::string& value = shown != shown_.end() ? shown->second : parsed;
     // Unset optional values would render as a bare "--key" and make the
     // banner ambiguous to paste back; the empty string is their default.
     if (value.empty()) {

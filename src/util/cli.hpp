@@ -82,6 +82,12 @@ class Cli {
   /// whose value is empty (unset optional settings) are left out.
   std::string summary() const;
 
+  /// Makes summary() print `value` for option `key` — for drivers whose
+  /// presets (--full, --smoke) replace a parsed count, so the printed
+  /// config shows what ran. config_summary(), the campaign cache key,
+  /// keeps the parsed value, so existing caches stay valid.
+  void show_effective(const std::string& key, long long value);
+
   /// summary() minus the engine/campaign flags (--jobs, --csv, --shard,
   /// --cache, --store, --merge, --progress, --progress-interval,
   /// --trace-out, --job-timeout,
@@ -96,6 +102,7 @@ class Cli {
 
  private:
   std::map<std::string, std::string> values_;
+  std::map<std::string, std::string> shown_;  ///< show_effective overrides
   std::vector<std::string> flags_;
   std::vector<std::string> positional_;
 };

@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
-# Engine-equivalence smoke (ctest: engine_equivalence_smoke).
+# Battery merge-window equivalence smoke (ctest: engine_equivalence_smoke).
 #
-# Drives the table2 CLI under both simulator engines and checks the
-# two contracts from EXPERIMENTS.md, "Event-driven core":
+# Drives the table2 CLI with battery merging off
+# (--scenario.battery-window=0) and at the default 5 s window, and
+# checks the contract from EXPERIMENTS.md, "Event-driven core": the two
+# runs may differ only through window-merged battery arithmetic —
+# aggregate means within 0.5% relative, stddevs within 10% (a stddev of
+# near-identical samples amplifies sub-0.1% shifts), and miss counts
+# within the documented one-window slop.
 #
-#   1. With battery merging off (--scenario.battery-window=0) the event
-#      engine makes the tick engine's kernel calls in the tick engine's
-#      order, so the CSVs must be BYTE-IDENTICAL (cmp).
-#   2. At the default 5 s merge window the engines may differ only
-#      through window-merged battery arithmetic: aggregate means stay
-#      within 0.5% relative, stddevs within 10% (a stddev of
-#      near-identical samples amplifies sub-0.1% shifts), and miss
-#      counts within the documented one-window slop.
-#
-# The in-process equivalence suite (tests/test_engines.cpp) pins the
-# same contracts on SimResult fields; this script pins them end-to-end
-# through the CLI, CSV writer, and scenario-override plumbing.
+# Byte-identity of each mode is the golden smoke's job
+# (golden_outputs_smoke.sh); the in-process suite (tests/test_engines.cpp)
+# pins the same tolerances on SimResult fields. This script pins them
+# end-to-end through the CLI, CSV writer, and scenario-override plumbing.
 #
 # Usage: engine_equivalence_smoke.sh /path/to/table2_battery_lifetime
 
@@ -27,21 +24,15 @@ trap 'rm -rf "$work"' EXIT
 
 flags="--sets 2 --jobs 2"
 
-"$table2" $flags --scenario.engine=tick --csv "$work/tick.csv" > /dev/null
-"$table2" $flags --scenario.engine=event --scenario.battery-window=0 \
-    --csv "$work/event_w0.csv" > /dev/null
-"$table2" $flags --scenario.engine=event --csv "$work/event.csv" > /dev/null
+"$table2" $flags --scenario.battery-window=0 --csv "$work/exact.csv" \
+    > /dev/null
+"$table2" $flags --csv "$work/merged.csv" > /dev/null
 
-# 1. Merging disabled: bit-equal trajectories, bit-equal bytes.
-cmp "$work/tick.csv" "$work/event_w0.csv"
-echo "engine equivalence (window=0, byte-identical): OK"
-
-# 2. Default window: tolerance compare, column-aware.
 if ! command -v python3 > /dev/null; then
-  echo "engine equivalence (default window): SKIPPED (python3 not found)"
+  echo "window equivalence: SKIPPED (python3 not found)"
   exit 0
 fi
-python3 - "$work/tick.csv" "$work/event.csv" <<'PY'
+python3 - "$work/exact.csv" "$work/merged.csv" <<'PY'
 import csv, sys
 
 def rel(a, b):
@@ -49,28 +40,28 @@ def rel(a, b):
     return abs(a - b) / d if d > 0.0 else 0.0
 
 with open(sys.argv[1]) as f:
-    tick = list(csv.DictReader(f))
+    exact = list(csv.DictReader(f))
 with open(sys.argv[2]) as f:
-    event = list(csv.DictReader(f))
-assert len(tick) == len(event) and tick, "row sets differ"
+    merged = list(csv.DictReader(f))
+assert len(exact) == len(merged) and exact, "row sets differ"
 
 bad = []
-for trow, erow in zip(tick, event):
-    assert trow["scheme"] == erow["scheme"], "scheme order differs"
-    for col in trow:
+for xrow, mrow in zip(exact, merged):
+    assert xrow["scheme"] == mrow["scheme"], "scheme order differs"
+    for col in xrow:
         if col == "scheme":
             continue
-        t, e = float(trow[col]), float(erow[col])
+        x, m = float(xrow[col]), float(mrow[col])
         if col.startswith("misses"):
-            ok = abs(t - e) <= 2.0
+            ok = abs(x - m) <= 2.0
         elif "stddev" in col:
-            ok = rel(t, e) <= 0.10 or abs(t - e) <= 1.0
+            ok = rel(x, m) <= 0.10 or abs(x - m) <= 1.0
         else:
-            ok = rel(t, e) <= 5e-3
+            ok = rel(x, m) <= 5e-3
         if not ok:
-            bad.append(f"{trow['scheme']}.{col}: tick={t} event={e}")
+            bad.append(f"{xrow['scheme']}.{col}: window0={x} default={m}")
 
 if bad:
-    sys.exit("engine divergence beyond tolerance:\n" + "\n".join(bad))
-print("engine equivalence (default window, tolerance): OK")
+    sys.exit("merge-window divergence beyond tolerance:\n" + "\n".join(bad))
+print("window equivalence (window 0 vs default, tolerance): OK")
 PY

@@ -1,34 +1,33 @@
 #!/usr/bin/env bash
 # Differential bit-identity smoke (ctest: golden_bit_identity).
 #
-# Two engines, two golden sets:
+# Two battery modes, two golden sets:
 #
-#   *_tick.csv   — generated at the pre-event-engine HEAD (PR 5) with
-#                  the flags below. The tick engine is contracted to be
-#                  bit-frozen: the refactor that split it into
-#                  tick_engine.cpp must never move these bytes.
-#   *.csv        — generated under the event engine (the default since
-#                  the event-driven core landed). Event outputs differ
-#                  from tick only through battery merge windows
-#                  (SimConfig::battery_window_s); the numerical-
-#                  equivalence argument lives in EXPERIMENTS.md,
-#                  "Event-driven core". Within one engine the outputs
-#                  are bit-deterministic, which is what this file pins.
+#   *_window0.csv — battery merging off (--scenario.battery-window=0):
+#                   one kernel draw per executed slice. These bytes were
+#                   first generated before the event-driven core existed
+#                   and have never moved; they anchor the simulator's
+#                   original trajectory.
+#   *.csv         — the default 5 s merge window. Outputs differ from
+#                   window 0 only through merged battery arithmetic
+#                   (SimConfig::battery_window_s); the numerical-
+#                   equivalence argument lives in EXPERIMENTS.md,
+#                   "Event-driven core". Within one mode the outputs are
+#                   bit-deterministic, which is what this file pins.
 #
 # table2 runs fresh; arrival_stress goes through the full shard + cache
 # + merge campaign path, so shard/merge byte-identity is covered per
-# engine as well.
+# mode as well.
 #
-# If a future change moves the event bytes ON PURPOSE (a genuine
-# semantic change, not a perf transformation), regenerate with the
-# commands below and say so in the PR. The tick goldens should only
-# ever be regenerated together with a written waiver — they are the
-# anchor that proves engine refactors preserve the original simulator:
+# If a future change moves the bytes ON PURPOSE (a genuine semantic
+# change, not a perf transformation), regenerate with the commands below
+# and say so in the PR. The window-0 goldens should only ever be
+# regenerated together with a written waiver:
 #
 #   table2_battery_lifetime --sets 2 --jobs 2 --csv tests/golden/table2_smoke.csv
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
-#   (append --scenario.engine=tick for the *_tick.csv variants)
+#   (append --scenario.battery-window=0 for the *_window0.csv variants)
 #
 # Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress golden_dir
 
@@ -40,31 +39,31 @@ golden="$3"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-for engine in event tick; do
-  if [ "$engine" = tick ]; then
-    eng_flag="--scenario.engine=tick"
-    suffix="_tick"
+for mode in default window0; do
+  if [ "$mode" = window0 ]; then
+    mode_flag="--scenario.battery-window=0"
+    suffix="_window0"
   else
-    eng_flag=""  # event is the default engine
+    mode_flag=""
     suffix=""
   fi
 
   # 1. Table 2 smoke cell, fresh run.
-  "$table2" --sets 2 --jobs 2 $eng_flag --csv "$work/table2_$engine.csv" \
+  "$table2" --sets 2 --jobs 2 $mode_flag --csv "$work/table2_$mode.csv" \
       > /dev/null
-  cmp "$golden/table2_smoke$suffix.csv" "$work/table2_$engine.csv"
+  cmp "$golden/table2_smoke$suffix.csv" "$work/table2_$mode.csv"
 
   # 2. arrival_stress smoke cell through the campaign path: two shards
-  #    into one cache dir, then a merge — the merged bytes must equal a
-  #    fresh run's (and, for tick, the pre-refactor run's).
-  flags="--sets 1 --scenario.horizon 600 $eng_flag"
-  "$arrival" $flags --jobs 2 --shard 0/2 --cache "$work/cache_$engine" \
+  #    into one cache dir, then a merge — the merged bytes must equal
+  #    the golden fresh run's.
+  flags="--sets 1 --scenario.horizon 600 $mode_flag"
+  "$arrival" $flags --jobs 2 --shard 0/2 --cache "$work/cache_$mode" \
       > /dev/null
-  "$arrival" $flags --jobs 2 --shard 1/2 --cache "$work/cache_$engine" \
+  "$arrival" $flags --jobs 2 --shard 1/2 --cache "$work/cache_$mode" \
       > /dev/null
-  "$arrival" $flags --merge --cache "$work/cache_$engine" \
-      --csv "$work/arrival_$engine.csv" > /dev/null
-  cmp "$golden/arrival_stress_smoke$suffix.csv" "$work/arrival_$engine.csv"
+  "$arrival" $flags --merge --cache "$work/cache_$mode" \
+      --csv "$work/arrival_$mode.csv" > /dev/null
+  cmp "$golden/arrival_stress_smoke$suffix.csv" "$work/arrival_$mode.csv"
 
-  echo "golden outputs ($engine): OK"
+  echo "golden outputs ($mode): OK"
 done

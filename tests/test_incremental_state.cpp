@@ -1,8 +1,8 @@
-// Incremental scheduler-state contracts (see event_engine.cpp, "incremental
+// Incremental scheduler-state contracts (see simulator.cpp, "incremental
 // maintenance").
 //
-// The event engine no longer rebuilds the EDF order and the status
-// snapshot at every decision point — it maintains both persistently
+// The simulator does not rebuild the EDF order and the status snapshot
+// at every decision point — it maintains both persistently
 // (insert at release, erase at completion, write-through of the running
 // graph's dynamic fields, a sorted watch for deadline expiry). All of
 // it is contracted to be
@@ -11,10 +11,10 @@
 // machinery enabled must produce the same bytes as the seed's
 // rebuild-everything loop (pinned end-to-end by golden_bit_identity).
 // These tests fuzz that equivalence across scenarios x arrival
-// processes x schemes x engines via SimConfig::check_incremental_state,
-// which makes the engine rebuild through the ORIGINAL
-// util::insertion_sort path at every decision point and throw
-// std::logic_error on any divergence.
+// processes x schemes via SimConfig::check_incremental_state, which
+// makes the simulator rebuild through the ORIGINAL util::insertion_sort
+// path at every decision point and throw std::logic_error on any
+// divergence.
 //
 // The pUBS hoist (priorities.cpp: per-decision-point memo of time_left,
 // s_o, s_o^2) is pinned separately against an unhoisted reference copy
@@ -37,14 +37,13 @@ namespace {
 
 sim::SimResult run_cell(const std::string& scenario_name,
                         const std::string& arrival_model,
-                        core::SchemeKind kind, sim::Engine engine,
-                        bool check, std::uint64_t seed) {
+                        core::SchemeKind kind, bool check,
+                        std::uint64_t seed) {
   const auto& spec = scenario::scenario(scenario_name);
   util::Rng rng(seed);
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(seed, 1000u));
-  config.engine = engine;
   config.arrival.model = arrival_model;
   config.horizon_s = 600.0;  // bounded fuzz cells, not lifetime runs
   config.record_perf_counters = true;
@@ -76,73 +75,34 @@ TEST(IncrementalState, MaintainedStateMatchesRebuildAcrossFuzzGrid) {
   // order and status snapshot against the original rebuild path; a
   // single diverging element throws out of simulate_scheme and fails
   // the cell. The grid crosses a dense and a sparse world with every
-  // non-trace arrival model, every Table 2 scheme and both engines
-  // (the tick engine has no incremental state and must ignore the
-  // flag bit-exactly).
+  // non-trace arrival model and every Table 2 scheme.
   const std::vector<std::string> scenarios{"paper-table2", "sporadic-sensor"};
   const std::vector<std::string> arrivals{"periodic", "sporadic", "poisson",
                                           "ippp"};
-  const std::vector<sim::Engine> engines{sim::Engine::kEvent,
-                                         sim::Engine::kTick};
   std::uint64_t seed = 20260808;
   for (const auto& scenario_name : scenarios) {
     for (const auto& arrival : arrivals) {
       for (const auto kind : core::table2_schemes()) {
-        for (const auto engine : engines) {
-          ++seed;  // distinct workloads per cell: more trajectories fuzzed
-          const std::string label =
-              scenario_name + "/" + arrival + "/" + core::to_string(kind) +
-              (engine == sim::Engine::kEvent ? "/event" : "/tick");
-          sim::SimResult checked;
-          ASSERT_NO_THROW(checked = run_cell(scenario_name, arrival, kind,
-                                             engine, true, seed))
-              << label;
-          const auto plain =
-              run_cell(scenario_name, arrival, kind, engine, false, seed);
-          expect_bitwise_equal(checked, plain, label);
-        }
+        ++seed;  // distinct workloads per cell: more trajectories fuzzed
+        const std::string label =
+            scenario_name + "/" + arrival + "/" + core::to_string(kind);
+        sim::SimResult checked;
+        ASSERT_NO_THROW(
+            checked = run_cell(scenario_name, arrival, kind, true, seed))
+            << label;
+        const auto plain = run_cell(scenario_name, arrival, kind, false, seed);
+        expect_bitwise_equal(checked, plain, label);
       }
     }
   }
 }
 
-TEST(IncrementalState, EventEngineWindowZeroMatchesTickBitwise) {
-  // With battery merging off the engines are contracted draw-for-draw
-  // identical; the maintained state must preserve that, not just the
-  // merged-window tolerance band. BAS-2 exercises every piece at once
-  // (statuses, feasibility prefix, pUBS memo).
-  const auto& spec = scenario::scenario("paper-table2");
-  for (const auto kind : {core::SchemeKind::kEdfNoDvs, core::SchemeKind::kBas2}) {
-    sim::SimResult results[2];
-    for (int e = 0; e < 2; ++e) {
-      util::Rng rng(99);
-      const auto set = spec.make_workload(rng);
-      const auto proc = spec.make_processor();
-      auto config = spec.sim_config(util::Rng::hash_combine(99u, 1000u));
-      config.engine = e == 0 ? sim::Engine::kEvent : sim::Engine::kTick;
-      config.battery_window_s = 0.0;  // merging off: exact contract
-      config.horizon_s = 600.0;
-      config.check_incremental_state = e == 0;
-      auto battery = scenario::make_battery(spec.battery);
-      results[e] = sim::simulate_scheme(set, proc, kind, config,
-                                        battery.get());
-    }
-    expect_bitwise_equal(results[0], results[1], core::to_string(kind));
-  }
-}
-
 TEST(IncrementalState, CountersAttributeTheIncrementalWork) {
-  // BAS-2 on the dense cell: the event engine maintains the EDF order,
-  // so edf_incremental_ops counts its inserts/erases. The tick engine
-  // still rebuilds per step and must report zero.
-  const auto event = run_cell("paper-table2", "periodic",
-                              core::SchemeKind::kBas2, sim::Engine::kEvent,
-                              false, 5);
-  EXPECT_GT(event.perf.edf_incremental_ops, 0u);
-  const auto tick = run_cell("paper-table2", "periodic",
-                             core::SchemeKind::kBas2, sim::Engine::kTick,
-                             false, 5);
-  EXPECT_EQ(tick.perf.edf_incremental_ops, 0u);
+  // BAS-2 on the dense cell: the maintained EDF order counts its
+  // inserts/erases.
+  const auto r = run_cell("paper-table2", "periodic", core::SchemeKind::kBas2,
+                          false, 5);
+  EXPECT_GT(r.perf.edf_incremental_ops, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -226,36 +186,6 @@ TEST(PubsHoist, ScoreBitIdenticalToUnhoistedReference) {
   cand.graph_remaining_wc_cycles = 7e5;
   EXPECT_EQ(reference_pubs_score(cand, now), pubs->score(cand, now));
   EXPECT_GT(checked, 300);
-}
-
-TEST(PubsHoist, BatchMatchesScalarSequence) {
-  // score_batch shares the memo across lanes; the outputs must equal
-  // the scalar call sequence exactly (same contract the engines'
-  // batched scoring relies on).
-  const auto batch_pubs = sched::make_pubs_priority();
-  const auto scalar_pubs = sched::make_pubs_priority();
-  const double now = 2.5;
-  std::vector<sched::Candidate> cands;
-  util::Rng rng(7);
-  for (int g = 0; g < 6; ++g) {
-    const double dl = now + 0.1 + rng.uniform() * 5.0;
-    const double rem = 1e6 + rng.uniform() * 1e8;
-    for (int sibling = 0; sibling < 3; ++sibling) {
-      sched::Candidate c;
-      c.graph = g;
-      c.node = sibling;
-      c.wc_cycles = 1e5 + rng.uniform() * 1e7;
-      c.estimate_cycles = (0.2 + 0.8 * rng.uniform()) * c.wc_cycles;
-      c.graph_abs_deadline_s = dl;
-      c.graph_remaining_wc_cycles = rem;
-      cands.push_back(c);
-    }
-  }
-  std::vector<double> batched(cands.size());
-  batch_pubs->score_batch(cands.data(), cands.size(), now, batched.data());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    EXPECT_EQ(scalar_pubs->score(cands[i], now), batched[i]) << i;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Observability-layer tests: attaching a TraceLog or recording the
 // phase profile must not perturb any simulation figure (the
-// instrumentation-only contract, both engines), the Chrome-trace JSON
+// instrumentation-only contract), the Chrome-trace JSON
 // must be well formed with per-track monotone timestamps, the phase
 // taxonomy's names must stay fixed (they are a schema), and the
 // metrics registry must keep names unique and in stable order.
@@ -28,8 +28,8 @@
 namespace bas {
 namespace {
 
-sim::SimResult run_scenario(const std::string& name, sim::Engine engine,
-                            std::uint64_t seed, bool perf_counters,
+sim::SimResult run_scenario(const std::string& name, std::uint64_t seed,
+                            bool perf_counters,
                             obs::TraceLog* trace_log,
                             double horizon_s = 600.0,
                             bool phase_profile = false) {
@@ -38,7 +38,6 @@ sim::SimResult run_scenario(const std::string& name, sim::Engine engine,
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(seed, 1000u));
-  config.engine = engine;
   config.record_perf_counters = perf_counters;
   config.record_phase_profile = phase_profile;
   config.trace_log = trace_log;
@@ -65,60 +64,41 @@ void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b,
 
 // ----------------------------------------------- instrumentation-only
 
-TEST(Obs, AttachingATraceDoesNotPerturbEitherEngine) {
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const char* label =
-        engine == sim::Engine::kTick ? "tick" : "event";
-    const auto plain = run_scenario("paper-table2", engine, 3, false,
-                                    nullptr);
-    obs::TraceLog log;
-    const auto traced = run_scenario("paper-table2", engine, 3, false, &log);
-    expect_bitwise_equal(plain, traced, label);
-    EXPECT_GT(log.size(), 0u) << label;
-  }
+TEST(Obs, AttachingATraceDoesNotPerturbTheRun) {
+  const auto plain = run_scenario("paper-table2", 3, false, nullptr);
+  obs::TraceLog log;
+  const auto traced = run_scenario("paper-table2", 3, false, &log);
+  expect_bitwise_equal(plain, traced, "trace");
+  EXPECT_GT(log.size(), 0u);
 }
 
-TEST(Obs, RecordingThePhaseProfileDoesNotPerturbEitherEngine) {
+TEST(Obs, RecordingThePhaseProfileDoesNotPerturbTheRun) {
   // record_phase_profile is what arms the PhaseClock in BAS_PROFILE
   // builds; either way the figures must be bit-equal to a bare run.
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const char* label =
-        engine == sim::Engine::kTick ? "tick" : "event";
-    const auto plain = run_scenario("paper-table2", engine, 5, false,
-                                    nullptr);
-    const auto profiled = run_scenario("paper-table2", engine, 5, true,
-                                       nullptr, 600.0, /*phase_profile=*/true);
-    expect_bitwise_equal(plain, profiled, label);
-  }
+  const auto plain = run_scenario("paper-table2", 5, false, nullptr);
+  const auto profiled = run_scenario("paper-table2", 5, true, nullptr, 600.0,
+                                     /*phase_profile=*/true);
+  expect_bitwise_equal(plain, profiled, "profile");
 }
 
 TEST(Obs, PhaseProfileMatchesTheBuildConfiguration) {
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const auto r = run_scenario("paper-table2", engine, 7, true, nullptr,
-                                600.0, /*phase_profile=*/true);
-    const auto& phases = r.perf.phases;
-    std::uint64_t laps = 0;
-    for (int p = 0; p < obs::kPhaseCount; ++p) {
-      laps += phases.laps[p];
-    }
-    if (obs::PhaseProfile::compiled_in) {
-      // Every phase boundary in the loop body fired at least once and
-      // the lap count tracks the step count (several laps per step).
-      EXPECT_GT(phases.total_ns(), 0u);
-      EXPECT_GE(laps, r.perf.steps);
-      // incremental-maint is the event engine's EDF/snapshot upkeep;
-      // the tick engine rebuilds per step and never laps it.
-      const auto maint =
-          phases.laps[static_cast<int>(obs::Phase::kIncrementalMaint)];
-      if (engine == sim::Engine::kEvent) {
-        EXPECT_GT(maint, 0u);
-      } else {
-        EXPECT_EQ(maint, 0u);
-      }
-    } else {
-      EXPECT_EQ(phases.total_ns(), 0u);
-      EXPECT_EQ(laps, 0u);
-    }
+  const auto r = run_scenario("paper-table2", 7, true, nullptr, 600.0,
+                              /*phase_profile=*/true);
+  const auto& phases = r.perf.phases;
+  std::uint64_t laps = 0;
+  for (int p = 0; p < obs::kPhaseCount; ++p) {
+    laps += phases.laps[p];
+  }
+  if (obs::PhaseProfile::compiled_in) {
+    // Every phase boundary in the loop body fired at least once and
+    // the lap count tracks the step count (several laps per step).
+    EXPECT_GT(phases.total_ns(), 0u);
+    EXPECT_GE(laps, r.perf.steps);
+    EXPECT_GT(phases.laps[static_cast<int>(obs::Phase::kIncrementalMaint)],
+              0u);
+  } else {
+    EXPECT_EQ(phases.total_ns(), 0u);
+    EXPECT_EQ(laps, 0u);
   }
 }
 
@@ -137,7 +117,6 @@ TEST(Obs, PhasesCoverTheLoopBody) {
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(7u, 1000u));
-  config.engine = sim::Engine::kEvent;
   config.record_perf_counters = true;
   config.record_phase_profile = true;
   auto battery = scenario::make_battery(spec.battery);
@@ -156,8 +135,7 @@ TEST(Obs, PhaseProfileStaysZeroWithoutTheOptIn) {
   // The clock is armed by record_phase_profile only — in particular
   // record_perf_counters (which every timed bench rep sets) must NOT
   // arm it, or the perf gate would time the clock reads.
-  const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 9, true, nullptr);
+  const auto r = run_scenario("paper-table2", 9, true, nullptr);
   EXPECT_EQ(r.perf.phases.total_ns(), 0u);
 }
 
@@ -165,15 +143,14 @@ TEST(Obs, PhaseProfileStaysZeroWithoutTheOptIn) {
 
 TEST(Obs, TraceCountsReleasesAndCompletions) {
   obs::TraceLog log;
-  const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 11, false, &log);
+  const auto r = run_scenario("paper-table2", 11, false, &log);
   EXPECT_EQ(log.count("release"), r.instances_released);
   EXPECT_EQ(log.count("complete"), r.instances_completed);
 }
 
 TEST(Obs, SortedEventsAreMonotonePerTrack) {
   obs::TraceLog log;
-  run_scenario("paper-table2", sim::Engine::kTick, 13, true, &log);
+  run_scenario("paper-table2", 13, true, &log);
   log.name_process(obs::kSimPid, "sim");
   const auto events = log.sorted_events();
   ASSERT_GT(events.size(), 2u);
@@ -232,8 +209,7 @@ TEST(Obs, TraceJsonIsWellFormed) {
 
 TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
   obs::TraceLog log;
-  const auto r =
-      run_scenario("paper-table2", sim::Engine::kTick, 17, false, &log);
+  const auto r = run_scenario("paper-table2", 17, false, &log);
   std::size_t spans = 0;
   double last_end_us = 0.0;
   for (const auto& event : log.sorted_events()) {
@@ -252,7 +228,7 @@ TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
 // --------------------------------------------------- phase vocabulary
 
 TEST(Obs, PhaseNamesAndFieldsAreASchema) {
-  // These strings are load-bearing: trace span names, bas-perf/4 JSON
+  // These strings are load-bearing: trace span names, bas-perf JSON
   // keys and the metrics registry all use them. Renaming one is a
   // schema change (bump kSchema in bench/perf_hotpath.cpp).
   using obs::Phase;
@@ -330,8 +306,7 @@ TEST(Obs, FormatValuePrintsCountersAsIntegers) {
 }
 
 TEST(Obs, PerfCounterFillerNamesAreUniqueAndStable) {
-  const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 19, true, nullptr);
+  const auto r = run_scenario("paper-table2", 19, true, nullptr);
   obs::Metrics m;
   obs::fill(m, r.perf);
   std::set<std::string> names;

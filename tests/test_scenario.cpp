@@ -188,34 +188,40 @@ TEST(ScenarioCli, BadOverridesThrowWithValidChoices) {
   }
 }
 
-TEST(ScenarioCli, EngineOverrideSelectsEngineAndEntersFingerprint) {
-  // Default is the event engine; the override flips per spec.
-  EXPECT_EQ(scenario::from_cli(make_cli({})).sim.engine, sim::Engine::kEvent);
-  const auto tick = scenario::from_cli(make_cli({"--scenario.engine=tick"}));
-  EXPECT_EQ(tick.sim.engine, sim::Engine::kTick);
-  const auto event = scenario::from_cli(make_cli({"--scenario.engine=event"}));
-  EXPECT_EQ(event.sim.engine, sim::Engine::kEvent);
-  // Engine choice keys campaign caches: one engine's records must never
-  // satisfy the other's jobs.
-  EXPECT_NE(tick.fingerprint(), event.fingerprint());
-  EXPECT_NE(tick.fingerprint().find("engine=tick"), std::string::npos);
-  // So does the merge-window knob (it moves battery figures).
+TEST(ScenarioCli, EngineOverrideIsAnUnknownOption) {
+  // The simulator has one loop; --scenario.engine is no longer an
+  // override field and fails at parse time like any unknown option.
+  try {
+    make_cli({"--scenario.engine=tick"});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option --scenario.engine"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioCli, BatteryWindowOverrideEntersFingerprint) {
+  // The merge window moves battery figures, so it keys campaign caches.
   EXPECT_NE(
       scenario::from_cli(make_cli({"--scenario.battery-window=2.5"}))
           .fingerprint(),
-      event.fingerprint());
+      scenario::from_cli(make_cli({})).fingerprint());
 }
 
-TEST(ScenarioCli, UnknownEngineOverrideFailsEagerlyListingKnownValues) {
-  try {
-    scenario::from_cli(make_cli({"--scenario.engine=warp"}));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("warp"), std::string::npos);
-    EXPECT_NE(what.find("tick"), std::string::npos);
-    EXPECT_NE(what.find("event"), std::string::npos);
-  }
+TEST(ScenarioFingerprint, PaperTable2IsPinned) {
+  // The fingerprint keys every JSONL and SQLite campaign cache. This is
+  // the exact string caches were written under, literal engine=event
+  // token included; any change orphans every stored result.
+  EXPECT_EQ(scenario::scenario("paper-table2").fingerprint(),
+            "scenario=paper-table2 graphs=3 nodes=5..15 "
+            "method=fan-in-fan-out degree=3/3 wcet=1000000..10000000 "
+            "edge-density=0.25 layers=0 periods=0.5..5 spread=0.5 "
+            "fmax=1000000000 utilization=0.69999999999999996 basis=actual "
+            "battery=kibam processor=paper horizon=86400 drain=0 "
+            "ac-model=per-node-mean ac=0.20000000000000001..1 "
+            "ac-jitter=0.10000000000000001 stop-on-empty=1 engine=event "
+            "battery-window=5 arrival=periodic");
 }
 
 TEST(ScenarioCli, ArrivalOverridesSelectModelAndKnobs) {

@@ -210,6 +210,19 @@ TEST(Cli, UnknownOptionThrows) {
   EXPECT_THROW(util::Cli(3, argv, {{"sets", "10"}}), std::runtime_error);
 }
 
+TEST(Cli, SummaryShowsTheEffectiveCountButCacheKeyKeepsTheParsedOne) {
+  // A --full driver runs 100 sets while --sets still holds its default;
+  // the printed config must show what ran, the cache key must not move.
+  const char* argv[] = {"prog", "--full"};
+  util::Cli cli(2, argv, {{"sets", "12"}, {"full", "false"}});
+  cli.show_effective("sets", 100);
+  EXPECT_NE(cli.summary().find("--sets 100"), std::string::npos)
+      << cli.summary();
+  EXPECT_EQ(cli.summary().find("--sets 12"), std::string::npos);
+  EXPECT_NE(cli.config_summary().find("--sets 12"), std::string::npos);
+  EXPECT_EQ(cli.get_int("sets"), 12);
+}
+
 TEST(Cli, PositionalArgumentsCollected) {
   const char* argv[] = {"prog", "file.csv", "--sets", "3"};
   util::Cli cli(4, argv, {{"sets", "10"}});

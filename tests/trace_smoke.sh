@@ -39,9 +39,9 @@ grep -q '"traceEvents"' "$work/campaign.json"
 grep -q 'process_name' "$work/campaign.json"
 
 # 2. Direct-mode sim trace from the perf harness (one untimed rep of a
-#    single small cell).
-"$perf" --smoke --sets 1 --scenarios idle-heavy --schemes BAS-2 \
-    --batteries kibam --engine tick --json "$work/perf.json" \
+#    single small cell: a few MB of trace, thousands of releases).
+"$perf" --smoke --sets 1 --scenarios sporadic-sensor --schemes EDF \
+    --batteries kibam --json "$work/perf.json" \
     --trace-out "$work/direct.json" > /dev/null
 test -s "$work/direct.json"
 grep -q '"traceEvents"' "$work/direct.json"
