@@ -1,16 +1,15 @@
-// Batch-probe and instrumentation suite for the kernel work of PR 8:
-// the sigma_after_batch contract (bit-identical to the scalar probe
-// sequence, lane for lane, across every model and memo state including
-// post-bisection), the diffusion strength-reduced interval advance, the
-// per-kernel counters behind BAS_KERNEL_COUNTERS, and the batched
-// estimator / priority entry points' equivalence to their scalar call
-// sequences.
+// Battery kernel fast-path and instrumentation suite: the merged-window
+// interval advance (bitwise equal to a draw for every model except
+// diffusion, whose strength-reduced series tracks the exact one) and the
+// per-kernel work counters, both on bare cells and as routed by the
+// simulator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "battery/diffusion.hpp"
@@ -20,8 +19,6 @@
 #include "battery/stochastic.hpp"
 #include "core/scheme.hpp"
 #include "scenario/scenario.hpp"
-#include "sched/estimator.hpp"
-#include "sched/priority.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -43,85 +40,10 @@ std::vector<std::unique_ptr<bat::Battery>> all_models() {
   return models;
 }
 
-// Probe currents shaped like simulator traffic: idle, the paper
-// processor's three operating points, and an out-of-range heavy lane.
-const std::vector<double> kLanes = {0.0, 0.01, 0.3888, 0.98415, 1.8, 2.5};
-
-TEST(SigmaBatch, MatchesScalarBitwiseAcrossModels) {
-  for (const auto& model : all_models()) {
-    // Warm each cell with a mixed draw history so the probes run
-    // against mid-life state, not just the fresh cell.
-    model->draw(0.3888, 30.0);
-    model->draw(0.0, 10.0);
-    model->draw(1.8, 5.0);
-
-    std::vector<double> batch(kLanes.size());
-    // Repeated t values on purpose: the second pass must ride the
-    // t-keyed memos and still reproduce the scalar sequence exactly.
-    for (const double t : {0.0, 0.5, 37.5, 0.5, 3600.0, 37.5}) {
-      model->sigma_after_batch(kLanes, t, batch);
-      for (std::size_t i = 0; i < kLanes.size(); ++i) {
-        ASSERT_EQ(batch[i], model->sigma_after(kLanes[i], t))
-            << model->name() << " lane " << i << " t=" << t;
-      }
-    }
-  }
-}
-
-TEST(SigmaBatch, MatchesScalarAfterBisectionProbes) {
-  // Drive a diffusion cell through the cutoff bisection (80 probe
-  // rounds at shrinking t) so the decay memo holds a bisection
-  // midpoint, then check the batch still equals the scalar sequence.
-  bat::DiffusionBattery cell(bat::DiffusionParams::paper_aaa_nimh());
-  cell.draw(1.8, 3000.0);
-  const double sustained = cell.draw(5.0, 1e7);
-  ASSERT_TRUE(cell.empty());
-  ASSERT_GT(sustained, 0.0);
-  std::vector<double> batch(kLanes.size());
-  for (const double t : {0.25, 12.0, 0.25}) {
-    cell.sigma_after_batch(kLanes, t, batch);
-    for (std::size_t i = 0; i < kLanes.size(); ++i) {
-      ASSERT_EQ(batch[i], cell.sigma_after(kLanes[i], t)) << "lane " << i;
-    }
-  }
-}
-
-TEST(SigmaBatch, ProbeDoesNotPerturbDrawTrajectory) {
-  // Twin cells, identical draw sequence; one is probed heavily between
-  // draws. Every sustained duration and the transient state must stay
-  // bitwise equal — the probe contract ("never changes observable
-  // state").
-  bat::DiffusionBattery quiet(bat::DiffusionParams::paper_aaa_nimh());
-  bat::DiffusionBattery probed(bat::DiffusionParams::paper_aaa_nimh());
-  std::vector<double> sink(kLanes.size());
-  const double currents[] = {0.3888, 0.0, 1.8, 0.98415};
-  const double dts[] = {0.5, 7.0, 0.125, 42.0};
-  for (int round = 0; round < 200; ++round) {
-    const double i = currents[round % 4];
-    const double dt = dts[(round * 3) % 4];
-    probed.sigma_after_batch(kLanes, 0.75 * (round % 5), sink);
-    ASSERT_EQ(quiet.draw(i, dt), probed.draw(i, dt)) << "round " << round;
-    ASSERT_EQ(quiet.unavailable_c(), probed.unavailable_c())
-        << "round " << round;
-  }
-  EXPECT_EQ(quiet.charge_delivered_c(), probed.charge_delivered_c());
-}
-
-TEST(SigmaBatch, RejectsShortOutputAndNegativeTime) {
-  bat::IdealBattery cell(kCap);
-  std::vector<double> out(2);
-  EXPECT_THROW(cell.sigma_after_batch(kLanes, 1.0, out),
-               std::invalid_argument);
-  std::vector<double> ok(kLanes.size());
-  EXPECT_THROW(cell.sigma_after_batch(kLanes, -1.0, ok),
-               std::invalid_argument);
-}
-
 TEST(FastAdvance, NonDiffusionIntervalAdvanceIsBitwiseDraw) {
   // Every kernel except diffusion leaves do_advance_interval at its
   // default — exactly do_draw — so a merged-window advance must equal
-  // the equivalent draw to the last bit (this is what keeps window-0
-  // event runs byte-identical to tick runs).
+  // the equivalent draw to the last bit.
   auto draws = all_models();
   auto advances = all_models();
   for (std::size_t m = 0; m < draws.size(); ++m) {
@@ -175,15 +97,6 @@ TEST(FastAdvance, DiffusionFastSeriesTracksExactSeries) {
 
 TEST(Counters, DiffusionMemoAndFastPathAttribution) {
   bat::DiffusionBattery cell(bat::DiffusionParams::paper_aaa_nimh());
-  const auto& kc = cell.kernel_counters();
-  if (!bat::KernelCounters::compiled_in) {
-    cell.draw(1.8, 0.5);
-    cell.advance_interval(0.9, 0.5);
-    EXPECT_EQ(kc.exp_calls, 0u);
-    EXPECT_EQ(kc.fast_advances, 0u);
-    EXPECT_EQ(kc.decay_misses, 0u);
-    return;  // the OFF config compiles every increment out
-  }
   const auto terms = static_cast<std::uint64_t>(
       bat::DiffusionParams::paper_aaa_nimh().series_terms);
   // Three draws at one (current, dt): one decay sweep, then memo hits.
@@ -205,20 +118,12 @@ TEST(Counters, DiffusionMemoAndFastPathAttribution) {
   EXPECT_EQ(cell.kernel_counters().fast_advances, 1u);
   EXPECT_EQ(cell.kernel_counters().exp_calls, exps_before + 1);
   EXPECT_EQ(cell.kernel_counters().exp_sweeps, 1u);
-  // Batch accounting and reset.
-  std::vector<double> out(kLanes.size());
-  cell.sigma_after_batch(kLanes, 2.0, out);
-  EXPECT_EQ(cell.kernel_counters().batch_calls, 1u);
-  EXPECT_EQ(cell.kernel_counters().batch_lanes, kLanes.size());
   cell.reset();
   EXPECT_EQ(cell.kernel_counters().exp_calls, 0u);
   EXPECT_EQ(cell.kernel_counters().fast_advances, 0u);
 }
 
 TEST(Counters, KibamAndPeukertAttribution) {
-  if (!bat::KernelCounters::compiled_in) {
-    GTEST_SKIP() << "BAS_KERNEL_COUNTERS=0 build";
-  }
   bat::KibamBattery kibam(bat::KibamParams::paper_aaa_nimh());
   kibam.draw(0.9, 10.0);
   kibam.draw(0.0, 5.0);
@@ -233,85 +138,12 @@ TEST(Counters, KibamAndPeukertAttribution) {
   EXPECT_GE(peukert.kernel_counters().pow_hits, 3u);
 }
 
-TEST(Batch, HistoryEstimatorBatchMatchesScalarSequence) {
-  auto batched = sched::make_history_estimator(0.3);
-  auto scalar = sched::make_history_estimator(0.3);
-  for (int round = 0; round < 5; ++round) {
-    batched->observe(0, 1, 4000.0 + 100.0 * round);
-    scalar->observe(0, 1, 4000.0 + 100.0 * round);
-  }
-  batched->observe(2, 0, 900.0);
-  scalar->observe(2, 0, 900.0);
-  // Seen, unseen-node, unseen-graph lanes in one batch.
-  const std::vector<sched::EstimateQuery> queries = {
-      {0, 1, 5000.0, 4100.0},
-      {0, 7, 5000.0, 4100.0},
-      {5, 0, 1000.0, 700.0},
-      {2, 0, 1200.0, 800.0},
-  };
-  std::vector<double> out(queries.size());
-  batched->estimate_batch(queries.data(), queries.size(), out.data());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(out[i],
-              scalar->estimate(queries[i].graph, queries[i].node,
-                               queries[i].wc_cycles,
-                               queries[i].actual_cycles))
-        << "lane " << i;
-  }
-}
-
-std::vector<sched::Candidate> sample_candidates() {
-  std::vector<sched::Candidate> cands;
-  for (int i = 0; i < 5; ++i) {
-    sched::Candidate c;
-    c.graph = i % 3;
-    c.node = static_cast<tg::NodeId>(i);
-    c.wc_cycles = 5.0e5 * (i + 1);
-    c.estimate_cycles = 3.1e5 * (i + 1);
-    c.graph_abs_deadline_s = 0.25 * (i + 2);
-    c.graph_remaining_wc_cycles = 2.0e6 - 1.0e5 * i;
-    c.edf_position = i % 3;
-    cands.push_back(c);
-  }
-  return cands;
-}
-
-TEST(Batch, PubsScoreBatchMatchesScalarSequence) {
-  auto policy = sched::make_pubs_priority();
-  const auto cands = sample_candidates();
-  std::vector<double> out(cands.size());
-  policy->score_batch(cands.data(), cands.size(), 0.1, out.data());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    ASSERT_EQ(out[i], policy->score(cands[i], 0.1)) << "lane " << i;
-  }
-}
-
-TEST(Batch, RandomScoreBatchConsumesStreamExactlyLikeScalar) {
-  // The CRN contract: the batch must advance the internal stream draw
-  // for draw like the scalar sequence, so two same-seed policies stay
-  // aligned through mixed batch/scalar use.
-  auto batched = sched::make_random_priority(99);
-  auto scalar = sched::make_random_priority(99);
-  const auto cands = sample_candidates();
-  std::vector<double> out(cands.size());
-  batched->score_batch(cands.data(), cands.size(), 0.0, out.data());
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    ASSERT_EQ(out[i], scalar->score(cands[i], 0.0)) << "lane " << i;
-  }
-  // Streams are still in lockstep after the batch.
-  EXPECT_EQ(batched->score(cands[0], 1.0), scalar->score(cands[0], 1.0));
-}
-
-TEST(EngineCounters, EventEngineRoutesMergedWindowsThroughFastPath) {
-  if (!bat::KernelCounters::compiled_in) {
-    GTEST_SKIP() << "BAS_KERNEL_COUNTERS=0 build";
-  }
+TEST(Counters, SimulatorRoutesMergedWindowsThroughFastPath) {
   const auto& spec = scenario::scenario("paper-table2");
   util::Rng rng(7);
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(7, 1000u));
-  config.engine = sim::Engine::kEvent;
   config.record_perf_counters = true;
   config.horizon_s = 3600.0;
 
@@ -327,7 +159,7 @@ TEST(EngineCounters, EventEngineRoutesMergedWindowsThroughFastPath) {
   EXPECT_GT(with_window.perf.kernel.exp_calls, 0u);
 
   // Window 0 disables merging: every slice takes the exact per-term
-  // path (bit-frozen against the tick engine), no fast advances at all.
+  // path (bit-frozen by the window-0 goldens), no fast advances at all.
   config.battery_window_s = 0.0;
   bat::DiffusionBattery exact(bat::DiffusionParams::paper_aaa_nimh());
   const auto no_window = sim::simulate_scheme(
