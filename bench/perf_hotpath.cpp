@@ -10,7 +10,7 @@
 // so every cell of one rep times the same task-graph sets (CRN for
 // perf: a cell ratio is a code ratio, not a workload ratio).
 //
-// Outputs BENCH_perf.json (schema "bas-perf/5", documented in
+// Outputs BENCH_perf.json (schema "bas-perf/6", documented in
 // EXPERIMENTS.md, "Performance"): per-cell counters, rates, the flat
 // k_* kernel counters and the flat ph_* phase-profile fields — all
 // driven off one obs::Metrics registry so the schema cannot drift from
@@ -131,7 +131,7 @@ std::size_t scheme_index(const std::string& label) {
 }
 
 /// Metric lane order shared by the direct loop and the campaign
-/// pipeline: 7 hot-path lanes, the 10 per-kernel battery counters in
+/// pipeline: 7 hot-path lanes, the 12 per-kernel battery counters in
 /// KernelCounters declaration order, then the phase profile — 8
 /// per-phase ns lanes (obs::phase_field order) plus the total boundary
 /// count. Counters are exact in doubles (far below 2^53); the ph_*
@@ -140,7 +140,7 @@ std::size_t scheme_index(const std::string& label) {
 /// so their ph_* lanes are zero by construction.
 constexpr std::size_t kLaneElapsed = 6;     ///< index of elapsed_s
 constexpr std::size_t kLaneKernel = 7;      ///< first k_* lane
-constexpr std::size_t kLanePhase = 17;      ///< first ph_* lane
+constexpr std::size_t kLanePhase = 19;      ///< first ph_* lane
 const std::vector<std::string> make_metric_names() {
   std::vector<std::string> names = {
       "steps",       "battery_draws", "battery_interval_advances",
@@ -148,7 +148,7 @@ const std::vector<std::string> make_metric_names() {
       "elapsed_s",
       "k_exp_sweeps", "k_exp_calls",  "k_decay_hits", "k_decay_misses",
       "k_gain_hits",  "k_gain_misses", "k_kibam_shared_exps", "k_pow_hits",
-      "k_pow_misses", "k_fast_advances"};
+      "k_pow_misses", "k_fast_advances", "k_slots", "k_slot_transfers"};
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     names.push_back(obs::phase_field(static_cast<obs::Phase>(p)));
   }
@@ -179,6 +179,8 @@ void fold_metrics(CellResult* out, const std::vector<double>& m) {
   k.pow_hits += u64(m[kLaneKernel + 7]);
   k.pow_misses += u64(m[kLaneKernel + 8]);
   k.fast_advances += u64(m[kLaneKernel + 9]);
+  k.slots += u64(m[kLaneKernel + 10]);
+  k.slot_transfers += u64(m[kLaneKernel + 11]);
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     out->phases.ns[p] += u64(m[kLanePhase + static_cast<std::size_t>(p)]);
   }
@@ -228,7 +230,9 @@ std::vector<double> time_rep(const Cell& cell, std::uint64_t seed, int rep,
                                d(k.kibam_shared_exps),
                                d(k.pow_hits),
                                d(k.pow_misses),
-                               d(k.fast_advances)};
+                               d(k.fast_advances),
+                               d(k.slots),
+                               d(k.slot_transfers)};
   std::uint64_t laps = 0;
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     lanes.push_back(d(r.perf.phases.ns[p]));
@@ -327,9 +331,9 @@ std::vector<CellResult> run_campaign(const std::vector<Cell>& cells,
   return out;
 }
 
-constexpr const char* kSchema = "bas-perf/5";
+constexpr const char* kSchema = "bas-perf/6";
 
-/// The flat numeric fields of one bas-perf/5 cell, as a metrics
+/// The flat numeric fields of one bas-perf/6 cell, as a metrics
 /// registry in schema order. One builder serves the JSON emitter and
 /// any future consumer, so the cell schema and the registry names
 /// cannot drift apart.
@@ -360,6 +364,8 @@ obs::Metrics cell_metrics(const CellResult& r) {
   metrics.set("k_pow_hits", u(k.pow_hits));
   metrics.set("k_pow_misses", u(k.pow_misses));
   metrics.set("k_fast_advances", u(k.fast_advances));
+  metrics.set("k_slots", u(k.slots));
+  metrics.set("k_slot_transfers", u(k.slot_transfers));
   for (int p = 0; p < obs::kPhaseCount; ++p) {
     metrics.set(obs::phase_field(static_cast<obs::Phase>(p)),
                 u(r.phases.ns[p]));
@@ -561,7 +567,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> scenarios{"paper-table2", "ippp-diurnal",
                                        "idle-heavy", "sporadic-sensor"};
     std::vector<std::string> schemes{"EDF", "laEDF", "BAS-2"};
-    std::vector<std::string> batteries{"kibam", "diffusion"};
+    std::vector<std::string> batteries{"kibam", "diffusion", "stochastic"};
     const std::string schemes_override = cli.get("schemes");
     int sets = static_cast<int>(cli.get_int("sets"));
     std::string mode = "default";
@@ -662,11 +668,13 @@ int main(int argc, char** argv) {
 
     // Per-kernel counter table. exp/probe is the attribution figure for
     // the fast-series work: full exp sweeps cost one exp per series
-    // term, fast advances one total.
+    // term, fast advances one total. slot xfer/slots is the stochastic
+    // kernel's share of slots that moved a quantum (the rest take the
+    // fused loop's fast path).
     std::printf("\nper-kernel battery counters:\n");
     util::Table ktable({"scenario", "scheme", "battery", "exp_sweeps",
                         "exp_calls", "decay h/m", "gain h/m", "kibam_shx",
-                        "pow h/m", "fast_adv"});
+                        "pow h/m", "fast_adv", "slot xfer/slots"});
     auto hm = [](std::uint64_t h, std::uint64_t m) {
       return std::to_string(h) + "/" + std::to_string(m);
     };
@@ -679,7 +687,8 @@ int main(int argc, char** argv) {
            hm(k.decay_hits, k.decay_misses), hm(k.gain_hits, k.gain_misses),
            util::Table::num(static_cast<long long>(k.kibam_shared_exps)),
            hm(k.pow_hits, k.pow_misses),
-           util::Table::num(static_cast<long long>(k.fast_advances))});
+           util::Table::num(static_cast<long long>(k.fast_advances)),
+           hm(k.slot_transfers, k.slots)});
     }
     ktable.print();
 

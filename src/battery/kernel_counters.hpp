@@ -43,6 +43,12 @@ struct KernelCounters {
   /// Diffusion strength-reduced interval advances (the merged-window
   /// fast series: 1 exp per probe instead of one per term).
   std::uint64_t fast_advances = 0;
+  /// Stochastic slots stepped (one per fixed-width slot, including a
+  /// final partial slot and the slot the cell dies in).
+  std::uint64_t slots = 0;
+  /// Stochastic slots whose Bernoulli-rounded recovery moved at least
+  /// one whole quantum — the slots off the fused loop's fast path.
+  std::uint64_t slot_transfers = 0;
 
   void clear() { *this = KernelCounters{}; }
 
@@ -57,6 +63,8 @@ struct KernelCounters {
     pow_hits += o.pow_hits;
     pow_misses += o.pow_misses;
     fast_advances += o.fast_advances;
+    slots += o.slots;
+    slot_transfers += o.slot_transfers;
     return *this;
   }
 };

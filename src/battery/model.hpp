@@ -47,10 +47,11 @@ class Battery {
   /// form over an arbitrary dt — diffusion sweeps its rate table once,
   /// KiBaM applies its single-exponential step, Peukert and the ideal
   /// cell are O(1) — so one merged call replaces a draw per executed
-  /// slice. (The stochastic model is the
-  /// exception: its do_draw steps internal slots of fixed width, so an
-  /// interval advance still pays per-slot cost and only saves the call
-  /// overhead.) Returns the sustained duration, exactly like draw().
+  /// slice. (The stochastic model still steps internal slots of fixed
+  /// width, since its recovery is one Bernoulli draw per slot; its
+  /// do_draw is one fused loop that keeps the wells and generator in
+  /// registers and retires the common no-transfer slot with a single
+  /// subtraction.) Returns the sustained duration, exactly like draw().
   double advance_interval(double charge_c, double dt_s);
 
   /// Non-mutating depletion probe: the fraction of the cell's depletion

@@ -56,10 +56,6 @@ class StochasticBattery final : public Battery {
   void do_reset() override;
 
  private:
-  /// Advances one slot of length `dt` at the given current; returns the
-  /// sustained time within the slot (< dt only when the cell dies).
-  double step_slot(double current_a, double dt);
-
   StochasticParams params_;
   util::Rng rng_;
   /// k·c·(1−c), hoisted from the per-slot transfer expression with the

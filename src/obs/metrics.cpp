@@ -91,6 +91,8 @@ void fill(Metrics& metrics, const sim::PerfCounters& perf) {
   metrics.set("k_pow_hits", u(k.pow_hits));
   metrics.set("k_pow_misses", u(k.pow_misses));
   metrics.set("k_fast_advances", u(k.fast_advances));
+  metrics.set("k_slots", u(k.slots));
+  metrics.set("k_slot_transfers", u(k.slot_transfers));
   // Phase profile (ph_*), in phase order; all zero unless the build
   // compiled BAS_PROFILE in and the run recorded perf counters.
   std::uint64_t laps = 0;

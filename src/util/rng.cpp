@@ -16,10 +16,6 @@ std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -27,23 +23,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) {
     word = splitmix64_next(sm);
   }
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // Top 53 bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

@@ -24,11 +24,25 @@ class Rng {
   /// Seeds the four-word state by running SplitMix64 from `seed`.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
-  /// Next raw 64-bit draw.
-  std::uint64_t next_u64() noexcept;
+  /// Next raw 64-bit draw. Inline so per-slot callers (the stochastic
+  /// battery's recovery draw) keep the four state words in registers.
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of entropy.
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // Top 53 bits -> double in [0,1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi (returns lo when equal).
   double uniform(double lo, double hi) noexcept;
@@ -61,6 +75,10 @@ class Rng {
   static std::uint64_t mix(std::uint64_t x) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -15,9 +15,12 @@
 #                   "Event-driven core". Within one mode the outputs are
 #                   bit-deterministic, which is what this file pins.
 #
-# table2 runs fresh; arrival_stress goes through the full shard + cache
-# + merge campaign path, so shard/merge byte-identity is covered per
-# mode as well.
+# table2 runs fresh, on paper-table2 (KiBaM) and on idle-heavy (the
+# stochastic cell, the only golden that reaches that kernel; at window
+# 0 most execution slices are shorter than a 10 ms slot, so it pins the
+# partial-slot path too). arrival_stress goes through the full shard +
+# cache + merge campaign path, so shard/merge byte-identity is covered
+# per mode as well.
 #
 # If a future change moves the bytes ON PURPOSE (a genuine semantic
 # change, not a perf transformation), regenerate with the commands below
@@ -25,6 +28,8 @@
 # regenerated together with a written waiver:
 #
 #   table2_battery_lifetime --sets 2 --jobs 2 --csv tests/golden/table2_smoke.csv
+#   table2_battery_lifetime --scenario idle-heavy --sets 1 --jobs 2 \
+#       --csv tests/golden/idle_stochastic_smoke.csv
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
 #   (append --scenario.battery-window=0 for the *_window0.csv variants)
@@ -53,7 +58,13 @@ for mode in default window0; do
       > /dev/null
   cmp "$golden/table2_smoke$suffix.csv" "$work/table2_$mode.csv"
 
-  # 2. arrival_stress smoke cell through the campaign path: two shards
+  # 2. Table 2 on idle-heavy: the stochastic battery kernel.
+  "$table2" --scenario idle-heavy --sets 1 --jobs 2 $mode_flag \
+      --csv "$work/idle_stochastic_$mode.csv" > /dev/null
+  cmp "$golden/idle_stochastic_smoke$suffix.csv" \
+      "$work/idle_stochastic_$mode.csv"
+
+  # 3. arrival_stress smoke cell through the campaign path: two shards
   #    into one cache dir, then a merge — the merged bytes must equal
   #    the golden fresh run's.
   flags="--sets 1 --scenario.horizon 600 $mode_flag"

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "battery/peukert.hpp"
 #include "battery/profile.hpp"
 #include "battery/stochastic.hpp"
+#include "util/rng.hpp"
 
 namespace bas {
 namespace {
@@ -603,6 +605,161 @@ TEST(Diffusion, PrecomputedTablesAreBitExact) {
     const double dt = dts[round % 12];
     ASSERT_EQ(fast.draw(i, dt), ref2.draw(i, dt));
     ASSERT_EQ(fast.unavailable_c(), ref2.unavailable_c());
+  }
+}
+
+// --- stochastic fused slot loop bit-exactness --------------------------------
+
+/// The stochastic kernel as it stood before its slot loop was fused,
+/// verbatim: one step_slot call per slot with the wells and generator in
+/// members, the recovery draw through Rng::bernoulli, std::floor for the
+/// whole quanta, and Battery::draw's accounting on top. The fused loop is
+/// contracted to reproduce this to the last bit, including the generator
+/// stream position.
+struct ReferenceStochastic {
+  bat::StochasticParams params_;
+  util::Rng rng_;
+  double flow_coeff_;
+  double one_minus_c_;
+  double y1_;
+  double y2_;
+  bool dead_ = false;
+  double delivered_c = 0.0;
+  double alive_s = 0.0;
+
+  explicit ReferenceStochastic(bat::StochasticParams params)
+      : params_(params), rng_(params.seed) {
+    const double c = params_.kinetics.c_fraction;
+    one_minus_c_ = 1.0 - c;
+    flow_coeff_ = params_.kinetics.k_rate * c * (1.0 - c);
+    y1_ = c * params_.kinetics.capacity_c;
+    y2_ = (1.0 - c) * params_.kinetics.capacity_c;
+  }
+
+  double step_slot(double current_a, double dt) {
+    const double c = params_.kinetics.c_fraction;
+    const double h1 = y1_ / c;
+    const double h2 = y2_ / one_minus_c_;
+    const double expected_transfer_c = flow_coeff_ * (h2 - h1) * dt;
+    double transfer_c = 0.0;
+    if (expected_transfer_c > 0.0) {
+      const double quanta = expected_transfer_c / params_.quantum_c;
+      double whole = std::floor(quanta);
+      if (rng_.bernoulli(quanta - whole)) {
+        whole += 1.0;
+      }
+      transfer_c = std::min(whole * params_.quantum_c, y2_);
+    } else if (expected_transfer_c < 0.0) {
+      const double quanta = -expected_transfer_c / params_.quantum_c;
+      double whole = std::floor(quanta);
+      if (rng_.bernoulli(quanta - whole)) {
+        whole += 1.0;
+      }
+      transfer_c = -std::min(whole * params_.quantum_c, y1_);
+    }
+
+    const double demand_c = current_a * dt;
+    if (y1_ + transfer_c <= demand_c) {
+      const double sustained =
+          current_a > 0.0 ? (y1_ + transfer_c) / current_a : dt;
+      y2_ -= std::max(0.0, transfer_c);
+      y1_ = 0.0;
+      dead_ = true;
+      return std::min(sustained, dt);
+    }
+    y1_ += transfer_c - demand_c;
+    y2_ -= transfer_c;
+    y2_ = std::max(0.0, y2_);
+    return dt;
+  }
+
+  double do_draw(double current_a, double dt_s) {
+    double sustained = 0.0;
+    double remaining = dt_s;
+    while (remaining > 0.0 && !dead_) {
+      const double dt = std::min(params_.slot_s, remaining);
+      sustained += step_slot(current_a, dt);
+      remaining -= dt;
+    }
+    return sustained;
+  }
+
+  double draw(double current_a, double dt_s) {
+    if (dt_s == 0.0 || dead_) {
+      return 0.0;
+    }
+    const double sustained = do_draw(current_a, dt_s);
+    delivered_c += current_a * sustained;
+    alive_s += sustained;
+    return sustained;
+  }
+};
+
+TEST(Stochastic, FusedSlotLoopMatchesReferenceBitwise) {
+  // Three parameter sets: the default cell (< 1 expected quantum per
+  // slot, so transfers only come from Bernoulli successes); a fine
+  // quantum (many whole quanta per slot, the truncated-floor path); and
+  // a c_fraction whose full-charge height difference rounds negative,
+  // which runs the reverse-transfer branch from the first slot.
+  std::vector<bat::StochasticParams> variants(3);
+  variants[1].quantum_c = 1e-4;
+  variants[1].seed = 11;
+  variants[2].kinetics.c_fraction = 0.7;
+  variants[2].seed = 23;
+  {
+    const auto& k = variants[2].kinetics;
+    const double y1 = k.c_fraction * k.capacity_c;
+    const double y2 = (1.0 - k.c_fraction) * k.capacity_c;
+    ASSERT_LT(y2 / (1.0 - k.c_fraction) - y1 / k.c_fraction, 0.0)
+        << "precondition: the full cell must start with h2 < h1";
+  }
+
+  // Below one slot, not a multiple of slot_s, many slots, an hour. The
+  // 16 (current, dt) pairs run in order of growing dt, so the cell dies
+  // inside a slot during the final 1.8 A x 3600 s draw and the repeats
+  // that follow check the empty-cell path.
+  const double currents[] = {0.0, 0.05, 0.39, 1.8};
+  const double dts[] = {0.004, 0.0137, 5.0, 3600.0};
+
+  auto expect_same = [](const bat::StochasticBattery& got,
+                        const ReferenceStochastic& want, double got_s,
+                        double want_s, int v, int round) {
+    EXPECT_EQ(got_s, want_s) << "variant " << v << " round " << round;
+    EXPECT_EQ(got.available_c(), want.y1_)
+        << "variant " << v << " round " << round;
+    EXPECT_EQ(got.bound_c(), want.y2_) << "variant " << v << " round " << round;
+    EXPECT_EQ(got.charge_delivered_c(), want.delivered_c)
+        << "variant " << v << " round " << round;
+    EXPECT_EQ(got.time_alive_s(), want.alive_s)
+        << "variant " << v << " round " << round;
+    EXPECT_EQ(got.empty(), want.dead_) << "variant " << v << " round " << round;
+  };
+
+  for (int v = 0; v < static_cast<int>(variants.size()); ++v) {
+    bat::StochasticBattery cell(variants[static_cast<std::size_t>(v)]);
+    ReferenceStochastic ref(variants[static_cast<std::size_t>(v)]);
+    for (int round = 0; round < 20; ++round) {
+      const double i = currents[round % 4];
+      const double dt = dts[(round / 4) % 4];
+      const double got = cell.draw(i, dt);
+      const double want = ref.draw(i, dt);
+      expect_same(cell, ref, got, want, v, round);
+    }
+    EXPECT_TRUE(cell.empty()) << "variant " << v;
+
+    // A current no cell sustains for one slot: dies inside the first
+    // slot after a few partial-slot draws of ordinary size.
+    bat::StochasticBattery killed(variants[static_cast<std::size_t>(v)]);
+    ReferenceStochastic ref_killed(variants[static_cast<std::size_t>(v)]);
+    const double kill_currents[] = {0.39, 0.0, 1.8, 1.0e6, 0.05};
+    for (int round = 0; round < 5; ++round) {
+      const double dt = round == 3 ? 5.0 : 0.0137;
+      const double got = killed.draw(kill_currents[round], dt);
+      const double want = ref_killed.draw(kill_currents[round], dt);
+      expect_same(killed, ref_killed, got, want, v, 100 + round);
+    }
+    EXPECT_TRUE(killed.empty()) << "variant " << v;
+    EXPECT_GT(killed.time_alive_s(), 0.0);
   }
 }
 

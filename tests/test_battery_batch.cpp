@@ -138,6 +138,37 @@ TEST(Counters, KibamAndPeukertAttribution) {
   EXPECT_GE(peukert.kernel_counters().pow_hits, 3u);
 }
 
+TEST(Counters, StochasticSlotAttribution) {
+  bat::StochasticBattery cell(bat::StochasticParams{});
+  const double slot_s = cell.params().slot_s;
+  // Slot count of one do_draw, by the kernel's own recurrence.
+  auto slots_in = [slot_s](double dt_s) {
+    std::uint64_t n = 0;
+    for (double remaining = dt_s; remaining > 0.0;
+         remaining -= std::min(slot_s, remaining)) {
+      ++n;
+    }
+    return n;
+  };
+  std::uint64_t want = 0;
+  const double dts[] = {0.004, 0.0137, 5.0, 600.0, 0.0137};
+  const double currents[] = {0.39, 1.8, 0.05, 1.8, 0.0};
+  for (int i = 0; i < 5; ++i) {
+    cell.draw(currents[i], dts[i]);
+    want += slots_in(dts[i]);
+  }
+  ASSERT_FALSE(cell.empty());
+  EXPECT_EQ(cell.kernel_counters().slots, want);
+  // The 600 s at 1.8 A opens a height difference, so recovery moves
+  // quanta in some slots — but never in more slots than were stepped.
+  EXPECT_GT(cell.kernel_counters().slot_transfers, 0u);
+  EXPECT_LE(cell.kernel_counters().slot_transfers,
+            cell.kernel_counters().slots);
+  cell.reset();
+  EXPECT_EQ(cell.kernel_counters().slots, 0u);
+  EXPECT_EQ(cell.kernel_counters().slot_transfers, 0u);
+}
+
 TEST(Counters, SimulatorRoutesMergedWindowsThroughFastPath) {
   const auto& spec = scenario::scenario("paper-table2");
   util::Rng rng(7);
