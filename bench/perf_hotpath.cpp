@@ -29,7 +29,7 @@
 //   ./perf_hotpath --full                   # all schemes x batteries
 //   ./perf_hotpath --smoke --baseline ../bench/perf_baseline.json
 //   ./perf_hotpath --smoke --write-baseline perf_baseline.json
-//   ./perf_hotpath --smoke --campaign --cache DIR [--store sqlite]
+//   ./perf_hotpath --smoke --campaign --cache DIR
 //   ./perf_hotpath --smoke --trace-out trace.json
 //
 // With --baseline, the run fails (exit 1) when any matching cell's
@@ -63,7 +63,6 @@
 #include "obs/trace_log.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "store/store.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -555,7 +554,6 @@ int main(int argc, char** argv) {
                    {"campaign", "false"},
                    {"jobs", "1"},
                    {"cache", ""},
-                   {"store", "jsonl"},
                    {"trace-out", ""},
                    {"scenarios", ""},
                    {"schemes", ""},
@@ -630,7 +628,6 @@ int main(int argc, char** argv) {
       exp::RunnerOptions options;
       options.jobs = cli.jobs();
       options.cache_dir = cli.get("cache");
-      options.store_backend = store::backend_from_label(cli.get("store"));
       // Campaign mode: --trace-out records the runner-level trace (job
       // spans per worker, writer queue depth), not a sim-level one.
       options.trace_out = cli.get("trace-out");

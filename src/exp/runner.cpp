@@ -17,7 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
 #include "store/async_writer.hpp"
-#include "store/store.hpp"
+#include "store/jsonl.hpp"
 #include "util/cli.hpp"
 
 namespace bas::exp {
@@ -219,12 +219,11 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
 
   std::optional<store::CompactionStats> compaction;
   if (options_.compact_cache) {
-    compaction = store::compact_store(options_.store_backend,
-                                      options_.cache_dir, plan.fingerprint(),
+    compaction = store::compact_jsonl(options_.cache_dir, plan.fingerprint(),
                                       spec.metrics.size());
   }
 
-  std::unique_ptr<store::CampaignStore> cache;
+  std::optional<store::JsonlStore> cache;
   std::map<std::size_t, std::vector<double>> cached;
   if (!options_.cache_dir.empty()) {
     std::string tag;
@@ -234,8 +233,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
       tag += "of";
       tag += std::to_string(options_.shard->count);
     }
-    cache = store::make_store(options_.store_backend, options_.cache_dir,
-                              plan.fingerprint(), tag);
+    cache.emplace(options_.cache_dir, plan.fingerprint(), tag);
     cached = cache->load(spec.metrics.size());
   }
 
@@ -327,7 +325,6 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
 
   std::optional<store::AsyncWriter> writer;
   if (cache && !pending.empty()) {
-    cache->annotate(spec.title, spec.metrics);
     writer.emplace(*cache, options_.writer_queue_capacity, tlog);
     // Heartbeat suffix: a metrics-registry snapshot of the writer
     // counters, so the heartbeat and BENCH_perf.json speak the same
@@ -483,7 +480,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   }
 
   // Drain the writer before reporting anything: a campaign is not done
-  // until its rows are durable, and a backend failure must surface on
+  // until its rows are durable, and a store failure must surface on
   // this thread with the experiment's name attached.
   if (writer) {
     try {
@@ -571,9 +568,6 @@ RunnerOptions options_from_cli(const util::Cli& cli) {
     options.shard = parse_shard(shard);
   }
   options.cache_dir = cli.get("cache");
-  if (cli.has("store")) {
-    options.store_backend = store::backend_from_label(cli.get("store"));
-  }
   options.merge_only = cli.get_flag("merge");
   options.compact_cache = cli.get_flag("cache-compact");
   options.progress = cli.get_flag("progress");

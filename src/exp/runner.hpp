@@ -10,20 +10,19 @@
 //           ranges with work stealing, so uneven cell costs never leave
 //           a thread idle; finished metrics are handed to an async
 //           writer (store/async_writer.hpp) whose consumer thread
-//           batches them into the backend — workers never pay a
+//           batches them into the JSONL store — workers never pay a
 //           write+flush. A Progress reporter (progress.hpp) heartbeats
 //           jobs/ETA plus the writer-queue stats to stderr.
 //  collect  The job-order fold merges stored and freshly computed
 //           metrics into an ExperimentResult. Because %.17g round-trips
-//           doubles exactly (both backends store that rendering), a
-//           result folded from any mix of store hits, shard partials
-//           and live jobs is byte-identical to a fresh single-process
-//           run — on either backend.
+//           doubles exactly (the store keeps that rendering), a result
+//           folded from any mix of store hits, shard partials and live
+//           jobs is byte-identical to a fresh single-process run.
 //
 // Two properties are guaranteed:
 //
-//  1. Determinism for any thread count, shard split, store backend or
-//     resume history. Job seeds are pure functions of grid coordinates
+//  1. Determinism for any thread count, shard split or resume
+//     history. Job seeds are pure functions of grid coordinates
 //     (job.hpp), each job's metrics land in a slot indexed by job id,
 //     and the fold happens after the pool drains, in job order — work
 //     stealing changes who computes a job, never what it computes or
@@ -42,8 +41,7 @@
 // Cluster fan-out: run shard i with `{.shard = Shard{i, n},
 // .cache_dir = DIR}` on n machines sharing DIR (or copy the shard files
 // together afterwards), then fold everything with `{.merge_only = true,
-// .cache_dir = DIR}`. With `.store_backend = Backend::kSqlite` the
-// shards upsert into one `campaign.sqlite` and the merge is a query.
+// .cache_dir = DIR}`.
 
 #include <cstddef>
 #include <optional>
@@ -51,7 +49,6 @@
 
 #include "exp/experiment.hpp"
 #include "exp/plan.hpp"
-#include "store/store.hpp"
 
 namespace bas::util {
 class Cli;
@@ -70,10 +67,6 @@ struct RunnerOptions {
   /// store directory instead of recomputing them, and append fresh
   /// results to it.
   std::string cache_dir;
-  /// Which backend reads and writes cache_dir: the append-only JSONL
-  /// cache (default) or the SQLite database. Both store %.17g doubles,
-  /// so merge output is byte-identical across backends.
-  store::Backend store_backend = store::Backend::kJsonl;
   /// Bound of the async writer's ring buffer (records). A full ring
   /// blocks producers (backpressure) rather than dropping records.
   std::size_t writer_queue_capacity = 1024;
@@ -82,11 +75,11 @@ struct RunnerOptions {
   /// keep_going tolerates jobs recorded as failed).
   bool merge_only = false;
   /// Before loading, rewrite the store in place: dedupe re-run jobs,
-  /// drop records whose fingerprint does not match this spec, VACUUM
-  /// the sqlite backend (store::compact_store). Requires cache_dir,
-  /// refuses when another live writer process holds the directory, and
-  /// is rejected together with a shard — sibling shard processes may
-  /// still be appending. Composes with merging and resuming.
+  /// drop records whose fingerprint does not match this spec
+  /// (store::compact_jsonl). Requires cache_dir, refuses when another
+  /// live writer process holds the directory, and is rejected together
+  /// with a shard — sibling shard processes may still be appending.
+  /// Composes with merging and resuming.
   bool compact_cache = false;
   /// Report jobs-done/total, ETA and writer-queue stats to stderr
   /// while executing.
@@ -140,10 +133,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const RunnerOptions& options);
 
 /// Builds RunnerOptions from the shared bench flags (--jobs, --shard,
-/// --cache, --store, --cache-compact, --merge, --progress,
+/// --cache, --cache-compact, --merge, --progress,
 /// --progress-interval, --trace-out, --job-timeout, --job-attempts,
 /// --keep-going; see util::Cli::with_bench_defaults).
-/// Throws std::runtime_error on a malformed --shard or --store;
+/// Throws std::runtime_error on a malformed --shard;
 /// cross-option consistency (--merge needs --cache, ...) is enforced
 /// by Runner::run.
 RunnerOptions options_from_cli(const util::Cli& cli);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "arrival/arrival.hpp"
 #include "battery/diffusion.hpp"
@@ -467,131 +468,132 @@ const ScenarioSpec& scenario(const std::string& name) {
                               "' (known: " + util::join(scenario_names()) + ")");
 }
 
+namespace {
+
+/// One `--scenario.FIELD` override: the field name (without the
+/// "scenario." prefix) and how a non-empty value lands in the spec.
+/// The one list behind the CLI defaults, apply_cli_overrides and the
+/// --list-scenarios help; overrides apply in table order. Fields named
+/// "arrival*" belong to the arrival process, which is validated as a
+/// whole once any of them is set.
+struct OverrideField {
+  const char* name;
+  void (*apply)(ScenarioSpec& spec, const std::string& name,
+                const std::string& value);
+};
+
+using Value = const std::string&;
+
+const OverrideField kOverrideFields[] = {
+    {"utilization", [](ScenarioSpec& s, Value f, Value v) {
+       s.utilization = parse_double(f, v);
+     }},
+    {"util-basis", [](ScenarioSpec& s, Value, Value v) {
+       s.basis = util_basis_from_string(v);
+     }},
+    {"graphs", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.graph_count = parse_int(f, v);
+     }},
+    {"min-nodes", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.min_nodes = parse_int(f, v);
+     }},
+    {"max-nodes", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.max_nodes = parse_int(f, v);
+     }},
+    {"period-lo", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.period_lo_s = parse_double(f, v);
+     }},
+    {"period-hi", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.period_hi_s = parse_double(f, v);
+     }},
+    {"spread", [](ScenarioSpec& s, Value f, Value v) {
+       s.workload.utilization_spread = parse_double(f, v);
+     }},
+    {"battery", [](ScenarioSpec& s, Value, Value v) {
+       make_battery(v);  // validate the label before adopting it
+       s.battery = v;
+     }},
+    {"processor", [](ScenarioSpec& s, Value, Value v) {
+       make_processor(v);
+       s.processor = v;
+     }},
+    {"horizon", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.horizon_s = parse_double(f, v);
+     }},
+    {"ac-model", [](ScenarioSpec& s, Value, Value v) {
+       s.sim.ac_model = ac_model_from_string(v);
+     }},
+    {"battery-window", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.battery_window_s = parse_double(f, v);
+     }},
+    {"arrival", [](ScenarioSpec& s, Value, Value v) {
+       s.sim.arrival.model = v;
+     }},
+    {"arrival.jitter", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.jitter_frac = parse_double(f, v);
+     }},
+    {"arrival.gap", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.gap_frac = parse_double(f, v);
+     }},
+    {"arrival.rate-scale", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.rate_scale = parse_double(f, v);
+     }},
+    {"arrival.diurnal-amp", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.diurnal_amp = parse_double(f, v);
+     }},
+    {"arrival.diurnal-period", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.diurnal_period_s = parse_double(f, v);
+     }},
+    {"arrival.burst-factor", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.burst_factor = parse_double(f, v);
+     }},
+    {"arrival.burst-period", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.burst_period_s = parse_double(f, v);
+     }},
+    {"arrival.burst-duty", [](ScenarioSpec& s, Value f, Value v) {
+       s.sim.arrival.params.burst_duty = parse_double(f, v);
+     }},
+    {"arrival.trace", [](ScenarioSpec& s, Value, Value v) {
+       s.sim.arrival.params.trace = v;
+     }},
+    {"arrival.trace-repeat", [](ScenarioSpec& s, Value, Value v) {
+       if (v != "0" && v != "1" && v != "true" && v != "false") {
+         throw std::invalid_argument(
+             "--scenario.arrival.trace-repeat expects 0/1/true/false, got '" +
+             v + "'");
+       }
+       s.sim.arrival.params.trace_repeat = v == "1" || v == "true";
+     }},
+};
+
+}  // namespace
+
 std::map<std::string, std::string> with_scenario_defaults(
     std::map<std::string, std::string> defaults,
     const std::string& default_scenario) {
   defaults.emplace("scenario", default_scenario);
   defaults.emplace("list-scenarios", "false");
-  static const char* const kOverrideFields[] = {
-      "utilization",           "util-basis",
-      "graphs",                "min-nodes",
-      "max-nodes",             "period-lo",
-      "period-hi",             "spread",
-      "battery",               "processor",
-      "horizon",               "ac-model",
-      "battery-window",        "arrival",
-      "arrival.jitter",        "arrival.gap",
-      "arrival.rate-scale",    "arrival.diurnal-amp",
-      "arrival.diurnal-period", "arrival.burst-factor",
-      "arrival.burst-period",  "arrival.burst-duty",
-      "arrival.trace",         "arrival.trace-repeat"};
-  for (const char* field : kOverrideFields) {
-    defaults.emplace(std::string("scenario.") + field, "");
+  for (const auto& field : kOverrideFields) {
+    defaults.emplace(std::string("scenario.") + field.name, "");
   }
   return defaults;
 }
 
 void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
-  const auto value = [&cli](const char* field) -> std::string {
-    const std::string key = std::string("scenario.") + field;
-    return cli.has(key) ? cli.get(key) : std::string();
-  };
-  if (const auto v = value("utilization"); !v.empty()) {
-    spec.utilization = parse_double("utilization", v);
-  }
-  if (const auto v = value("util-basis"); !v.empty()) {
-    spec.basis = util_basis_from_string(v);
-  }
-  if (const auto v = value("graphs"); !v.empty()) {
-    spec.workload.graph_count = parse_int("graphs", v);
-  }
-  if (const auto v = value("min-nodes"); !v.empty()) {
-    spec.workload.min_nodes = parse_int("min-nodes", v);
-  }
-  if (const auto v = value("max-nodes"); !v.empty()) {
-    spec.workload.max_nodes = parse_int("max-nodes", v);
-  }
-  if (const auto v = value("period-lo"); !v.empty()) {
-    spec.workload.period_lo_s = parse_double("period-lo", v);
-  }
-  if (const auto v = value("period-hi"); !v.empty()) {
-    spec.workload.period_hi_s = parse_double("period-hi", v);
-  }
-  if (const auto v = value("spread"); !v.empty()) {
-    spec.workload.utilization_spread = parse_double("spread", v);
-  }
-  if (const auto v = value("battery"); !v.empty()) {
-    make_battery(v);  // validate the label before adopting it
-    spec.battery = v;
-  }
-  if (const auto v = value("processor"); !v.empty()) {
-    make_processor(v);
-    spec.processor = v;
-  }
-  if (const auto v = value("horizon"); !v.empty()) {
-    spec.sim.horizon_s = parse_double("horizon", v);
-  }
-  if (const auto v = value("ac-model"); !v.empty()) {
-    spec.sim.ac_model = ac_model_from_string(v);
-  }
-  if (const auto v = value("battery-window"); !v.empty()) {
-    spec.sim.battery_window_s = parse_double("battery-window", v);
-  }
   bool arrival_touched = false;
-  auto& arr = spec.sim.arrival;
-  if (const auto v = value("arrival"); !v.empty()) {
-    arr.model = v;
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.jitter"); !v.empty()) {
-    arr.params.jitter_frac = parse_double("arrival.jitter", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.gap"); !v.empty()) {
-    arr.params.gap_frac = parse_double("arrival.gap", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.rate-scale"); !v.empty()) {
-    arr.params.rate_scale = parse_double("arrival.rate-scale", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.diurnal-amp"); !v.empty()) {
-    arr.params.diurnal_amp = parse_double("arrival.diurnal-amp", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.diurnal-period"); !v.empty()) {
-    arr.params.diurnal_period_s = parse_double("arrival.diurnal-period", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.burst-factor"); !v.empty()) {
-    arr.params.burst_factor = parse_double("arrival.burst-factor", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.burst-period"); !v.empty()) {
-    arr.params.burst_period_s = parse_double("arrival.burst-period", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.burst-duty"); !v.empty()) {
-    arr.params.burst_duty = parse_double("arrival.burst-duty", v);
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.trace"); !v.empty()) {
-    arr.params.trace = v;
-    arrival_touched = true;
-  }
-  if (const auto v = value("arrival.trace-repeat"); !v.empty()) {
-    if (v != "0" && v != "1" && v != "true" && v != "false") {
-      throw std::invalid_argument(
-          "--scenario.arrival.trace-repeat expects 0/1/true/false, got '" + v +
-          "'");
+  for (const auto& field : kOverrideFields) {
+    const std::string key = std::string("scenario.") + field.name;
+    const std::string value = cli.has(key) ? cli.get(key) : std::string();
+    if (value.empty()) {
+      continue;
     }
-    arr.params.trace_repeat = v == "1" || v == "true";
-    arrival_touched = true;
+    field.apply(spec, field.name, value);
+    arrival_touched |= std::string_view(field.name).rfind("arrival", 0) == 0;
   }
   if (arrival_touched) {
     // Reject bad labels/params (and unreadable trace files) at parse
     // time instead of inside a campaign worker thread.
-    arrival::validate(arr);
+    arrival::validate(spec.sim.arrival);
   }
 }
 
@@ -617,15 +619,15 @@ bool handle_list_request(const util::Cli& cli) {
                    ac_model_to_string(s.sim.ac_model), s.summary});
   }
   table.print();
+  std::string fields;
+  for (const auto& field : kOverrideFields) {
+    fields += fields.empty() ? "" : ", ";
+    fields += field.name;
+  }
   std::printf(
       "\nOverride any field of the chosen preset with "
-      "--scenario.FIELD=VALUE (fields: utilization, util-basis, graphs, "
-      "min-nodes, max-nodes, period-lo, period-hi, spread, battery, "
-      "processor, horizon, ac-model, battery-window, arrival, "
-      "arrival.jitter, arrival.gap, "
-      "arrival.rate-scale, arrival.diurnal-amp, arrival.diurnal-period, "
-      "arrival.burst-factor, arrival.burst-period, arrival.burst-duty, "
-      "arrival.trace, arrival.trace-repeat).\n");
+      "--scenario.FIELD=VALUE (fields: %s).\n",
+      fields.c_str());
   return true;
 }
 

@@ -142,13 +142,9 @@ std::map<std::string, std::string> with_scenario_defaults(
     std::map<std::string, std::string> defaults,
     const std::string& default_scenario);
 
-/// Applies the non-empty `--scenario.FIELD` overrides to `spec`:
-///   utilization, util-basis, graphs, min-nodes, max-nodes, period-lo,
-///   period-hi, spread, battery, processor, horizon, ac-model, and the
-///   arrival-process family: arrival (model label), arrival.jitter,
-///   arrival.gap, arrival.rate-scale, arrival.diurnal-amp,
-///   arrival.diurnal-period, arrival.burst-factor, arrival.burst-period,
-///   arrival.burst-duty, arrival.trace, arrival.trace-repeat
+/// Applies the non-empty `--scenario.FIELD` overrides to `spec`. The
+/// fields are listed once, in kOverrideFields (scenario.cpp), which
+/// also feeds with_scenario_defaults and the --list-scenarios help.
 /// Throws std::invalid_argument on an unparsable value or an unknown
 /// battery/processor/basis/AC-model/arrival label.
 void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli);

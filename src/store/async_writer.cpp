@@ -80,9 +80,8 @@ void AsyncWriter::consume() {
     if (size_ == 0 && stop_) {
       return;
     }
-    // Drain everything queued into one batch: the backend pays one
-    // write+flush (or one transaction) however many jobs finished
-    // since the last commit.
+    // Drain everything queued into one batch: the store pays one
+    // write+flush however many jobs finished since the last commit.
     batch.clear();
     while (size_ > 0) {
       batch.push_back(std::move(ring_[head_]));

@@ -4,9 +4,9 @@
 // Workers enqueue StoreRecords onto a bounded ring; one dedicated
 // consumer thread drains whatever has accumulated into a batch and
 // commits it with a single CampaignStore::append — so the per-job cost
-// on a worker is a queue push instead of a write+flush (jsonl) or a
-// transaction (sqlite). Modeled on gacspp's COutput producer/consumer
-// output stage (bounded buffer + consumer thread feeding SQLite).
+// on a worker is a queue push instead of a write+flush. Modeled on
+// gacspp's COutput producer/consumer output stage (bounded buffer +
+// one consumer thread).
 //
 // Contracts:
 //   backpressure   a full ring blocks the producer (counted in

@@ -287,6 +287,7 @@ CompactionStats compact_jsonl(const std::string& dir,
   if (!std::filesystem::is_directory(dir, ec)) {
     return stats;  // nothing to compact
   }
+  require_no_live_writers(dir);
 
   // Scan exactly the way load() does — same iteration order, last
   // record per job index wins — so the survivors are the records a

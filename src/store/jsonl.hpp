@@ -1,7 +1,7 @@
 #pragma once
-// The JSONL campaign-store backend (the default), refactored from the
-// original src/exp/cache implementation with the on-disk format
-// preserved byte for byte. Every record is one line:
+// The JSONL campaign store, refactored from the original src/exp/cache
+// implementation with the on-disk format preserved byte for byte.
+// Every record is one line:
 //
 //   {"fp":"<16-hex fingerprint>","job":<index>,"metrics":[<%.17g>...]}
 //   {"fp":"<16-hex fingerprint>","job":<index>,"error":"<escaped>"}
@@ -14,7 +14,9 @@
 // point at the same store directory. load() scans every *.jsonl file
 // in the directory and filters records by fingerprint, which is also
 // what makes `--merge` work: shard outputs and resumed runs are just
-// more files in the pool.
+// more files in the pool. Files without the .jsonl extension (a
+// compaction's .tmp, a database file an older build left behind) are
+// never read and never removed.
 
 #include <cstdint>
 #include <fstream>
@@ -54,8 +56,13 @@ class JsonlStore final : public CampaignStore {
   std::optional<WriterMarker> marker_;
 };
 
-/// The jsonl half of store::compact_store() — see that function for the
-/// contract. Exposed for tests.
+/// Rewrites store directory `dir` so it holds exactly one canonical
+/// success/error record per job of `fingerprint` and nothing else:
+/// re-run duplicates are deduped (the survivor is what load() would
+/// have served), stale-fingerprint records and torn tails are dropped.
+/// A missing directory is a no-op. Throws std::runtime_error when
+/// another live writer holds the directory (see store.hpp) or the
+/// rewrite fails.
 CompactionStats compact_jsonl(const std::string& dir,
                               std::uint64_t fingerprint,
                               std::size_t metric_count);

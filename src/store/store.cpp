@@ -11,54 +11,10 @@
 #include <stdexcept>
 
 #include "exp/sink.hpp"
-#include "store/jsonl.hpp"
-#include "store/sqlite.hpp"
 
 namespace bas::store {
 
 CampaignStore::~CampaignStore() = default;
-
-void CampaignStore::annotate(const std::string&,
-                             const std::vector<std::string>&) {}
-
-Backend backend_from_label(const std::string& label) {
-  if (label == "jsonl") {
-    return Backend::kJsonl;
-  }
-  if (label == "sqlite") {
-    return Backend::kSqlite;
-  }
-  throw std::runtime_error("unknown store backend '" + label +
-                           "' (valid: jsonl, sqlite)");
-}
-
-const char* backend_label(Backend backend) {
-  return backend == Backend::kSqlite ? "sqlite" : "jsonl";
-}
-
-std::unique_ptr<CampaignStore> make_store(Backend backend, std::string dir,
-                                          std::uint64_t fingerprint,
-                                          std::string tag) {
-  if (backend == Backend::kSqlite) {
-    return std::make_unique<SqliteStore>(std::move(dir), fingerprint);
-  }
-  return std::make_unique<JsonlStore>(std::move(dir), fingerprint,
-                                      std::move(tag));
-}
-
-CompactionStats compact_store(Backend backend, const std::string& dir,
-                              std::uint64_t fingerprint,
-                              std::size_t metric_count) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    return {};  // nothing to compact
-  }
-  require_no_live_writers(dir);
-  if (backend == Backend::kSqlite) {
-    return compact_sqlite(dir, fingerprint);
-  }
-  return compact_jsonl(dir, fingerprint, metric_count);
-}
 
 std::string format_metrics(const std::vector<double>& metrics) {
   std::string text = "[";

@@ -3,20 +3,14 @@
 // (and across) campaign runs.
 //
 // A CampaignStore persists records keyed on (spec fingerprint, job
-// index). Two backends implement the interface:
+// index). The one implementation is the append-only JSONL store
+// (store/jsonl.hpp): one record per line, per-writer files so
+// concurrent shard processes can share a directory. The interface
+// exists so the async writer (store/async_writer.hpp) can be tested
+// against a substitute store.
 //
-//   jsonl   (default) the append-only JSONL cache — one record per
-//           line, per-writer files so concurrent shard processes can
-//           share a directory. Format unchanged from the original
-//           src/exp/cache implementation, byte for byte.
-//   sqlite  a single `campaign.sqlite` database per store directory
-//           (WAL mode, one upsert-keyed `results` table shared by every
-//           fingerprint), so `--merge` is a query and cross-campaign
-//           analysis is SQL. Built only when the sqlite3 library is
-//           available — see sqlite_available().
-//
-// Both share the engine's %.17g double rendering (exp/sink.hpp), so a
-// result folded from either backend is byte-identical to a fresh run —
+// Records carry the engine's %.17g double rendering (exp/sink.hpp), so
+// a result folded from the store is byte-identical to a fresh run —
 // the shard/merge/resume contract the campaign layer is verified
 // against. Records are either metric rows (a successful job's values)
 // or error rows (a job that failed permanently under --keep-going);
@@ -25,35 +19,17 @@
 //
 // Writer liveness: every store construction registers a `*.live` marker
 // (holding its pid) in the directory and removes it on destruction.
-// compact_store() refuses to run while another live writer's marker is
-// present — compaction rewrites/removes other writers' data — and
-// silently clears markers whose process died (a kill -9 must not brick
-// the directory).
+// Compaction (compact_jsonl) refuses to run while another live writer's
+// marker is present — compaction rewrites/removes other writers' data —
+// and silently clears markers whose process died (a kill -9 must not
+// brick the directory).
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace bas::store {
-
-/// Which backend a store directory uses.
-enum class Backend {
-  kJsonl,
-  kSqlite,
-};
-
-/// Parses "jsonl" / "sqlite"; throws std::runtime_error on anything
-/// else (the message lists the valid labels).
-Backend backend_from_label(const std::string& label);
-
-/// "jsonl" / "sqlite".
-const char* backend_label(Backend backend);
-
-/// True when the binary was built against the sqlite3 library; when
-/// false, constructing a sqlite store throws std::runtime_error.
-bool sqlite_available() noexcept;
 
 /// One persisted row: either a successful job's metrics (error empty)
 /// or a permanent failure (metrics empty, error holds the message).
@@ -65,7 +41,7 @@ struct StoreRecord {
   bool is_error() const noexcept { return !error.empty(); }
 };
 
-/// What compact_store() did, for progress notes and tests.
+/// What compact_jsonl() did, for progress notes and tests.
 struct CompactionStats {
   std::size_t files_scanned = 0;
   std::size_t files_removed = 0;
@@ -73,7 +49,7 @@ struct CompactionStats {
   std::size_t records_kept = 0;
 };
 
-/// The backend interface. One instance is one writer into a store
+/// The store interface. One instance is one writer into a store
 /// directory for one spec fingerprint; load() pools every record of
 /// that fingerprint regardless of which writer appended it.
 ///
@@ -95,50 +71,23 @@ class CampaignStore {
   /// Error messages of every stored error record of this fingerprint.
   virtual std::map<std::size_t, std::string> load_errors() = 0;
 
-  /// Persists a batch of records durably (one write + flush for jsonl,
-  /// one transaction for sqlite): after append returns, a kill -9
-  /// loses none of the batch. Throws std::runtime_error on I/O errors.
+  /// Persists a batch of records durably (one write + flush for
+  /// jsonl): after append returns, a kill -9 loses none of the batch.
+  /// Throws std::runtime_error on I/O errors.
   virtual void append(const std::vector<StoreRecord>& batch) = 0;
 
   /// Flushes anything buffered. append() is already durable per batch,
-  /// so this is a no-op for both shipped backends, but the interface
-  /// keeps the contract explicit for future buffering backends.
+  /// so this is a no-op for the JSONL store, but the interface keeps
+  /// the contract explicit for stores that buffer.
   virtual void flush() = 0;
 
-  /// Human-readable location ("DIR/<fp>.jsonl", "DIR/campaign.sqlite")
-  /// for notes and error messages.
+  /// Human-readable location ("DIR/<fp>.jsonl") for notes and error
+  /// messages.
   virtual const std::string& describe() const noexcept = 0;
-
-  /// Optional campaign annotation (title, metric names) so the sqlite
-  /// `campaigns` table makes cross-campaign SQL self-describing. The
-  /// jsonl backend ignores it.
-  virtual void annotate(const std::string& title,
-                        const std::vector<std::string>& metric_names);
 };
 
-/// Opens store directory `dir` (created if missing) for `fingerprint`.
-/// `tag` distinguishes this writer's jsonl file from other processes
-/// appending to the same directory (e.g. "s0of2"); the sqlite backend
-/// ignores it (the database serializes concurrent writers itself).
-/// Throws std::runtime_error when the directory cannot be created or
-/// the backend is unavailable.
-std::unique_ptr<CampaignStore> make_store(Backend backend, std::string dir,
-                                          std::uint64_t fingerprint,
-                                          std::string tag);
-
-/// Rewrites store directory `dir` so it holds exactly one canonical
-/// success/error record per job of `fingerprint` and nothing else:
-/// re-run duplicates are deduped (the survivor is what load() would
-/// have served), stale-fingerprint records and torn tails are dropped,
-/// and for sqlite the database is VACUUMed. A missing directory is a
-/// no-op. Throws std::runtime_error when another live writer holds the
-/// directory (see the header comment) or the rewrite fails.
-CompactionStats compact_store(Backend backend, const std::string& dir,
-                              std::uint64_t fingerprint,
-                              std::size_t metric_count);
-
 // --------------------------------------------------------------------
-// Shared helpers for backends and tests.
+// Shared helpers for the store and tests.
 
 /// Renders metrics as "[v1,v2,...]" with the engine's %.17g doubles.
 std::string format_metrics(const std::vector<double>& metrics);
@@ -148,8 +97,8 @@ std::string format_metrics(const std::vector<double>& metrics);
 bool parse_metrics(const char* text, std::vector<double>* metrics);
 
 /// Registers a `<dir>/<stem>.pid<PID>.live` marker on construction and
-/// removes it on destruction. Used by both backends; exposed so tests
-/// can fabricate live/dead writers.
+/// removes it on destruction. Exposed so tests can fabricate live/dead
+/// writers.
 class WriterMarker {
  public:
   /// Throws std::runtime_error when the marker cannot be created.
@@ -168,7 +117,7 @@ class WriterMarker {
 /// Scans `dir` for `*.live` markers. Markers of dead processes are
 /// removed; a marker of a live process other than the caller throws
 /// std::runtime_error naming the marker and pid. Used by
-/// compact_store(); a missing directory is a no-op.
+/// compact_jsonl(); a missing directory is a no-op.
 void require_no_live_writers(const std::string& dir);
 
 }  // namespace bas::store

@@ -64,7 +64,6 @@ std::map<std::string, std::string> Cli::with_bench_defaults(
   defaults.emplace("csv", "");
   defaults.emplace("shard", "");
   defaults.emplace("cache", "");
-  defaults.emplace("store", "jsonl");
   defaults.emplace("cache-compact", "false");
   defaults.emplace("merge", "false");
   defaults.emplace("progress", "false");
@@ -153,17 +152,15 @@ std::string Cli::summary() const {
 }
 
 std::string Cli::config_summary() const {
-  // --store, --job-timeout, --job-attempts and --keep-going are engine
-  // flags too: they change how jobs execute and persist, never what a
-  // job computes, so switching backend or adding retries must not
-  // invalidate a store full of results.
   // Flags that steer execution, reporting or storage without changing
-  // any job's output — excluded from the cache-keying summary.
+  // any job's output — excluded from the cache-keying summary. Retry
+  // flags (--job-timeout, --job-attempts, --keep-going) belong here
+  // too: adding retries must not invalidate a store full of results.
   static const char* const kEngineFlags[] = {
-      "jobs",        "csv",          "shard",        "cache",
-      "store",       "cache-compact", "merge",       "progress",
-      "progress-interval",            "trace-out",
-      "job-timeout", "job-attempts", "keep-going",   "list-scenarios"};
+      "jobs",          "csv",         "shard",          "cache",
+      "cache-compact", "merge",       "progress",       "progress-interval",
+      "trace-out",     "job-timeout", "job-attempts",   "keep-going",
+      "list-scenarios"};
   std::ostringstream out;
   bool first = true;
   for (const auto& [key, value] : values_) {

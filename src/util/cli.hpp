@@ -32,15 +32,11 @@ class Cli {
   ///                partition (cluster fan-out; pair with --cache)
   ///   --cache DIR  campaign store: skip jobs already recorded under
   ///                DIR, append fresh results as they finish
-  ///   --store B    store backend under --cache: "jsonl" (append-only
-  ///                files, the default) or "sqlite" (one shared
-  ///                campaign.sqlite); merge output is byte-identical
-  ///                across backends
   ///   --cache-compact
   ///                before loading, rewrite the store in place: dedupe
-  ///                re-run jobs, drop stale-fingerprint records, VACUUM
-  ///                sqlite (requires --cache; composes with --merge;
-  ///                refuses while another writer process is live)
+  ///                re-run jobs, drop stale-fingerprint records
+  ///                (requires --cache; composes with --merge; refuses
+  ///                while another writer process is live)
   ///   --merge      fold the complete result from the store alone
   ///                (combines shard outputs; requires --cache)
   ///   --progress   report jobs-done/total, ETA and writer-queue stats
@@ -89,15 +85,15 @@ class Cli {
   void show_effective(const std::string& key, long long value);
 
   /// summary() minus the engine/campaign flags (--jobs, --csv, --shard,
-  /// --cache, --store, --merge, --progress, --progress-interval,
-  /// --trace-out, --job-timeout,
-  /// --job-attempts, --keep-going, --list-scenarios) and minus options
+  /// --cache, --cache-compact, --merge, --progress, --progress-interval,
+  /// --trace-out, --job-timeout, --job-attempts, --keep-going,
+  /// --list-scenarios) and minus options
   /// whose value is empty (unset optional settings, e.g. unused
   /// --scenario.FIELD overrides) — exactly the options that can alter
   /// job outputs. Feed it to ExperimentSpec::config so the campaign
   /// store is invalidated when any driver parameter changes, while
-  /// sharded, resumed, differently-threaded and differently-backed runs
-  /// of one sweep still share a fingerprint.
+  /// sharded, resumed and differently-threaded runs of one sweep still
+  /// share a fingerprint.
   std::string config_summary() const;
 
  private:

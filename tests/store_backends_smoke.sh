@@ -2,21 +2,17 @@
 # Campaign-store acceptance smoke (ctest: *_store_backends).
 #
 # Against a representative engine driver this verifies, byte-for-byte
-# via cmp, that the sqlite backend honours the same contract as jsonl:
+# via cmp, that the JSONL campaign store honours its contract:
 #
-#   1. fresh runs:      --store sqlite equals --store jsonl equals a
-#                       storeless run;
+#   1. fresh run:       a run writing through --cache equals a storeless
+#                       run;
 #   2. 3-way shard+merge: three --shard i/3 writers into one store dir,
-#                       then --merge, equals the fresh run — per backend
-#                       AND across backends;
+#                       then --merge, equals the fresh run;
 #   3. kill+resume:     a campaign killed mid-run (SIGKILL) resumes from
-#                       whatever each backend committed and still folds
-#                       to the fresh bytes;
+#                       whatever the store committed and still folds to
+#                       the fresh bytes;
 #   4. compaction:      --cache-compact over the messy post-kill store
 #                       leaves the merge output untouched.
-#
-# When the binary was built without sqlite3 the sqlite runs are skipped
-# (exit 0 with a notice) so the smoke stays green on minimal toolchains.
 #
 # Usage: store_backends_smoke.sh /path/to/driver [driver flags...]
 
@@ -38,57 +34,30 @@ run() { "$bin" $small --seed 6 "$@" > /dev/null; }
 # Storeless reference.
 run --jobs 4 --csv "$work/fresh.csv"
 
-# Detect sqlite availability: a --store sqlite run against a throwaway
-# dir either works or fails with the "unavailable" stub message.
-backends="jsonl"
-if run --jobs 1 --cache "$work/probe" --store sqlite 2> "$work/probe.err"; then
-  backends="jsonl sqlite"
-elif grep -q "SQLite backend unavailable" "$work/probe.err"; then
-  echo "store smoke: sqlite3 not built in, exercising jsonl only" >&2
-else
-  cat "$work/probe.err" >&2
-  exit 1
-fi
+# 1. Fresh run writing through the store equals the storeless run.
+run --jobs 4 --cache "$work/fresh" --csv "$work/stored.csv"
+cmp "$work/fresh.csv" "$work/stored.csv"
 
-for backend in $backends; do
-  store="--store $backend"
-
-  # 1. Fresh run writing through the store equals the storeless run.
-  run --jobs 4 $store --cache "$work/$backend-fresh" \
-      --csv "$work/$backend-fresh.csv"
-  cmp "$work/fresh.csv" "$work/$backend-fresh.csv"
-
-  # 2. Three shards + merge.
-  for s in 0 1 2; do
-    run --jobs 2 --shard $s/3 $store --cache "$work/$backend-shards"
-  done
-  run --merge $store --cache "$work/$backend-shards" \
-      --csv "$work/$backend-merged.csv"
-  cmp "$work/fresh.csv" "$work/$backend-merged.csv"
-
-  # 3. Kill mid-campaign, then resume. The kill races the run — if the
-  #    campaign finished before the signal landed, the resume degrades
-  #    into a pure store replay, which the cmp still validates.
-  "$bin" $small --seed 6 --jobs 1 $store --cache "$work/$backend-kill" \
-      > /dev/null 2>&1 &
-  victim=$!
-  sleep 0.2
-  kill -9 "$victim" 2> /dev/null || true
-  wait "$victim" 2> /dev/null || true
-  run --jobs 4 $store --cache "$work/$backend-kill" \
-      --csv "$work/$backend-resumed.csv"
-  cmp "$work/fresh.csv" "$work/$backend-resumed.csv"
-
-  # 4. Compact the post-kill store (dupes, partial files) and re-merge.
-  run --merge --cache-compact $store --cache "$work/$backend-kill" \
-      --csv "$work/$backend-compacted.csv"
-  cmp "$work/fresh.csv" "$work/$backend-compacted.csv"
+# 2. Three shards + merge.
+for s in 0 1 2; do
+  run --jobs 2 --shard $s/3 --cache "$work/shards"
 done
+run --merge --cache "$work/shards" --csv "$work/merged.csv"
+cmp "$work/fresh.csv" "$work/merged.csv"
 
-# Cross-backend: the merge outputs are the same bytes.
-if [ "$backends" = "jsonl sqlite" ]; then
-  cmp "$work/jsonl-merged.csv" "$work/sqlite-merged.csv"
-  cmp "$work/jsonl-resumed.csv" "$work/sqlite-resumed.csv"
-fi
+# 3. Kill mid-campaign, then resume. The kill races the run — if the
+#    campaign finished before the signal landed, the resume degrades
+#    into a pure store replay, which the cmp still validates.
+"$bin" $small --seed 6 --jobs 1 --cache "$work/kill" > /dev/null 2>&1 &
+victim=$!
+sleep 0.2
+kill -9 "$victim" 2> /dev/null || true
+wait "$victim" 2> /dev/null || true
+run --jobs 4 --cache "$work/kill" --csv "$work/resumed.csv"
+cmp "$work/fresh.csv" "$work/resumed.csv"
 
-echo "store smoke: OK ($backends)"
+# 4. Compact the post-kill store (dupes, partial files) and re-merge.
+run --merge --cache-compact --cache "$work/kill" --csv "$work/compacted.csv"
+cmp "$work/fresh.csv" "$work/compacted.csv"
+
+echo "store smoke: OK"

@@ -1,7 +1,7 @@
 // Tests for the campaign layer: plan/fingerprint, shard partition,
 // store-backed resume, merge collection, job timeout/retry/keep-going
 // robustness, work-stealing determinism and the coordinate-bearing
-// runner error reports. The store subsystem itself (backends, async
+// runner error reports. The store subsystem itself (JSONL store, async
 // writer, compaction) is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
@@ -553,20 +553,18 @@ TEST(Campaign, ArityErrorsCarryCoordinatesToo) {
 // ------------------------------------------------------ CLI threading
 
 TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
-  const char* argv[] = {"bench",        "--jobs",   "3",
-                        "--shard",      "1/4",      "--cache",
+  const char* argv[] = {"bench",        "--jobs",     "3",
+                        "--shard",      "1/4",        "--cache",
                         "/tmp/c",       "--progress", "--cache-compact",
-                        "--store",      "sqlite",   "--job-timeout",
-                        "2.5",          "--job-attempts", "3",
-                        "--keep-going"};
-  util::Cli cli(16, argv, util::Cli::with_bench_defaults({}));
+                        "--job-timeout", "2.5",       "--job-attempts",
+                        "3",            "--keep-going"};
+  util::Cli cli(14, argv, util::Cli::with_bench_defaults({}));
   const auto options = exp::options_from_cli(cli);
   EXPECT_EQ(options.jobs, 3);
   ASSERT_TRUE(options.shard.has_value());
   EXPECT_EQ(options.shard->index, 1);
   EXPECT_EQ(options.shard->count, 4);
   EXPECT_EQ(options.cache_dir, "/tmp/c");
-  EXPECT_EQ(options.store_backend, store::Backend::kSqlite);
   EXPECT_FALSE(options.merge_only);
   EXPECT_TRUE(options.compact_cache);
   EXPECT_TRUE(options.progress);
@@ -581,7 +579,6 @@ TEST(Campaign, OptionsFromCliDefaultsAreInert) {
   const auto options = exp::options_from_cli(cli);
   EXPECT_FALSE(options.shard.has_value());
   EXPECT_TRUE(options.cache_dir.empty());
-  EXPECT_EQ(options.store_backend, store::Backend::kJsonl);
   EXPECT_FALSE(options.merge_only);
   EXPECT_FALSE(options.compact_cache);
   EXPECT_FALSE(options.progress);
@@ -590,10 +587,18 @@ TEST(Campaign, OptionsFromCliDefaultsAreInert) {
   EXPECT_FALSE(options.keep_going);
 }
 
-TEST(Campaign, UnknownStoreBackendIsRejected) {
-  const char* argv[] = {"bench", "--store", "parquet"};
-  util::Cli cli(3, argv, util::Cli::with_bench_defaults({}));
-  EXPECT_THROW(exp::options_from_cli(cli), std::runtime_error);
+TEST(Campaign, StoreOptionIsUnknown) {
+  // The campaign store has one implementation; --store no longer
+  // selects anything and fails at parse time like any unknown option.
+  const char* argv[] = {"bench", "--store", "jsonl"};
+  try {
+    util::Cli cli(3, argv, util::Cli::with_bench_defaults({}));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown option --store"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Campaign, MergeWithoutStoreFromCliIsRejectedByTheRunner) {
@@ -622,20 +627,20 @@ TEST(Campaign, ConfigEntersTheFingerprint) {
 }
 
 TEST(Campaign, ConfigSummaryExcludesEngineFlags) {
-  const char* argv_a[] = {"bench",      "--battery",     "kibam",
-                          "--jobs",     "7",             "--shard",
-                          "0/2",        "--cache",       "dir",
-                          "--progress", "--cache-compact", "--store",
-                          "sqlite",     "--job-timeout", "3",
-                          "--job-attempts", "2",         "--keep-going"};
-  util::Cli a(18, argv_a,
+  const char* argv_a[] = {"bench",      "--battery",       "kibam",
+                          "--jobs",     "7",               "--shard",
+                          "0/2",        "--cache",         "dir",
+                          "--progress", "--cache-compact", "--job-timeout",
+                          "3",          "--job-attempts",  "2",
+                          "--keep-going"};
+  util::Cli a(16, argv_a,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   const char* argv_b[] = {"bench", "--battery", "kibam"};
   util::Cli b(3, argv_b,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   // Campaign/engine flags must not perturb the sweep identity — a
-  // store full of results stays valid when the backend or the retry
-  // policy changes...
+  // store full of results stays valid when the retry policy or the
+  // thread count changes...
   EXPECT_EQ(a.config_summary(), b.config_summary());
   // ...but driver parameters must.
   const char* argv_c[] = {"bench", "--battery", "peukert"};

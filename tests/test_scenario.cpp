@@ -210,7 +210,7 @@ TEST(ScenarioCli, BatteryWindowOverrideEntersFingerprint) {
 }
 
 TEST(ScenarioFingerprint, PaperTable2IsPinned) {
-  // The fingerprint keys every JSONL and SQLite campaign cache. This is
+  // The fingerprint keys every campaign store. This is
   // the exact string caches were written under, literal engine=event
   // token included; any change orphans every stored result.
   EXPECT_EQ(scenario::scenario("paper-table2").fingerprint(),
@@ -278,7 +278,23 @@ TEST(ScenarioCli, BadArrivalOverridesThrowEagerly) {
 
 TEST(ScenarioCli, ListRequestFlag) {
   EXPECT_FALSE(scenario::handle_list_request(make_cli({})));
+  testing::internal::CaptureStdout();
   EXPECT_TRUE(scenario::handle_list_request(make_cli({"--list-scenarios"})));
+  const std::string help = testing::internal::GetCapturedStdout();
+  // The help names every --scenario.FIELD override the CLI accepts.
+  std::size_t fields = 0;
+  for (const auto& [key, unused] :
+       scenario::with_scenario_defaults({}, "paper-table2")) {
+    if (key.rfind("scenario.", 0) != 0) {
+      continue;
+    }
+    ++fields;
+    const std::string field = key.substr(9);
+    EXPECT_TRUE(help.find(" " + field + ",") != std::string::npos ||
+                help.find(" " + field + ")") != std::string::npos)
+        << field;
+  }
+  EXPECT_EQ(fields, 24u);
 }
 
 // ----------------------------------------------- factories integration

@@ -1,8 +1,7 @@
 // Tests for the streaming campaign store (src/store/): the %.17g
-// round-trip contract on both backends, kill-mid-write recovery,
-// compaction (dedupe, stale-fingerprint purge, live-writer refusal),
-// the bounded async writer (backpressure, batching, failure
-// propagation) and cross-backend byte identity of merged results.
+// round-trip contract, kill-mid-write recovery, compaction (dedupe,
+// stale-fingerprint purge, live-writer refusal) and the bounded async
+// writer (backpressure, batching, failure propagation).
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 #include "exp/sink.hpp"
 #include "store/async_writer.hpp"
 #include "store/jsonl.hpp"
-#include "store/sqlite.hpp"
 #include "store/store.hpp"
 #include "util/rng.hpp"
 
@@ -100,15 +98,7 @@ TEST(StoreHelpers, MalformedMetricsAreRejected) {
   }
 }
 
-TEST(StoreHelpers, BackendLabelsRoundTrip) {
-  EXPECT_EQ(store::backend_from_label("jsonl"), store::Backend::kJsonl);
-  EXPECT_EQ(store::backend_from_label("sqlite"), store::Backend::kSqlite);
-  EXPECT_STREQ(store::backend_label(store::Backend::kJsonl), "jsonl");
-  EXPECT_STREQ(store::backend_label(store::Backend::kSqlite), "sqlite");
-  EXPECT_THROW(store::backend_from_label("parquet"), std::runtime_error);
-}
-
-// ------------------------------------------------------- jsonl backend
+// --------------------------------------------------------- jsonl store
 
 TEST(JsonlStore, RoundTripsDoublesBitwise) {
   TempDir dir("roundtrip");
@@ -204,116 +194,25 @@ TEST(JsonlStore, LaterRecordOfTheOtherKindWins) {
   EXPECT_TRUE(cache.load_errors().empty());
 }
 
-// ------------------------------------------------------ sqlite backend
+TEST(JsonlStore, IgnoresAndPreservesForeignFiles) {
+  // A store directory last written by a retired backend still holds its
+  // database file. load() must skip it (so those jobs are recomputed
+  // rather than failing the run) and compaction must leave it alone.
+  TempDir dir("foreign");
+  store::JsonlStore cache(dir.path, 0x7777ULL, "");
+  append_one(cache, 0, {1.0});
+  const std::string foreign = dir.path + "/campaign.sqlite";
+  std::ofstream(foreign) << "not a jsonl store\n";
+  EXPECT_EQ(cache.load(1).size(), 1u);
 
-#define SKIP_WITHOUT_SQLITE()                                       \
-  if (!store::sqlite_available()) {                                 \
-    GTEST_SKIP() << "built without sqlite3; backend is stubbed";    \
-  }
-
-TEST(SqliteStore, RoundTripsDoublesBitwise) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-roundtrip");
-  const auto metrics = awkward_metrics();
-  {
-    auto cache = store::make_store(store::Backend::kSqlite, dir.path,
-                                   0xabcdefULL, "");
-    append_one(*cache, 7, metrics);
-  }
-  // A fresh handle (fresh process stand-in) sees the committed batch.
-  auto cache = store::make_store(store::Backend::kSqlite, dir.path,
-                                 0xabcdefULL, "");
-  const auto loaded = cache->load(metrics.size());
-  ASSERT_EQ(loaded.size(), 1u);
-  ASSERT_TRUE(loaded.count(7));
-  EXPECT_EQ(0, std::memcmp(loaded.at(7).data(), metrics.data(),
-                           metrics.size() * sizeof(double)));
+  const auto stats = store::compact_jsonl(dir.path, 0x7777ULL, 1);
+  EXPECT_EQ(stats.files_scanned, 1u);
+  EXPECT_EQ(stats.records_kept, 1u);
+  EXPECT_TRUE(std::filesystem::exists(foreign));
+  EXPECT_EQ(store::JsonlStore(dir.path, 0x7777ULL, "").load(1).size(), 1u);
 }
 
-TEST(SqliteStore, FiltersFingerprintsArityAndErrorRows) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-filter");
-  auto mine = store::make_store(store::Backend::kSqlite, dir.path,
-                                0x1111ULL, "");
-  auto other = store::make_store(store::Backend::kSqlite, dir.path,
-                                 0x2222ULL, "");
-  append_one(*mine, 0, {1.0, 2.0});
-  append_one(*other, 1, {3.0, 4.0});
-  append_one(*mine, 2, {5.0});       // wrong arity for a 2-metric load
-  mine->append({{3, {}, "failed"}});  // error row
-  const auto loaded = mine->load(2);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(loaded.count(0));
-  const auto errors = mine->load_errors();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors.at(3), "failed");
-  EXPECT_TRUE(other->load_errors().empty());
-}
-
-TEST(SqliteStore, UpsertDedupesReRunJobsInPlace) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-upsert");
-  auto cache = store::make_store(store::Backend::kSqlite, dir.path,
-                                 0x7777ULL, "");
-  cache->append({{3, {}, "flaky"}});
-  append_one(*cache, 3, {42.0});
-  const auto loaded = cache->load(1);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.at(3), std::vector<double>{42.0});
-  EXPECT_TRUE(cache->load_errors().empty());
-}
-
-TEST(SqliteStore, ConcurrentWriterHandlesShareTheDatabase) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-shards");
-  auto s0 = store::make_store(store::Backend::kSqlite, dir.path,
-                              0x3333ULL, "s0of2");
-  auto s1 = store::make_store(store::Backend::kSqlite, dir.path,
-                              0x3333ULL, "s1of2");
-  append_one(*s0, 0, {1.0});
-  append_one(*s1, 1, {2.0});
-  EXPECT_EQ(s0->load(1).size(), 2u);
-}
-
-TEST(SqliteStore, CompactionPurgesStaleFingerprintsAndVacuums) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-compact");
-  {
-    auto live = store::make_store(store::Backend::kSqlite, dir.path,
-                                  0xAAAAULL, "");
-    auto stale = store::make_store(store::Backend::kSqlite, dir.path,
-                                   0xBBBBULL, "");
-    append_one(*live, 0, {1.0, 2.0});
-    append_one(*live, 1, {3.0, 4.0});
-    append_one(*stale, 0, {9.0, 9.0});
-    append_one(*stale, 7, {9.0, 9.0});
-  }
-  const auto before =
-      store::make_store(store::Backend::kSqlite, dir.path, 0xAAAAULL, "")
-          ->load(2);
-  const auto stats =
-      store::compact_store(store::Backend::kSqlite, dir.path, 0xAAAAULL, 2);
-  EXPECT_EQ(stats.records_seen, 4u);
-  EXPECT_EQ(stats.records_kept, 2u);
-  auto probe = store::make_store(store::Backend::kSqlite, dir.path,
-                                 0xAAAAULL, "");
-  EXPECT_EQ(probe->load(2), before);
-  auto dead = store::make_store(store::Backend::kSqlite, dir.path,
-                                0xBBBBULL, "");
-  EXPECT_TRUE(dead->load(2).empty());
-}
-
-TEST(SqliteStore, UnavailableBackendFailsLoudly) {
-  if (store::sqlite_available()) {
-    GTEST_SKIP() << "sqlite3 present; the stub path is not built";
-  }
-  TempDir dir("sq-stub");
-  EXPECT_THROW(
-      store::make_store(store::Backend::kSqlite, dir.path, 0x1ULL, ""),
-      std::runtime_error);
-}
-
-// ----------------------------------------------------- jsonl compaction
+// ------------------------------------------------------------ compaction
 
 TEST(Compaction, DedupesReRunJobsAndDropsStaleFingerprints) {
   TempDir dir("compact");
@@ -337,8 +236,7 @@ TEST(Compaction, DedupesReRunJobsAndDropsStaleFingerprints) {
   // The invariant: a load() after compaction serves exactly what a
   // load() before it would have (same last-wins winners).
   const auto before = store::JsonlStore(dir.path, 0xAAAAULL, "").load(2);
-  const auto stats =
-      store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 2);
+  const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 2);
   const auto after = store::JsonlStore(dir.path, 0xAAAAULL, "").load(2);
   EXPECT_EQ(before, after);
   ASSERT_EQ(after.size(), 3u);  // jobs 0, 1, 2 — no stale job 7, no torn 3
@@ -358,8 +256,8 @@ TEST(Compaction, DedupesReRunJobsAndDropsStaleFingerprints) {
 }
 
 TEST(Compaction, MissingOrEmptyDirectoryIsANoop) {
-  const auto none = store::compact_store(
-      store::Backend::kJsonl, "/nonexistent/bas-compact-test", 0x1ULL, 2);
+  const auto none =
+      store::compact_jsonl("/nonexistent/bas-compact-test", 0x1ULL, 2);
   EXPECT_EQ(none.files_scanned, 0u);
   EXPECT_EQ(none.records_kept, 0u);
 
@@ -370,8 +268,7 @@ TEST(Compaction, MissingOrEmptyDirectoryIsANoop) {
   }
   // Nothing matches the live fingerprint: old files are removed and no
   // compacted file is written.
-  const auto stats =
-      store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
+  const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 0u);
   EXPECT_EQ(stats.files_removed, 1u);
   EXPECT_TRUE(std::filesystem::is_empty(dir.path));
@@ -447,7 +344,7 @@ TEST(Compaction, RefusesWhileAForeignWriterIsLive) {
   const std::string marker = dir.path + "/dead.pid1.live";
   std::ofstream(marker) << "1\n";
   try {
-    store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
+    store::compact_jsonl(dir.path, 0xAAAAULL, 1);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string message = e.what();
@@ -457,8 +354,7 @@ TEST(Compaction, RefusesWhileAForeignWriterIsLive) {
   }
   // The data survived the refusal; clearing the marker unblocks it.
   std::filesystem::remove(marker);
-  const auto stats =
-      store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
+  const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 1u);
 }
 
@@ -481,8 +377,7 @@ TEST(Compaction, ClearsMarkersOfDeadWriters) {
       dir.path + "/killed.pid" + std::to_string(child) + ".live";
   std::ofstream(marker) << child << "\n";
 
-  const auto stats =
-      store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
+  const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 1u);
   EXPECT_FALSE(std::filesystem::exists(marker));
 }
@@ -493,8 +388,7 @@ TEST(Compaction, OwnProcessMarkersDoNotBlock) {
   append_one(writer, 0, {1.0});
   // Same-process compaction is caller-controlled (the runner compacts
   // before opening its writer); only *other* processes block it.
-  const auto stats =
-      store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
+  const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 1u);
 }
 
@@ -600,63 +494,6 @@ TEST(AsyncWriter, DestructorDrainsRemainingRecords) {
     }
   }
   EXPECT_EQ(fake.records.size(), 5u);
-}
-
-// ----------------------------------------------- cross-backend contract
-
-TEST(CrossBackend, ShardedMergesAreByteIdenticalAcrossBackends) {
-  SKIP_WITHOUT_SQLITE();
-  const auto spec = awkward_spec();
-  const std::string fresh_csv = exp::to_csv(exp::run_experiment(spec, 4));
-
-  for (const auto backend :
-       {store::Backend::kJsonl, store::Backend::kSqlite}) {
-    for (const int shards : {1, 3}) {
-      TempDir dir(std::string("xb-") + store::backend_label(backend) + "-" +
-                  std::to_string(shards));
-      for (int s = 0; s < shards; ++s) {
-        exp::RunnerOptions options;
-        options.jobs = 2;
-        options.shard = exp::Shard{s, shards};
-        options.cache_dir = dir.path;
-        options.store_backend = backend;
-        exp::run_experiment(spec, options);
-      }
-      exp::RunnerOptions merge;
-      merge.merge_only = true;
-      merge.cache_dir = dir.path;
-      merge.store_backend = backend;
-      const auto merged = exp::run_experiment(spec, merge);
-      EXPECT_EQ(fresh_csv, exp::to_csv(merged))
-          << store::backend_label(backend) << " x" << shards;
-    }
-  }
-}
-
-TEST(CrossBackend, SqliteResumeSkipsStoredJobs) {
-  SKIP_WITHOUT_SQLITE();
-  TempDir dir("sq-resume");
-  auto spec = awkward_spec();
-  exp::RunnerOptions first;
-  first.shard = exp::Shard{0, 2};
-  first.cache_dir = dir.path;
-  first.store_backend = store::Backend::kSqlite;
-  exp::run_experiment(spec, first);
-
-  std::atomic<std::size_t> executed{0};
-  const auto inner = spec.run;
-  spec.run = [&executed, inner](const exp::Job& job) {
-    executed.fetch_add(1);
-    return inner(job);
-  };
-  exp::RunnerOptions resume;
-  resume.jobs = 4;
-  resume.cache_dir = dir.path;
-  resume.store_backend = store::Backend::kSqlite;
-  const auto resumed = exp::run_experiment(spec, resume);
-  EXPECT_EQ(executed.load(), spec.job_count() / 2);
-  EXPECT_EQ(exp::to_csv(exp::run_experiment(awkward_spec(), 1)),
-            exp::to_csv(resumed));
 }
 
 }  // namespace
