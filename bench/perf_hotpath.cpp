@@ -38,11 +38,11 @@
 // --write-baseline on a quiet machine after an intentional perf change.
 //
 // With --campaign the same cells run through the exp::Runner pipeline —
-// per-rep jobs, the async store writer when --cache is set — instead of
-// the direct loop. The per-rep clock still wraps simulate_scheme only,
-// so the rates measure the identical work and the campaign overhead
-// (queue push per job, consumer-thread batching) shows up as the
-// steps/sec delta against a direct run. That delta is the store's
+// per-rep jobs, one flushed store row per job when --cache is set —
+// instead of the direct loop. The per-rep clock still wraps
+// simulate_scheme only, so the rates measure the identical work and the
+// campaign overhead (job claim, store append) shows up as the steps/sec
+// delta against a direct run. That delta is the store's
 // hot-path cost and is gated by the same --baseline machinery. Keep
 // --jobs 1 when gating: the per-rep clock is wall time, so concurrent
 // reps would time each other's CPU contention, not the store.
@@ -292,8 +292,8 @@ void write_direct_trace(const Cell& cell, std::uint64_t seed,
 }
 
 /// Campaign mode: the identical cells as per-rep jobs through the full
-/// exp::Runner pipeline (work-stealing pool + async store writer when
-/// --cache is set), folded back into CellResults.
+/// exp::Runner pipeline (thread pool + per-job store append when --cache
+/// is set), folded back into CellResults.
 std::vector<CellResult> run_campaign(const std::vector<Cell>& cells,
                                      int sets, std::uint64_t seed,
                                      const exp::RunnerOptions& options) {
@@ -629,7 +629,7 @@ int main(int argc, char** argv) {
       options.jobs = cli.jobs();
       options.cache_dir = cli.get("cache");
       // Campaign mode: --trace-out records the runner-level trace (job
-      // spans per worker, writer queue depth), not a sim-level one.
+      // spans per worker, retry/fail markers), not a sim-level one.
       options.trace_out = cli.get("trace-out");
       results = run_campaign(cells, sets, seed, options);
     } else {

@@ -38,22 +38,13 @@ void Progress::tick() {
       done > 0 ? elapsed * static_cast<double>(total_ - done) /
                      static_cast<double>(done)
                : 0.0;
-  std::string suffix;
-  if (stats_) {
-    suffix = ", " + stats_();
-  }
   std::fprintf(stderr,
-               "%s: %zu/%zu jobs (%.1f%%), elapsed %.1fs, eta %.1fs%s\n",
+               "%s: %zu/%zu jobs (%.1f%%), elapsed %.1fs, eta %.1fs\n",
                title_.c_str(), done, total_,
                total_ > 0 ? 100.0 * static_cast<double>(done) /
                                 static_cast<double>(total_)
                           : 100.0,
-               elapsed, eta, suffix.c_str());
-}
-
-void Progress::set_stats(std::function<std::string()> stats) {
-  std::lock_guard<std::mutex> lock(print_mutex_);
-  stats_ = std::move(stats);
+               elapsed, eta);
 }
 
 void Progress::note(const std::string& text) const {

@@ -8,16 +8,13 @@
 //
 // to stderr, throttled to one line per `interval_s` (default half a
 // second, --progress-interval on the bench CLIs) plus a final line at
-// completion. A stats hook (set_stats) appends a caller-supplied suffix
-// — the runner uses it for a metrics-registry snapshot of the async
-// writer's queue depth/stall counters. stdout is untouched, so tables
-// and CSV byte-compare regardless of whether reporting is on. tick()
-// is thread-safe and, when disabled, a single atomic increment.
+// completion. stdout is untouched, so tables and CSV byte-compare
+// regardless of whether reporting is on. tick() is thread-safe and,
+// when disabled, a single atomic increment.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -39,16 +36,6 @@ class Progress {
   /// store-resume summary.
   void note(const std::string& text) const;
 
-  /// Installs (or, with an empty function, removes) a supplier whose
-  /// string is appended to each heartbeat line, e.g. the writer-queue
-  /// stats. The supplier is called under the print throttle, at most
-  /// once per interval — it may take its own locks.
-  void set_stats(std::function<std::string()> stats);
-
-  std::size_t done() const noexcept {
-    return done_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::string title_;
   std::size_t total_ = 0;
@@ -56,7 +43,6 @@ class Progress {
   double interval_s_ = 0.5;
   std::atomic<std::size_t> done_{0};
   std::mutex print_mutex_;
-  std::function<std::string()> stats_;  ///< guarded by print_mutex_
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point last_print_;
 };

@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "exp/progress.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
-#include "store/async_writer.hpp"
 #include "store/jsonl.hpp"
 #include "util/cli.hpp"
 
@@ -24,92 +22,10 @@ namespace bas::exp {
 
 namespace {
 
-/// Job distribution inside one shard: the pending list is split into
-/// per-worker contiguous ranges, each claimed lock-free through its own
-/// atomic cursor; a worker that exhausts its range steals from the
-/// range with the most work left. Contiguous ranges keep a worker's
-/// claims cache-local (replicates of a cell are adjacent in job order)
-/// and spread cursor contention across workers; stealing keeps every
-/// thread busy when cell costs are uneven (overload vs idle-heavy
-/// scenarios). Determinism is untouched: stealing changes who computes
-/// a job, never what it computes — results land in job-indexed slots
-/// and are folded in job order afterwards.
-class WorkQueue {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  WorkQueue(std::size_t total, std::size_t workers)
-      : worker_count_(std::max<std::size_t>(1, workers)),
-        ranges_(std::make_unique<Range[]>(worker_count_)) {
-    const std::size_t base = total / worker_count_;
-    const std::size_t extra = total % worker_count_;
-    std::size_t begin = 0;
-    for (std::size_t w = 0; w < worker_count_; ++w) {
-      const std::size_t len = base + (w < extra ? 1 : 0);
-      ranges_[w].next.store(begin, std::memory_order_relaxed);
-      ranges_[w].end = begin + len;
-      begin += len;
-    }
-  }
-
-  /// Claims the next position in [0, total), or npos when every range
-  /// is exhausted. Each position is returned exactly once. `stole`,
-  /// when non-null, reports whether the claim came from another
-  /// worker's range — the campaign trace marks those.
-  std::size_t claim(std::size_t worker, bool* stole = nullptr) {
-    if (stole != nullptr) {
-      *stole = false;
-    }
-    if (const std::size_t k = take(worker % worker_count_); k != npos) {
-      return k;
-    }
-    if (stole != nullptr) {
-      *stole = true;
-    }
-    // Steal from the victim with the most remaining work; rescan on a
-    // lost race until everything is exhausted.
-    for (;;) {
-      std::size_t best = npos;
-      std::size_t best_left = 0;
-      for (std::size_t w = 0; w < worker_count_; ++w) {
-        const std::size_t next = ranges_[w].next.load(std::memory_order_relaxed);
-        const std::size_t left = next < ranges_[w].end ? ranges_[w].end - next : 0;
-        if (left > best_left) {
-          best_left = left;
-          best = w;
-        }
-      }
-      if (best == npos) {
-        return npos;
-      }
-      if (const std::size_t k = take(best); k != npos) {
-        return k;
-      }
-    }
-  }
-
- private:
-  /// Padded so neighbouring cursors never share a cache line.
-  struct alignas(64) Range {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-
-  std::size_t take(std::size_t w) {
-    Range& range = ranges_[w];
-    if (range.next.load(std::memory_order_relaxed) >= range.end) {
-      return npos;
-    }
-    // fetch_add may overshoot past `end` when claimants race; the
-    // cursor only grows, so an overshot claim is simply rejected and
-    // no position is handed out twice.
-    const std::size_t k = range.next.fetch_add(1, std::memory_order_relaxed);
-    return k < range.end ? k : npos;
-  }
-
-  std::size_t worker_count_;
-  std::unique_ptr<Range[]> ranges_;
-};
+/// First retry delay; each further retry of the same job doubles it,
+/// so transient failures (I/O hiccups, load-induced deadline misses)
+/// get room to clear without hammering.
+constexpr double kRetryBackoffS = 0.05;
 
 /// Evaluates one job attempt under an optional wall-clock deadline.
 /// With no deadline this is a plain call. With one, the attempt runs on
@@ -297,9 +213,9 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   Progress progress(spec.title, pending.size(), options_.progress,
                     options_.progress_interval_s);
 
-  // Campaign trace (--trace-out): per-job spans on per-worker tracks,
-  // retry/steal/fail markers, the writer's queue-depth counter. The log
-  // is observational only — it never feeds results or the store.
+  // Campaign trace (--trace-out): per-job spans on per-worker tracks and
+  // retry/fail markers. The log is observational only — it never feeds
+  // results or the store.
   std::optional<obs::TraceLog> trace;
   if (!options_.trace_out.empty()) {
     trace.emplace();
@@ -323,24 +239,17 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
                   "the store; folding the partial result (--keep-going)");
   }
 
-  std::optional<store::AsyncWriter> writer;
-  if (cache && !pending.empty()) {
-    writer.emplace(*cache, options_.writer_queue_capacity, tlog);
-    // Heartbeat suffix: a metrics-registry snapshot of the writer
-    // counters, so the heartbeat and BENCH_perf.json speak the same
-    // metric names.
-    progress.set_stats([&writer] {
-      obs::Metrics metrics;
-      obs::fill(metrics, writer->stats());
-      return metrics.render_compact();
-    });
-  }
-
   std::mutex error_mutex;
   std::string first_error;
   std::atomic<bool> failed{false};
   std::atomic<std::size_t> failed_jobs{0};
   std::string first_failure;  // guarded by error_mutex (keep_going path)
+  auto abort_run = [&](const std::string& error) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!failed.exchange(true)) {
+      first_error = error;
+    }
+  };
 
   int threads = options_.jobs;
   if (threads <= 0) {
@@ -350,119 +259,103 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   const auto pool_size =
       std::min<std::size_t>(static_cast<std::size_t>(threads), pending.size());
 
-  WorkQueue queue(pending.size(), pool_size);
+  // Workers claim positions in `pending` from one shared cursor; results
+  // land in job-indexed slots and are folded in job order afterwards, so
+  // which worker computes a job never changes the result.
+  std::atomic<std::size_t> next{0};
 
-  auto work = [&](std::size_t worker) {
+  auto work = [&](int tid) {
     while (!failed.load(std::memory_order_relaxed)) {
-      bool stole = false;
-      const std::size_t k = queue.claim(worker, &stole);
-      if (k == WorkQueue::npos) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= pending.size()) {
         return;
       }
       const Job& job = plan.job(pending[k]);
-      const int tid = static_cast<int>(worker);
-      if (tlog != nullptr && stole) {
-        tlog->instant("steal", obs::kCampaignPid, tid,
-                      tlog->now_us(),
-                      "{\"job\": " + std::to_string(job.index) + "}");
-      }
       const double job_t0 = tlog != nullptr ? tlog->now_us() : 0.0;
       const int attempts = options_.job_attempts;
-      for (int attempt = 1; attempt <= attempts; ++attempt) {
-        std::string what;
+      store::StoreRecord record;
+      record.job_index = job.index;
+      bool ok = false;
+      std::string what;
+      int attempt = 1;
+      for (;; ++attempt) {
         try {
-          auto metrics =
+          record.metrics =
               run_with_deadline(spec.run, job, options_.job_timeout_s);
-          if (metrics.size() != spec.metrics.size()) {
+          if (record.metrics.size() != spec.metrics.size()) {
             throw std::runtime_error(
-                "returned " + std::to_string(metrics.size()) +
+                "returned " + std::to_string(record.metrics.size()) +
                 " metrics, expected " + std::to_string(spec.metrics.size()));
           }
-          if (writer) {
-            store::StoreRecord record;
-            record.job_index = job.index;
-            record.metrics = metrics;
-            writer->enqueue(std::move(record));
-          }
-          results[job.index] = std::move(metrics);
-          if (tlog != nullptr) {
-            const double now = tlog->now_us();
-            tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
-                       now - job_t0,
-                       "{\"job\": " + std::to_string(job.index) +
-                           ", \"attempt\": " + std::to_string(attempt) + "}");
-          }
-          progress.tick();
+          ok = true;
           break;
         } catch (const std::exception& e) {
           what = e.what();
         } catch (...) {
           what = "non-standard exception";
         }
-        if (attempt < attempts) {
-          if (tlog != nullptr) {
-            tlog->instant("retry", obs::kCampaignPid, tid, tlog->now_us(),
-                          "{\"job\": " + std::to_string(job.index) +
-                              ", \"attempt\": " + std::to_string(attempt) +
-                              "}");
-          }
-          // Exponential backoff before the retry: transient failures
-          // (I/O hiccups, load-induced deadline misses) get room to
-          // clear without hammering.
-          const double backoff =
-              options_.retry_backoff_s * static_cast<double>(1 << (attempt - 1));
-          if (backoff > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-          }
-          continue;
+        if (attempt == attempts) {
+          break;
         }
-        // Attempts exhausted: record the failure and either carry on
-        // (keep_going) or abort the run.
-        const std::string described =
-            plan.describe(job) + ": " + what +
-            (attempts > 1 ? " (after " + std::to_string(attempts) +
-                                " attempts)"
-                          : "");
-        if (options_.keep_going) {
-          try {
-            if (writer) {
-              store::StoreRecord record;
-              record.job_index = job.index;
-              record.error = described;
-              writer->enqueue(std::move(record));
-            }
-            failed_jobs.fetch_add(1, std::memory_order_relaxed);
-            {
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (first_failure.empty()) {
-                first_failure = described;
-              }
-            }
-            if (tlog != nullptr) {
-              const double now = tlog->now_us();
-              tlog->instant("fail", obs::kCampaignPid, tid, now,
-                            "{\"job\": " + std::to_string(job.index) + "}");
-              tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
-                         now - job_t0,
-                         "{\"job\": " + std::to_string(job.index) +
-                             ", \"failed\": true}");
-            }
-            progress.tick();
-            break;
-          } catch (const std::exception& e) {
-            // The store itself failed — that is fatal even under
-            // keep_going; fall through to the abort path.
-            what = e.what();
-          }
+        if (tlog != nullptr) {
+          tlog->instant("retry", obs::kCampaignPid, tid, tlog->now_us(),
+                        "{\"job\": " + std::to_string(job.index) +
+                            ", \"attempt\": " + std::to_string(attempt) +
+                            "}");
         }
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!failed.exchange(true)) {
-          first_error = options_.keep_going
-                            ? plan.describe(job) + ": " + what
-                            : described;
-        }
-        return;
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            kRetryBackoffS * static_cast<double>(1 << (attempt - 1))));
       }
+
+      // Attempts exhausted: record the failure as an error row and
+      // carry on (keep_going) or abort the run.
+      if (!ok) {
+        record.metrics.clear();
+        record.error = plan.describe(job) + ": " + what +
+                       (attempts > 1 ? " (after " + std::to_string(attempts) +
+                                           " attempts)"
+                                     : "");
+        if (!options_.keep_going) {
+          abort_run(record.error);
+          return;
+        }
+      }
+      // The row is durable before this worker claims its next job. A
+      // store that cannot be written fails the campaign once — it is
+      // not the job's fault, so it is never retried as one.
+      if (cache) {
+        try {
+          cache->append(record);
+        } catch (const std::exception& e) {
+          abort_run("store '" + cache->write_path() + "': " + e.what());
+          return;
+        }
+      }
+
+      if (ok) {
+        results[job.index] = std::move(record.metrics);
+      } else {
+        failed_jobs.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (first_failure.empty()) {
+          first_failure = record.error;
+        }
+      }
+      if (tlog != nullptr) {
+        const double now = tlog->now_us();
+        const std::string id = std::to_string(job.index);
+        if (!ok) {
+          tlog->instant("fail", obs::kCampaignPid, tid, now,
+                        "{\"job\": " + id + "}");
+        }
+        tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
+                   now - job_t0,
+                   "{\"job\": " + id +
+                       (ok ? ", \"attempt\": " + std::to_string(attempt)
+                           : std::string(", \"failed\": true")) +
+                       "}");
+      }
+      progress.tick();
     }
   };
 
@@ -472,31 +365,11 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
     std::vector<std::thread> pool;
     pool.reserve(pool_size);
     for (std::size_t t = 0; t < pool_size; ++t) {
-      pool.emplace_back(work, t);
+      pool.emplace_back(work, static_cast<int>(t));
     }
     for (auto& thread : pool) {
       thread.join();
     }
-  }
-
-  // Drain the writer before reporting anything: a campaign is not done
-  // until its rows are durable, and a store failure must surface on
-  // this thread with the experiment's name attached.
-  if (writer) {
-    try {
-      writer->drain();
-    } catch (const std::exception& e) {
-      if (!failed.exchange(true)) {
-        first_error = e.what();
-      }
-    }
-    const auto stats = writer->stats();
-    progress.set_stats({});
-    progress.note("store '" + cache->describe() + "': " +
-                  std::to_string(stats.written) + " row(s) in " +
-                  std::to_string(stats.batches) + " batch(es), " +
-                  stats.summary());
-    writer.reset();
   }
 
   // Write the campaign trace even when a job failed — a trace of the
@@ -507,9 +380,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
       progress.note("campaign trace (" + std::to_string(trace->size()) +
                     " events) written to '" + options_.trace_out + "'");
     } catch (const std::exception& e) {
-      if (!failed.exchange(true)) {
-        first_error = e.what();
-      }
+      abort_run(e.what());
     }
   }
 

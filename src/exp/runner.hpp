@@ -6,13 +6,13 @@
 //           campaign store.
 //  execute  The worker pool runs only the jobs selected by the optional
 //           shard partition and not already present in the campaign
-//           store (store/store.hpp). Jobs are claimed from per-worker
-//           ranges with work stealing, so uneven cell costs never leave
-//           a thread idle; finished metrics are handed to an async
-//           writer (store/async_writer.hpp) whose consumer thread
-//           batches them into the JSONL store — workers never pay a
-//           write+flush. A Progress reporter (progress.hpp) heartbeats
-//           jobs/ETA plus the writer-queue stats to stderr.
+//           store (store/jsonl.hpp). Workers claim jobs from one shared
+//           atomic cursor, so uneven cell costs never leave a thread
+//           idle while work remains. Each worker appends its finished
+//           row to the JSONL store itself (one write + flush) before it
+//           claims the next job, so every row of a finished job is on
+//           disk. A Progress reporter (progress.hpp) heartbeats jobs/ETA
+//           to stderr.
 //  collect  The job-order fold merges stored and freshly computed
 //           metrics into an ExperimentResult. Because %.17g round-trips
 //           doubles exactly (the store keeps that rendering), a result
@@ -24,9 +24,9 @@
 //  1. Determinism for any thread count, shard split or resume
 //     history. Job seeds are pure functions of grid coordinates
 //     (job.hpp), each job's metrics land in a slot indexed by job id,
-//     and the fold happens after the pool drains, in job order — work
-//     stealing changes who computes a job, never what it computes or
-//     where it lands.
+//     and the fold happens after the pool drains, in job order — the
+//     claim order changes who computes a job, never what it computes
+//     or where it lands.
 //  2. Isolation. The spec's run function receives only the Job; it is
 //     expected to build its own Scheme / Battery / TaskGraphSet, so no
 //     mutable state is shared between workers.
@@ -36,7 +36,8 @@
 // hung or flaky cells; with keep_going, a job that still fails is
 // recorded in the store as an error row and the shard carries on —
 // resumed runs re-execute failed jobs rather than trusting the
-// failure.
+// failure. A store that cannot be written is not a job failure: it
+// aborts the campaign once, naming the store file, without retries.
 //
 // Cluster fan-out: run shard i with `{.shard = Shard{i, n},
 // .cache_dir = DIR}` on n machines sharing DIR (or copy the shard files
@@ -67,9 +68,6 @@ struct RunnerOptions {
   /// store directory instead of recomputing them, and append fresh
   /// results to it.
   std::string cache_dir;
-  /// Bound of the async writer's ring buffer (records). A full ring
-  /// blocks producers (backpressure) rather than dropping records.
-  std::size_t writer_queue_capacity = 1024;
   /// Execute nothing: fold the complete result from the store alone.
   /// Requires cache_dir; throws when any job is missing (unless
   /// keep_going tolerates jobs recorded as failed).
@@ -81,16 +79,14 @@ struct RunnerOptions {
   /// with a shard — sibling shard processes may still be appending.
   /// Composes with merging and resuming.
   bool compact_cache = false;
-  /// Report jobs-done/total, ETA and writer-queue stats to stderr
-  /// while executing.
+  /// Report jobs-done/total and ETA to stderr while executing.
   bool progress = false;
   /// Seconds between progress heartbeat lines (--progress-interval);
   /// <= 0 prints on every finished job.
   double progress_interval_s = 0.5;
   /// When non-empty, record a whole-campaign Chrome trace (per-job
-  /// spans on per-worker tracks, retry/steal/fail markers, the async
-  /// writer's queue-depth counter) and write it to this path after the
-  /// pool drains — load it in Perfetto / chrome://tracing. Purely
+  /// spans on per-worker tracks, retry/fail markers) and write it to
+  /// this path after the pool drains — load it in Perfetto / chrome://tracing. Purely
   /// observational: results and stored rows are byte-identical with or
   /// without it.
   std::string trace_out;
@@ -99,9 +95,8 @@ struct RunnerOptions {
   /// for it; the abandoned attempt finishes on a detached thread).
   double job_timeout_s = 0.0;
   /// Attempts per job (>= 1). Failed attempts retry with exponential
-  /// backoff starting at retry_backoff_s.
+  /// backoff starting at 50 ms.
   int job_attempts = 1;
-  double retry_backoff_s = 0.05;
   /// When a job exhausts its attempts: record an error row in the
   /// store and carry on (true) instead of aborting the run (false).
   /// Cells with failed jobs aggregate the replicates that succeeded.
@@ -116,9 +111,10 @@ class Runner {
   /// malformed spec (no run function, no metrics, replicates < 1) or an
   /// inconsistent option set (merge without a store, merge with a
   /// shard, job_attempts < 1), and std::runtime_error when a job fails
-  /// permanently without keep_going or the store cannot be written —
-  /// the message names the failing job's grid coordinates and
-  /// replicate; remaining jobs are abandoned.
+  /// permanently without keep_going — the message names the failing
+  /// job's grid coordinates and replicate — or the store cannot be
+  /// written — the message names the store file. Remaining jobs are
+  /// abandoned.
   ExperimentResult run(const ExperimentSpec& spec) const;
 
  private:

@@ -5,7 +5,6 @@
 
 #include "obs/profiler.hpp"
 #include "sim/simulator.hpp"
-#include "store/async_writer.hpp"
 
 namespace bas::obs {
 
@@ -38,19 +37,6 @@ double Metrics::value(const std::string& name) const {
     throw std::out_of_range("unknown metric '" + name + "'");
   }
   return entries_[it->second].value;
-}
-
-std::string Metrics::render_compact() const {
-  std::string out;
-  for (const auto& entry : entries_) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    out += entry.name;
-    out += '=';
-    out += format_value(entry.value);
-  }
-  return out;
 }
 
 std::string format_value(double value) {
@@ -102,21 +88,6 @@ void fill(Metrics& metrics, const sim::PerfCounters& perf) {
     laps += perf.phases.laps[p];
   }
   metrics.set("ph_laps", u(laps));
-}
-
-void fill(Metrics& metrics, const store::WriterStats& stats) {
-  auto u = [](std::uint64_t v) { return static_cast<double>(v); };
-  metrics.set("store_enqueued", u(stats.enqueued));
-  metrics.set("store_written", u(stats.written));
-  metrics.set("store_batches", u(stats.batches));
-  metrics.set("store_stalls", u(stats.stalls));
-  metrics.set("store_dropped", u(stats.dropped));
-  metrics.set("store_queue_depth", static_cast<double>(stats.depth),
-              MetricKind::kGauge);
-  metrics.set("store_queue_peak", static_cast<double>(stats.high_water),
-              MetricKind::kGauge);
-  metrics.set("store_queue_capacity", static_cast<double>(stats.capacity),
-              MetricKind::kGauge);
 }
 
 }  // namespace bas::obs

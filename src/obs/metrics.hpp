@@ -1,21 +1,19 @@
 #pragma once
 // The unified metrics registry: one named-counter/gauge surface over
-// the counters that previously lived in four places — the simulator's
-// PerfCounters, the per-kernel battery k_* counters, the runner's
-// heartbeat figures and the store writer's stall/queue-depth stats.
+// the simulator's PerfCounters, its per-kernel battery k_* counters and
+// its phase profile.
 //
 // A Metrics is an ORDERED registry: entries keep insertion order, names
 // are unique (set() on an existing name overwrites its value, never
 // duplicates the entry), and the standard fillers below always register
 // the same names in the same order — which is what makes the flat
-// bas-perf/4 JSON emitted by bench/perf_hotpath and the heartbeat
-// suffix rendered by the runner stable across runs and builds
-// (tests/test_obs.cpp pins uniqueness and stability).
+// bas-perf/4 JSON emitted by bench/perf_hotpath stable across runs and
+// builds (tests/test_obs.cpp pins uniqueness and stability).
 //
 // Values are doubles: every counter in the repo is far below 2^53, so
 // integral counters round-trip exactly; kCounter/kGauge only marks
 // whether a value accumulates (counters sum across replicates) or
-// samples a level (gauges — queue depth, peak — take the latest/max).
+// samples a level (gauges take the latest/max).
 
 #include <cstddef>
 #include <map>
@@ -24,9 +22,6 @@
 
 namespace bas::sim {
 struct PerfCounters;
-}
-namespace bas::store {
-struct WriterStats;
 }
 
 namespace bas::obs {
@@ -56,10 +51,6 @@ class Metrics {
   const std::vector<Entry>& entries() const noexcept { return entries_; }
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// "name=value name=value ..." in registry order, integers rendered
-  /// without a decimal point — the heartbeat-suffix form.
-  std::string render_compact() const;
-
  private:
   std::vector<Entry> entries_;
   std::map<std::string, std::size_t> index_;
@@ -74,10 +65,5 @@ std::string format_value(double value);
 /// + ph_laps) — the exact flat names of the bas-perf/4 cell schema, in
 /// schema order.
 void fill(Metrics& metrics, const sim::PerfCounters& perf);
-
-/// Registers the store writer lanes (store_enqueued, store_written,
-/// store_batches, store_stalls, store_dropped) and gauges
-/// (store_queue_depth, store_queue_peak, store_queue_capacity).
-void fill(Metrics& metrics, const store::WriterStats& stats);
 
 }  // namespace bas::obs

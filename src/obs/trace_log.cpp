@@ -79,14 +79,6 @@ void TraceLog::instant(std::string name, int pid, int tid, double ts_us,
                                std::move(args_json)});
 }
 
-void TraceLog::counter(std::string name, int pid, double ts_us, double value) {
-  char args[64];
-  std::snprintf(args, sizeof(args), "{\"value\": %.17g}", value);
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(
-      TraceEvent{std::move(name), 'C', ts_us, 0.0, pid, 0, args});
-}
-
 void TraceLog::name_process(int pid, const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(TraceEvent{"process_name", 'M', 0.0, 0.0, pid, 0,

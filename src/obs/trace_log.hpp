@@ -1,7 +1,6 @@
 #pragma once
 // An in-memory Chrome-trace-event log (the about://tracing / Perfetto
-// JSON format): named spans, instants and counter samples on (pid,
-// tid) tracks, written out as one `{"traceEvents": [...]}` document.
+// JSON format): named spans and instants on (pid, tid) tracks, written out as one `{"traceEvents": [...]}` document.
 //
 // One TraceLog serves both trace producers in the repo:
 //
@@ -10,10 +9,9 @@
 //                    pid kSimPid, tid = graph) and — in BAS_PROFILE
 //                    builds — per-step phase spans (wall-clock
 //                    timeline, pid kProfilerPid)
-//   whole campaign   the runner emits per-job spans (tid = worker),
-//                    retry/steal/fail markers, and the async store
-//                    writer samples its queue depth as a counter track
-//                    (wall-clock timeline, pid kCampaignPid)
+//   whole campaign   the runner emits per-job spans (tid = worker) and
+//                    retry/fail markers (wall-clock timeline, pid
+//                    kCampaignPid)
 //
 // The log is instrumentation only: it is attached through non-owning
 // pointers (SimConfig::trace_log, RunnerOptions::trace_out), never
@@ -43,10 +41,10 @@ namespace bas::obs {
 /// docs can name them.
 constexpr int kSimPid = 1;       ///< sim-time tracks (slices, releases)
 constexpr int kProfilerPid = 2;  ///< wall-clock phase spans (BAS_PROFILE)
-constexpr int kCampaignPid = 3;  ///< wall-clock runner/store tracks
+constexpr int kCampaignPid = 3;  ///< wall-clock runner tracks
 
 /// One trace event. `ph` is the format's phase letter: 'X' complete
-/// span, 'i' instant, 'C' counter, 'M' metadata.
+/// span, 'i' instant, 'M' metadata.
 struct TraceEvent {
   std::string name;
   char ph = 'X';
@@ -71,9 +69,6 @@ class TraceLog {
   /// An instant marker ('i').
   void instant(std::string name, int pid, int tid, double ts_us,
                std::string args_json = {});
-  /// One sample of a counter track ('C'); Perfetto draws the series
-  /// named `name` as a filled counter plot.
-  void counter(std::string name, int pid, double ts_us, double value);
   /// Names a pid's track in the viewer ('M' process_name metadata).
   void name_process(int pid, const std::string& name);
 

@@ -228,15 +228,9 @@ std::map<std::size_t, std::string> JsonlStore::load_errors() {
   return errors;
 }
 
-void JsonlStore::append(const std::vector<StoreRecord>& batch) {
-  if (batch.empty()) {
-    return;
-  }
-  const std::string fp_hex = exp::fingerprint_hex(fingerprint_);
-  std::string lines;
-  for (const auto& record : batch) {
-    lines += format_record(fp_hex, record);
-  }
+void JsonlStore::append(const StoreRecord& record) {
+  const std::string line =
+      format_record(exp::fingerprint_hex(fingerprint_), record);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (!out_.is_open()) {
@@ -261,21 +255,14 @@ void JsonlStore::append(const std::vector<StoreRecord>& batch) {
       out_.put('\n');
     }
   }
-  // One buffered write + one flush per batch: every record was
-  // formatted off the stream, and the durability contract (an appended
-  // batch survives a kill) costs exactly one flush.
-  out_.write(lines.data(), static_cast<std::streamsize>(lines.size()));
+  // One write + one flush per record: the line is formatted before the
+  // lock is taken, and the durability contract (an appended record
+  // survives a kill) costs exactly one flush.
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
   out_.flush();
   if (!out_) {
     throw std::runtime_error("failed appending to store file '" +
                              write_path_ + "'");
-  }
-}
-
-void JsonlStore::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.flush();
   }
 }
 

@@ -6,9 +6,10 @@
 //   {"fp":"<16-hex fingerprint>","job":<index>,"metrics":[<%.17g>...]}
 //   {"fp":"<16-hex fingerprint>","job":<index>,"error":"<escaped>"}
 //
-// Records are flushed batch by batch: a killed campaign loses at most
-// the batches still queued in the async writer, and load() simply
-// skips a torn final line. Writers never share a file — each
+// Every append() is one write + one flush, and the runner appends a
+// job's row before its worker claims the next job: a killed campaign
+// loses at most the jobs still executing, and load() simply skips a
+// torn final line. Writers never share a file — each
 // (fingerprint, writer tag) pair appends to its own
 // `<fingerprint>[-<tag>].jsonl` — so concurrent shard processes can
 // point at the same store directory. load() scans every *.jsonl file
@@ -20,29 +21,41 @@
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "store/store.hpp"
 
 namespace bas::store {
 
-class JsonlStore final : public CampaignStore {
+/// One writer into a store directory for one spec fingerprint; load()
+/// pools every record of that fingerprint regardless of which writer
+/// appended it. append() is thread-safe (one mutex); load() and
+/// load_errors() read the files without it, so the runner calls them
+/// before any append.
+class JsonlStore {
  public:
   /// Opens the store in `dir` (created if missing) for one spec
   /// fingerprint; registers this writer's live marker. Throws
   /// std::runtime_error when the directory cannot be created.
   JsonlStore(std::string dir, std::uint64_t fingerprint, std::string tag);
 
-  std::map<std::size_t, std::vector<double>> load(
-      std::size_t metric_count) override;
-  std::map<std::size_t, std::string> load_errors() override;
-  void append(const std::vector<StoreRecord>& batch) override;
-  void flush() override;
-  const std::string& describe() const noexcept override {
-    return write_path_;
-  }
+  /// Metrics of every stored success record whose fingerprint matches
+  /// and whose arity is `metric_count`. Malformed, stale-fingerprint
+  /// and error records are skipped; duplicate job indices keep the
+  /// record written last.
+  std::map<std::size_t, std::vector<double>> load(std::size_t metric_count);
+
+  /// Error messages of every stored error record of this fingerprint.
+  std::map<std::size_t, std::string> load_errors();
+
+  /// Persists one record durably (one write + flush): after append
+  /// returns, a kill -9 cannot lose it. Throws std::runtime_error on
+  /// I/O errors.
+  void append(const StoreRecord& record);
 
   /// The file this writer appends to (inside the store directory).
   const std::string& write_path() const noexcept { return write_path_; }

@@ -14,8 +14,6 @@
 
 namespace bas::store {
 
-CampaignStore::~CampaignStore() = default;
-
 std::string format_metrics(const std::vector<double>& metrics) {
   std::string text = "[";
   for (std::size_t m = 0; m < metrics.size(); ++m) {

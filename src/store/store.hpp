@@ -2,12 +2,11 @@
 // The streaming campaign store: where per-job metric rows live between
 // (and across) campaign runs.
 //
-// A CampaignStore persists records keyed on (spec fingerprint, job
-// index). The one implementation is the append-only JSONL store
-// (store/jsonl.hpp): one record per line, per-writer files so
-// concurrent shard processes can share a directory. The interface
-// exists so the async writer (store/async_writer.hpp) can be tested
-// against a substitute store.
+// The store persists records keyed on (spec fingerprint, job index)
+// as append-only JSONL (store/jsonl.hpp): one record per line,
+// per-writer files so concurrent shard processes can share a
+// directory. This header holds the record type and the helpers the
+// JSONL store, compaction and tests share.
 //
 // Records carry the engine's %.17g double rendering (exp/sink.hpp), so
 // a result folded from the store is byte-identical to a fresh run —
@@ -25,7 +24,6 @@
 // brick the directory).
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -47,43 +45,6 @@ struct CompactionStats {
   std::size_t files_removed = 0;
   std::size_t records_seen = 0;
   std::size_t records_kept = 0;
-};
-
-/// The store interface. One instance is one writer into a store
-/// directory for one spec fingerprint; load() pools every record of
-/// that fingerprint regardless of which writer appended it.
-///
-/// Thread model: append() is called from one thread at a time (the
-/// async writer's consumer drains batches serially; Runner also calls
-/// it inline); load()/load_errors() are called before the writer
-/// starts. Implementations need not synchronize between the two.
-class CampaignStore {
- public:
-  virtual ~CampaignStore();
-
-  /// Metrics of every stored success record whose fingerprint matches
-  /// and whose arity is `metric_count`. Malformed, stale-fingerprint
-  /// and error records are skipped; duplicate job indices keep the
-  /// record written last.
-  virtual std::map<std::size_t, std::vector<double>> load(
-      std::size_t metric_count) = 0;
-
-  /// Error messages of every stored error record of this fingerprint.
-  virtual std::map<std::size_t, std::string> load_errors() = 0;
-
-  /// Persists a batch of records durably (one write + flush for
-  /// jsonl): after append returns, a kill -9 loses none of the batch.
-  /// Throws std::runtime_error on I/O errors.
-  virtual void append(const std::vector<StoreRecord>& batch) = 0;
-
-  /// Flushes anything buffered. append() is already durable per batch,
-  /// so this is a no-op for the JSONL store, but the interface keeps
-  /// the contract explicit for stores that buffer.
-  virtual void flush() = 0;
-
-  /// Human-readable location ("DIR/<fp>.jsonl") for notes and error
-  /// messages.
-  virtual const std::string& describe() const noexcept = 0;
 };
 
 // --------------------------------------------------------------------

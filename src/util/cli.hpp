@@ -39,15 +39,14 @@ class Cli {
   ///                while another writer process is live)
   ///   --merge      fold the complete result from the store alone
   ///                (combines shard outputs; requires --cache)
-  ///   --progress   report jobs-done/total, ETA and writer-queue stats
-  ///                to stderr
+  ///   --progress   report jobs-done/total and ETA to stderr
   ///   --progress-interval S
   ///                seconds between progress heartbeat lines (default
   ///                0.5; <= 0 prints on every finished job)
   ///   --trace-out PATH
   ///                write a Chrome-trace-event JSON of the campaign
-  ///                (per-job spans per worker, retry/steal markers,
-  ///                writer queue depth) — load in Perfetto or
+  ///                (per-job spans per worker, retry/fail markers) —
+  ///                load in Perfetto or
   ///                chrome://tracing; purely observational
   ///   --job-timeout S
   ///                per-job wall-clock deadline in seconds (0 = off)

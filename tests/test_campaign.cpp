@@ -1,8 +1,8 @@
 // Tests for the campaign layer: plan/fingerprint, shard partition,
-// store-backed resume, merge collection, job timeout/retry/keep-going
-// robustness, work-stealing determinism and the coordinate-bearing
-// runner error reports. The store subsystem itself (JSONL store, async
-// writer, compaction) is covered by test_store.cpp.
+// store-backed resume, per-job store durability, merge collection, job
+// timeout/retry/keep-going robustness, determinism across worker counts
+// and the coordinate-bearing runner error reports. The store subsystem
+// itself (JSONL store, compaction) is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -297,11 +298,9 @@ TEST(Campaign, MergeIsNotFooledByOutOfRangeRecords) {
   // every odd job is still missing.
   {
     store::JsonlStore padding(dir.path, exp::spec_fingerprint(spec), "bogus");
-    std::vector<store::StoreRecord> batch;
     for (std::size_t i = 0; i < spec.job_count(); ++i) {
-      batch.push_back({spec.job_count() + i, {1.0, 2.0}, ""});
+      padding.append({spec.job_count() + i, {1.0, 2.0}, ""});
     }
-    padding.append(batch);
   }
 
   exp::RunnerOptions merge;
@@ -332,12 +331,12 @@ TEST(Campaign, ShardRunAloneYieldsPartialCells) {
   EXPECT_EQ(samples, (spec.job_count() + 1) / 2);
 }
 
-// -------------------------------------------- work-stealing execution
+// ----------------------------------------------- multi-worker execution
 
 TEST(Campaign, UnevenCellCostsFoldBitIdenticalAcrossThreadCounts) {
-  // Strongly skewed per-cell cost exercises the stealing path: the
-  // worker owning the expensive range loses its remaining jobs to idle
-  // threads. The fold must not care.
+  // Strongly skewed per-cell cost: the workers stuck on expensive jobs
+  // claim fewer of the rest, so who computes which job depends on
+  // timing. The fold must not care.
   auto spec = awkward_spec();
   const auto inner = spec.run;
   spec.run = [inner](const exp::Job& job) {
@@ -352,7 +351,7 @@ TEST(Campaign, UnevenCellCostsFoldBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Campaign, EveryJobExecutesExactlyOnceUnderStealing) {
+TEST(Campaign, EveryJobExecutesExactlyOnceWithManyWorkers) {
   auto spec = awkward_spec();
   std::vector<std::atomic<int>> executions(spec.job_count());
   const auto inner = spec.run;
@@ -383,7 +382,6 @@ TEST(Campaign, FlakyJobSucceedsWithinItsRetryBudget) {
   exp::RunnerOptions options;
   options.jobs = 2;
   options.job_attempts = 3;
-  options.retry_backoff_s = 0.001;
   const auto retried = exp::run_experiment(spec, options);
   EXPECT_EQ(failures.load(), 2);
   expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), retried);
@@ -399,7 +397,6 @@ TEST(Campaign, ExhaustedRetriesReportTheAttemptCount) {
   };
   exp::RunnerOptions options;
   options.job_attempts = 2;
-  options.retry_backoff_s = 0.001;
   try {
     exp::run_experiment(spec, options);
     FAIL() << "expected std::runtime_error";
@@ -497,6 +494,97 @@ TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
   const auto resumed = exp::run_experiment(fixed, resume);
   EXPECT_EQ(executed.load(), 1u);
   expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), resumed);
+}
+
+// ------------------------------------------------------ store durability
+
+/// Non-empty lines across every .jsonl file in `dir`.
+std::size_t stored_lines(const std::string& dir) {
+  std::size_t lines = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().extension() != ".jsonl") {
+      continue;
+    }
+    std::ifstream file(entry.path());
+    std::string line;
+    while (std::getline(file, line)) {
+      lines += line.empty() ? 0 : 1;
+    }
+  }
+  return lines;
+}
+
+TEST(Campaign, EachRowIsStoredBeforeTheNextJobStarts) {
+  // With one worker, job i starts after jobs 0..i-1 finished; each of
+  // their rows must already be on disk, so a kill loses at most the
+  // job in flight.
+  TempDir dir("durable");
+  auto spec = awkward_spec();
+  std::vector<std::size_t> seen(spec.job_count(), 0);
+  const auto inner = spec.run;
+  spec.run = [&seen, &dir, inner](const exp::Job& job) {
+    seen[job.index] = stored_lines(dir.path);
+    return inner(job);
+  };
+  exp::RunnerOptions options;
+  options.jobs = 1;
+  options.cache_dir = dir.path;
+  exp::run_experiment(spec, options);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i) << "job " << i;
+  }
+  EXPECT_EQ(stored_lines(dir.path), spec.job_count());
+}
+
+TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
+  // A directory squatting on the store file makes every append fail.
+  // That is the store's fault, not a job's: the campaign must stop at
+  // the first write, name the file, and never retry a job for it.
+  TempDir dir("unwritable");
+  auto spec = awkward_spec();
+  const std::string path =
+      dir.path + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
+      ".jsonl";
+  std::filesystem::create_directories(path);
+  std::vector<std::atomic<int>> executions(spec.job_count());
+  const auto inner = spec.run;
+  spec.run = [&executions, inner](const exp::Job& job) {
+    executions[job.index].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return inner(job);
+  };
+  exp::RunnerOptions options;
+  options.jobs = 1;
+  options.job_attempts = 3;
+  options.cache_dir = dir.path;
+  try {
+    exp::run_experiment(spec, options);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("store '" + path + "'"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("attempts"), std::string::npos) << message;
+  }
+  for (std::size_t i = 0; i < executions.size(); ++i) {
+    EXPECT_LE(executions[i].load(), 1) << "job " << i;
+  }
+
+  // Under keep_going the error row of a failed job hits the same store
+  // failure and aborts the same way.
+  spec.run = [](const exp::Job&) -> std::vector<double> {
+    throw std::runtime_error("cell on fire");
+  };
+  options.keep_going = true;
+  try {
+    exp::run_experiment(spec, options);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("store '" + path + "'"), std::string::npos)
+        << message;
+  }
 }
 
 TEST(Campaign, InvalidRobustnessOptionsAreRejected) {

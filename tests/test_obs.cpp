@@ -22,7 +22,6 @@
 #include "obs/trace_log.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "store/async_writer.hpp"
 #include "util/rng.hpp"
 
 namespace bas {
@@ -169,7 +168,6 @@ TEST(Obs, TraceJsonIsWellFormed) {
   log.name_process(obs::kSimPid, "sim \"quoted\" \\ name");
   log.span("a span", obs::kSimPid, 0, 1.5, 2.25, "{\"graph\": 1}");
   log.instant("marker\nwith newline", obs::kSimPid, 1, 3.0);
-  log.counter("depth", obs::kCampaignPid, 4.0, 17.0);
   const std::string json = log.to_json();
   EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
   // Balanced braces/brackets and no raw control characters — the
@@ -203,8 +201,8 @@ TEST(Obs, TraceJsonIsWellFormed) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-  // The metadata record and all three events survived rendering.
-  EXPECT_EQ(log.size(), 4u);
+  // The metadata record and both events survived rendering.
+  EXPECT_EQ(log.size(), 3u);
 }
 
 TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
@@ -294,7 +292,6 @@ TEST(Obs, MetricsRegistryKeepsOrderAndUniqueness) {
   EXPECT_TRUE(m.has("depth"));
   EXPECT_FALSE(m.has("missing"));
   EXPECT_THROW(m.value("missing"), std::out_of_range);
-  EXPECT_EQ(m.render_compact(), "steps=12 draws=7 depth=2 fresh=1");
 }
 
 TEST(Obs, FormatValuePrintsCountersAsIntegers) {
@@ -332,28 +329,6 @@ TEST(Obs, PerfCounterFillerNamesAreUniqueAndStable) {
   obs::fill(twice, r.perf);
   obs::fill(twice, r.perf);
   EXPECT_EQ(twice.size(), before);
-}
-
-TEST(Obs, WriterStatsFillerRegistersQueueGauges) {
-  store::WriterStats stats;
-  stats.enqueued = 10;
-  stats.written = 8;
-  stats.batches = 2;
-  stats.depth = 2;
-  stats.high_water = 5;
-  stats.capacity = 64;
-  obs::Metrics m;
-  obs::fill(m, stats);
-  EXPECT_EQ(m.value("store_enqueued"), 10.0);
-  EXPECT_EQ(m.value("store_written"), 8.0);
-  EXPECT_EQ(m.value("store_queue_depth"), 2.0);
-  EXPECT_EQ(m.value("store_queue_peak"), 5.0);
-  EXPECT_EQ(m.value("store_queue_capacity"), 64.0);
-  std::set<std::string> names;
-  for (const auto& entry : m.entries()) {
-    EXPECT_TRUE(names.insert(entry.name).second)
-        << "duplicate metric " << entry.name;
-  }
 }
 
 }  // namespace

@@ -1,28 +1,23 @@
 // Tests for the streaming campaign store (src/store/): the %.17g
-// round-trip contract, kill-mid-write recovery, compaction (dedupe,
-// stale-fingerprint purge, live-writer refusal) and the bounded async
-// writer (backpressure, batching, failure propagation).
+// round-trip contract, kill-mid-write recovery and compaction (dedupe,
+// stale-fingerprint purge, live-writer refusal).
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/plan.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
-#include "store/async_writer.hpp"
 #include "store/jsonl.hpp"
 #include "store/store.hpp"
 #include "util/rng.hpp"
@@ -48,9 +43,9 @@ std::vector<double> awkward_metrics() {
           123456789.123456789};
 }
 
-void append_one(store::CampaignStore& s, std::size_t job,
+void append_one(store::JsonlStore& s, std::size_t job,
                 std::vector<double> metrics) {
-  s.append({{job, std::move(metrics), ""}});
+  s.append({job, std::move(metrics), ""});
 }
 
 std::size_t count_files(const std::string& dir) {
@@ -171,7 +166,8 @@ TEST(JsonlStore, ErrorRowsRoundTripAndAreServedSeparately) {
   const std::string nasty = "broke: \"quoted\", back\\slash,\nnewline\ttab";
   {
     store::JsonlStore cache(dir.path, 0x5555ULL, "");
-    cache.append({{0, {1.0}, ""}, {1, {}, nasty}});
+    cache.append({0, {1.0}, ""});
+    cache.append({1, {}, nasty});
   }
   store::JsonlStore cache(dir.path, 0x5555ULL, "");
   const auto loaded = cache.load(1);
@@ -188,8 +184,8 @@ TEST(JsonlStore, LaterRecordOfTheOtherKindWins) {
   store::JsonlStore cache(dir.path, 0x6666ULL, "");
   // A failed attempt recorded, then a successful re-run of the same
   // job: the success must win for both load() and load_errors().
-  cache.append({{3, {}, "flaky"}});
-  cache.append({{3, {42.0}, ""}});
+  cache.append({3, {}, "flaky"});
+  cache.append({3, {42.0}, ""});
   EXPECT_EQ(cache.load(1).size(), 1u);
   EXPECT_TRUE(cache.load_errors().empty());
 }
@@ -390,110 +386,6 @@ TEST(Compaction, OwnProcessMarkersDoNotBlock) {
   // before opening its writer); only *other* processes block it.
   const auto stats = store::compact_jsonl(dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 1u);
-}
-
-// --------------------------------------------------------- async writer
-
-/// Test double: records appended batches, optionally slow or failing.
-class FakeStore final : public store::CampaignStore {
- public:
-  std::map<std::size_t, std::vector<double>> load(std::size_t) override {
-    return {};
-  }
-  std::map<std::size_t, std::string> load_errors() override { return {}; }
-
-  void append(const std::vector<store::StoreRecord>& batch) override {
-    entered.store(true);
-    if (append_delay.count() > 0) {
-      std::this_thread::sleep_for(append_delay);
-    }
-    if (fail) {
-      throw std::runtime_error("disk full");
-    }
-    batches.push_back(batch.size());
-    for (const auto& record : batch) {
-      records.push_back(record.job_index);
-    }
-  }
-  void flush() override { ++flushes; }
-  const std::string& describe() const noexcept override { return name; }
-
-  std::string name = "fake";
-  std::chrono::milliseconds append_delay{0};
-  bool fail = false;
-  std::atomic<bool> entered{false};
-  std::vector<std::size_t> batches;  ///< per-append batch sizes
-  std::vector<std::size_t> records;  ///< job indices in commit order
-  int flushes = 0;
-};
-
-TEST(AsyncWriter, BackpressureBlocksProducersWithoutDropping) {
-  FakeStore fake;
-  fake.append_delay = std::chrono::milliseconds(20);
-  store::AsyncWriter writer(fake, 2);
-  for (std::size_t i = 0; i < 10; ++i) {
-    writer.enqueue({i, {static_cast<double>(i)}, ""});
-  }
-  writer.drain();
-  const auto stats = writer.stats();
-  EXPECT_EQ(stats.enqueued, 10u);
-  EXPECT_EQ(stats.written, 10u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_GT(stats.stalls, 0u);  // the tiny ring had to block producers
-  EXPECT_LE(stats.high_water, 2u);
-  EXPECT_EQ(stats.depth, 0u);
-  // FIFO order survives batching.
-  ASSERT_EQ(fake.records.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(fake.records[i], i);
-  }
-  EXPECT_GE(fake.flushes, 1);  // drain() flushed the backend
-}
-
-TEST(AsyncWriter, CoalescesQueuedRecordsIntoOneBatch) {
-  FakeStore fake;
-  fake.append_delay = std::chrono::milliseconds(50);
-  store::AsyncWriter writer(fake, 8);
-  writer.enqueue({0, {0.0}, ""});
-  // Wait until the consumer is inside append() with record 0, then
-  // queue five more: they must coalesce into one follow-up batch.
-  while (!fake.entered.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (std::size_t i = 1; i <= 5; ++i) {
-    writer.enqueue({i, {static_cast<double>(i)}, ""});
-  }
-  writer.drain();
-  ASSERT_EQ(fake.batches.size(), 2u);
-  EXPECT_EQ(fake.batches[0], 1u);
-  EXPECT_EQ(fake.batches[1], 5u);
-  EXPECT_EQ(writer.stats().batches, 2u);
-}
-
-TEST(AsyncWriter, BackendFailurePropagatesToProducers) {
-  FakeStore fake;
-  fake.fail = true;
-  store::AsyncWriter writer(fake, 4);
-  writer.enqueue({0, {1.0}, ""});
-  try {
-    writer.drain();
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("disk full"), std::string::npos);
-  }
-  // Later enqueues rethrow instead of buffering into a dead store.
-  EXPECT_THROW(writer.enqueue({1, {2.0}, ""}), std::runtime_error);
-}
-
-TEST(AsyncWriter, DestructorDrainsRemainingRecords) {
-  FakeStore fake;
-  {
-    store::AsyncWriter writer(fake, 16);
-    for (std::size_t i = 0; i < 5; ++i) {
-      writer.enqueue({i, {static_cast<double>(i)}, ""});
-    }
-  }
-  EXPECT_EQ(fake.records.size(), 5u);
 }
 
 }  // namespace

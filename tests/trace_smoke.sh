@@ -7,9 +7,9 @@
 #      byte-identical CSV output to the same run without it (cmp), and
 #      the flag stays out of the cache-keying config summary.
 #   2. The emitted file is real trace-event JSON: `python3 -m json.tool`
-#      parses both the campaign trace (runner-level: job spans, writer
-#      queue depth) and the direct-mode sim trace (releases, exec
-#      slices), and the documents carry the expected structure.
+#      parses both the campaign trace (runner-level: per-job spans on
+#      pid 3) and the direct-mode sim trace (releases, exec slices),
+#      and the documents carry the expected structure.
 #
 # The in-process format contracts (per-track monotone ts, escaping,
 # release/completion counts) live in tests/test_obs.cpp; this script
@@ -37,6 +37,9 @@ echo "trace smoke (campaign byte-identity): OK"
 test -s "$work/campaign.json"
 grep -q '"traceEvents"' "$work/campaign.json"
 grep -q 'process_name' "$work/campaign.json"
+# Per-job spans on the campaign track (pid 3) — the runner's part of
+# the trace.
+grep -q '"ph": "X", "pid": 3' "$work/campaign.json"
 
 # 2. Direct-mode sim trace from the perf harness (one untimed rep of a
 #    single small cell: a few MB of trace, thousands of releases).
