@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/profiler.hpp"
 #include "sim/simulator.hpp"
 
 namespace bas::obs {
@@ -79,15 +78,6 @@ void fill(Metrics& metrics, const sim::PerfCounters& perf) {
   metrics.set("k_fast_advances", u(k.fast_advances));
   metrics.set("k_slots", u(k.slots));
   metrics.set("k_slot_transfers", u(k.slot_transfers));
-  // Phase profile (ph_*), in phase order; all zero unless the build
-  // compiled BAS_PROFILE in and the run recorded perf counters.
-  std::uint64_t laps = 0;
-  for (int p = 0; p < kPhaseCount; ++p) {
-    metrics.set(phase_field(static_cast<Phase>(p)),
-                u(perf.phases.ns[p]));
-    laps += perf.phases.laps[p];
-  }
-  metrics.set("ph_laps", u(laps));
 }
 
 }  // namespace bas::obs

@@ -1,14 +1,15 @@
 #pragma once
 // The unified metrics registry: one named-counter/gauge surface over
-// the simulator's PerfCounters, its per-kernel battery k_* counters and
-// its phase profile.
+// the simulator's PerfCounters and its per-kernel battery k_* counters.
 //
 // A Metrics is an ORDERED registry: entries keep insertion order, names
 // are unique (set() on an existing name overwrites its value, never
-// duplicates the entry), and the standard fillers below always register
+// duplicates the entry), and the standard filler below always registers
 // the same names in the same order — which is what makes the flat
-// bas-perf/4 JSON emitted by bench/perf_hotpath stable across runs and
-// builds (tests/test_obs.cpp pins uniqueness and stability).
+// bas-perf/7 JSON emitted by bench/perf_hotpath stable across runs and
+// builds (tests/test_obs.cpp pins uniqueness and stability). The
+// perf_hotpath gate compares every kCounter entry of a cell with the
+// baseline for exact equality, so a counter registered here is gated.
 //
 // Values are doubles: every counter in the repo is far below 2^53, so
 // integral counters round-trip exactly; kCounter/kGauge only marks
@@ -60,10 +61,9 @@ class Metrics {
 /// values (every counter) as plain integers, everything else %.6g.
 std::string format_value(double value);
 
-/// Registers the simulator hot-path lanes (steps, battery_draws, ...),
-/// the per-kernel battery counters (k_*) and the phase profile (ph_*_ns
-/// + ph_laps) — the exact flat names of the bas-perf/4 cell schema, in
-/// schema order.
+/// Registers the simulator hot-path lanes (steps, battery_draws, ...)
+/// and the per-kernel battery counters (k_*) — the exact flat names of
+/// the bas-perf/7 cell schema, in schema order. All are kCounter.
 void fill(Metrics& metrics, const sim::PerfCounters& perf);
 
 }  // namespace bas::obs

@@ -47,7 +47,7 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-/// %.6f keeps sub-microsecond phase spans distinguishable while staying
+/// %.3f keeps sub-microsecond spans distinguishable while staying
 /// fixed-point (the viewer sorts numerically either way).
 std::string fmt_us(double us) {
   char buffer[64];

@@ -4,11 +4,9 @@
 //
 // One TraceLog serves both trace producers in the repo:
 //
-//   single sim run   the simulator emits release/completion instants,
-//                    per-node execution spans (sim-time timeline,
-//                    pid kSimPid, tid = graph) and — in BAS_PROFILE
-//                    builds — per-step phase spans (wall-clock
-//                    timeline, pid kProfilerPid)
+//   single sim run   the simulator emits release/completion instants
+//                    and per-node execution spans (sim-time timeline,
+//                    pid kSimPid, tid = graph)
 //   whole campaign   the runner emits per-job spans (tid = worker) and
 //                    retry/fail markers (wall-clock timeline, pid
 //                    kCampaignPid)
@@ -37,10 +35,10 @@
 
 namespace bas::obs {
 
-/// Track (process) ids — purely presentational, but fixed so tests and
-/// docs can name them.
+/// Track (process) ids — purely presentational, but fixed so tests,
+/// tools and docs can name them. Pid 2 is unused; the campaign pid
+/// stays 3 because trace consumers match on it.
 constexpr int kSimPid = 1;       ///< sim-time tracks (slices, releases)
-constexpr int kProfilerPid = 2;  ///< wall-clock phase spans (BAS_PROFILE)
 constexpr int kCampaignPid = 3;  ///< wall-clock runner tracks
 
 /// One trace event. `ph` is the format's phase letter: 'X' complete

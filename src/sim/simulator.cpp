@@ -398,13 +398,10 @@ SimResult Simulator::run(bat::Battery* battery) {
   const int n_graphs = static_cast<int>(set_.size());
   const std::size_t n = set_.size();
 
-  // Phase profiler (no-op shell unless BAS_PROFILE compiled it in) and
-  // optional trace sink. Both are pure instrumentation: they read
-  // clocks and append to res.perf.phases / the log, never simulation
-  // state, so results are bitwise identical with them on or off.
+  // Optional trace sink: pure instrumentation that appends to the log,
+  // never touches simulation state, so results are bitwise identical
+  // with it on or off.
   obs::TraceLog* const tlog = config_.trace_log;
-  obs::PhaseClock prof(
-      config_.record_phase_profile ? &res.perf.phases : nullptr, tlog);
 
   Scratch& s = *scratch_;
   reset_run_state(s, n);
@@ -689,7 +686,6 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (count_perf) {
       ++res.perf.steps;
     }
-    prof.mark();
 
     // ---- 1. dispatch every event due now -----------------------------
     if (!q.empty() && q.top().time <= t + kEps) {
@@ -739,7 +735,6 @@ SimResult Simulator::run(bat::Battery* battery) {
         next_release_s = min_next_release(s);
       }
     }
-    prof.lap(obs::Phase::kQueueOps);
 
     if (!config_.drain && t >= config_.horizon_s - kEps) {
       break;
@@ -818,7 +813,6 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (config_.check_incremental_state) {
       check_state(t);
     }
-    prof.lap(obs::Phase::kIncrementalMaint);
 
     if (s.edf.empty()) {
       // Jump the whole idle gap to the next release (or the horizon).
@@ -836,12 +830,10 @@ SimResult Simulator::run(bat::Battery* battery) {
         }
         accrue(t, dt, proc_.idle_current_a(), 0.0, false);
         if (battery_dead && config_.stop_when_battery_empty) {
-          prof.lap(obs::Phase::kBatteryAdvance);
           break;
         }
       }
       t = t_next;
-      prof.lap(obs::Phase::kBatteryAdvance);
       continue;
     }
 
@@ -855,7 +847,6 @@ SimResult Simulator::run(bat::Battery* battery) {
       }
     }
     const auto& plan = cached_plan;
-    prof.lap(obs::Phase::kDvsSelect);
 
     // ---- 5. ready list + priority order (the ordering half) ----------
     // Candidates are enumerated in EDF order, ascending node id within
@@ -885,7 +876,6 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (count_perf) {
       res.perf.candidates_scored += n_cand;
     }
-    prof.lap(obs::Phase::kCandidateBuild);
     // A lone candidate needs no order — unless the priority consumes
     // randomness, in which case it is scored anyway so its draw stream
     // advances once per candidate at every decision point.
@@ -902,7 +892,6 @@ SimResult Simulator::run(bat::Battery* battery) {
         sc.score = scheme_.priority->score(sc.cand, t);
       }
     }
-    prof.lap(obs::Phase::kEstimateScore);
 
     // Selection: the unique (score, graph, node) minimum, falling back
     // to the fully sorted walk only when that minimum fails the
@@ -949,7 +938,6 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (chosen == nullptr) {
       throw std::logic_error("Simulator: no feasible candidate (bug)");
     }
-    prof.lap(obs::Phase::kSelect);
 
     // ---- 6. run the chosen node until completion or next release -----
     const int g = chosen->cand.graph;
@@ -1007,7 +995,6 @@ SimResult Simulator::run(bat::Battery* battery) {
       }
     }
     t = t_now;
-    prof.lap(obs::Phase::kBatteryAdvance);
 
     // ---- 7. bookkeeping ----------------------------------------------
     executed_cycles = std::min(executed_cycles, nr.remaining_ac);
@@ -1064,7 +1051,6 @@ SimResult Simulator::run(bat::Battery* battery) {
     } else if (run_until >= t_release - kEps) {
       ++res.preemptions;
     }
-    prof.lap(obs::Phase::kBookkeeping);
 
     // ---- 8. incremental maintenance: only the running graph moved ----
     if (maintain_statuses) {
@@ -1091,7 +1077,6 @@ SimResult Simulator::run(bat::Battery* battery) {
         ++res.perf.edf_incremental_ops;
       }
     }
-    prof.lap(obs::Phase::kIncrementalMaint);
   }
 
   // Settle the battery: flush whatever the last window holds, then pin

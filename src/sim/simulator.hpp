@@ -33,9 +33,12 @@
 #include "battery/profile.hpp"
 #include "core/scheme.hpp"
 #include "dvs/processor.hpp"
-#include "obs/profiler.hpp"
 #include "sim/trace.hpp"
 #include "taskgraph/set.hpp"
+
+namespace bas::obs {
+class TraceLog;
+}
 
 namespace bas::sim {
 
@@ -95,14 +98,6 @@ struct SimConfig {
   /// them cannot perturb the byte-identity contract. The perf bench
   /// (bench/perf_hotpath) flips this on to normalize its timings.
   bool record_perf_counters = false;
-  /// Arm the scoped phase profiler (obs/profiler.hpp): per-phase wall
-  /// time and lap counts into SimResult::perf.phases. Opt-in per run
-  /// and separate from record_perf_counters on purpose — profiling
-  /// reads a clock at every phase boundary, which is far too expensive
-  /// for timed benchmark reps (tens of percent on dense cells), so
-  /// perf_hotpath profiles one dedicated rep instead of the timed
-  /// ones. No-op (and free) unless the build compiled BAS_PROFILE in.
-  bool record_phase_profile = false;
   /// Debug cross-check of the incrementally maintained scheduler
   /// state: at every decision point the simulator additionally rebuilds
   /// the EDF order (via util::insertion_sort) and the four dynamic
@@ -125,10 +120,9 @@ struct SimConfig {
   double battery_window_s = 5.0;
   /// Optional Chrome-trace sink (obs/trace_log.hpp), not owned. When
   /// attached the simulator emits release/completion instants and — with
-  /// record_trace — per-node execution spans on the sim-time track,
-  /// plus per-step phase spans in BAS_PROFILE builds. Instrumentation
-  /// only: never enters a fingerprint, sink or store record, so
-  /// attaching a log leaves every result byte-identical.
+  /// record_trace — per-node execution spans on the sim-time track.
+  /// Instrumentation only: never enters a fingerprint, sink or store
+  /// record, so attaching a log leaves every result byte-identical.
   obs::TraceLog* trace_log = nullptr;
 };
 
@@ -170,11 +164,6 @@ struct PerfCounters {
   /// battery at the end of the run (all zero when no battery is
   /// attached). See battery/kernel_counters.hpp for field semantics.
   bat::KernelCounters kernel;
-  /// Per-phase wall time of the scheduling loop (obs/profiler.hpp).
-  /// All zero unless the build compiled BAS_PROFILE in (check
-  /// obs::PhaseProfile::compiled_in) and the run recorded perf
-  /// counters.
-  obs::PhaseProfile phases;
 };
 
 struct SimResult {
