@@ -7,12 +7,19 @@
 // the platform and simulation knobs come from the scenario registry's
 // `multimedia-pipeline` preset — the same world whose *randomized*
 // cousin the scenario gallery sweeps.
+//
+//   multimedia_pipeline            every scheme until the battery dies
+//   multimedia_pipeline --smoke    a 10-minute horizon: the same code
+//                                  paths in a fraction of the time (the
+//                                  cell outlives it, so the minutes
+//                                  column reads the horizon)
 
 #include <cstdio>
 
 #include "analysis/compare.hpp"
 #include "scenario/scenario.hpp"
 #include "taskgraph/set.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -63,8 +70,9 @@ bas::tg::TaskGraphSet media_player_workload() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bas;
+  const util::Cli cli(argc, argv, {{"smoke", "false"}});
   const auto set = media_player_workload();
   const auto& world = scenario::scenario("multimedia-pipeline");
   const auto proc = world.make_processor();
@@ -75,7 +83,7 @@ int main() {
 
   const auto battery = world.make_battery();
   auto config = world.sim_config(11);  // per-node-mean: frames have texture
-  config.horizon_s = 48.0 * 3600.0;
+  config.horizon_s = cli.get_flag("smoke") ? 600.0 : 48.0 * 3600.0;
 
   const auto outcomes = analysis::compare_schemes(
       set, proc, core::table2_schemes(), config, battery.get());

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "dvs/policy.hpp"
@@ -80,72 +82,45 @@ class CcEdf final : public DvsPolicy {
 /// deadline dn (bounded by the spare utilization (1 - U) available in
 /// [dn, di]), and accumulates in `s` the cycles that *must* run before
 /// dn. The frequency is then s / (dn - now).
+///
+/// The deferral order, the per-graph static utilizations and their sum
+/// change only when a deadline, a static parameter or an active flag
+/// does: at releases and instance completions, not at the far more
+/// frequent node completions. They are kept between calls, keyed on the
+/// exact values they were computed from (bitwise, per span position),
+/// and rebuilt with the same expressions when any of those differs. The
+/// key holds values only, so a reordered, resized or fresh span can
+/// never read a stale order.
 class LaEdf final : public DvsPolicy {
  public:
   explicit LaEdf(double fmax_hz) : fmax_hz_(fmax_hz) {}
   std::string name() const override { return "laEDF"; }
 
   double select(std::span<const GraphStatus> graphs, double now) override {
-    constexpr double kEps = 1e-12;
-    // Reused across calls: select() runs at every decision point, so a
-    // per-call vector would be the policy's only steady-state
-    // allocation (the order is rebuilt from scratch each call).
-    std::vector<const GraphStatus*>& active = active_;
-    active.clear();
-    active.reserve(graphs.size());
-    if (static_util_.size() < graphs.size()) {
-      static_util_.resize(graphs.size());
+    if (!order_matches(graphs)) {
+      rebuild_order(graphs);
     }
-    double total_util = 0.0;
-    for (const auto& g : graphs) {
-      // wc_total / (fmax * period) is static per graph; memoize the
-      // division, keyed on its exact operands, so the per-step loop
-      // reads back the identical quotient instead of re-dividing.
-      const auto slot = static_cast<std::size_t>(g.graph);
-      if (slot >= static_util_.size()) {
-        static_util_.resize(slot + 1);
-      }
-      auto& su = static_util_[slot];
-      if (su.wc_total_cycles != g.wc_total_cycles ||
-          su.period_s != g.period_s) {
-        su.wc_total_cycles = g.wc_total_cycles;
-        su.period_s = g.period_s;
-        su.util = g.wc_total_cycles / (fmax_hz_ * g.period_s);
-      }
-      total_util += su.util;
-      if (g.remaining_wc_cycles > kEps) {
-        active.push_back(&g);
-      }
-    }
-    if (active.empty()) {
+    if (order_.empty()) {
       return 0.0;
     }
-    // (deadline desc, graph desc) is a strict total order, the
-    // contract util::insertion_sort's output-identity argument needs.
-    util::insertion_sort(active, [](const GraphStatus* a,
-                                    const GraphStatus* b) {
-      if (a->abs_deadline_s != b->abs_deadline_s) {
-        return a->abs_deadline_s > b->abs_deadline_s;  // latest 1st
-      }
-      return a->graph > b->graph;
-    });
-    const double dn = active.back()->abs_deadline_s;
+    const double dn = order_.back().abs_deadline_s;
     if (dn - now <= kEps) {
       return fmax_hz_;  // at/past the earliest deadline: flat out
     }
-    double u = total_util;
+    double u = total_util_;
     double must_run_cycles = 0.0;
-    for (const GraphStatus* g : active) {
-      u -= static_util_[static_cast<std::size_t>(g->graph)].util;
-      const double horizon_s = g->abs_deadline_s - dn;
+    for (const Deferral& g : order_) {
+      const double remaining = graphs[g.pos].remaining_wc_cycles;
+      u -= g.util;
+      const double horizon_s = g.abs_deadline_s - dn;
       // Cycles of this instance that cannot be deferred past dn: its
       // remaining work minus what the spare bandwidth (1 - u) * fmax can
       // absorb between dn and its own deadline.
       const double deferrable =
           std::max(0.0, (1.0 - u) * fmax_hz_ * horizon_s);
-      const double x = std::max(0.0, g->remaining_wc_cycles - deferrable);
+      const double x = std::max(0.0, remaining - deferrable);
       if (horizon_s > kEps) {
-        u += (g->remaining_wc_cycles - x) / (fmax_hz_ * horizon_s);
+        u += (remaining - x) / (fmax_hz_ * horizon_s);
       }
       must_run_cycles += x;
     }
@@ -153,15 +128,74 @@ class LaEdf final : public DvsPolicy {
   }
 
  private:
-  struct StaticUtil {
-    double wc_total_cycles = -1.0;  // impossible key: cold entries miss
-    double period_s = 0.0;
-    double util = 0.0;
+  static constexpr double kEps = 1e-12;
+
+  /// What the order depends on, for one span position.
+  struct Key {
+    int graph;
+    bool active;
+    double abs_deadline_s;
+    double period_s;
+    double wc_total_cycles;
+  };
+  /// One active instance in deferral order.
+  struct Deferral {
+    std::size_t pos;  // index into the span
+    int graph;
+    double abs_deadline_s;
+    double util;  // wc_total / (fmax * period)
   };
 
+  static bool same(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  }
+
+  bool order_matches(std::span<const GraphStatus> graphs) const {
+    if (graphs.size() != key_.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const GraphStatus& g = graphs[i];
+      const Key& k = key_[i];
+      if (g.graph != k.graph || (g.remaining_wc_cycles > kEps) != k.active ||
+          !same(g.abs_deadline_s, k.abs_deadline_s) ||
+          !same(g.period_s, k.period_s) ||
+          !same(g.wc_total_cycles, k.wc_total_cycles)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void rebuild_order(std::span<const GraphStatus> graphs) {
+    key_.clear();
+    order_.clear();
+    total_util_ = 0.0;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const GraphStatus& g = graphs[i];
+      const bool active = g.remaining_wc_cycles > kEps;
+      key_.push_back({g.graph, active, g.abs_deadline_s, g.period_s,
+                      g.wc_total_cycles});
+      const double util = g.wc_total_cycles / (fmax_hz_ * g.period_s);
+      total_util_ += util;
+      if (active) {
+        order_.push_back({i, g.graph, g.abs_deadline_s, util});
+      }
+    }
+    // (deadline desc, graph desc) is a strict total order, the
+    // contract util::insertion_sort's output-identity argument needs.
+    util::insertion_sort(order_, [](const Deferral& a, const Deferral& b) {
+      if (a.abs_deadline_s != b.abs_deadline_s) {
+        return a.abs_deadline_s > b.abs_deadline_s;  // latest 1st
+      }
+      return a.graph > b.graph;
+    });
+  }
+
   double fmax_hz_;
-  std::vector<const GraphStatus*> active_;
-  std::vector<StaticUtil> static_util_;
+  std::vector<Key> key_;
+  std::vector<Deferral> order_;
+  double total_util_ = 0.0;
 };
 
 }  // namespace

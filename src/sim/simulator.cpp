@@ -161,17 +161,19 @@ double draw_actual(const SimConfig& cfg, const NodeStatic& ns,
                    std::uint32_t instance) {
   const std::uint64_t inst_key =
       util::Rng::hash_combine(ns.draw_key, 0xabcd0000ULL + instance);
+  // One draw per key: Rng(inst_key).uniform(lo, hi), written out.
+  const double u = util::Rng::first_uniform(inst_key);
   if (cfg.ac_model == AcModel::kIid) {
-    util::Rng rng(inst_key);
-    return ns.wc * rng.uniform(cfg.ac_lo_frac, cfg.ac_hi_frac);
+    const double lo = cfg.ac_lo_frac;
+    const double hi = cfg.ac_hi_frac;
+    return ns.wc * (lo + (hi - lo) * u);
   }
   // Persistent per-node mean (precomputed: instance-independent) plus
   // per-instance jitter.
-  util::Rng jitter_rng(inst_key);
-  const double frac =
-      std::clamp(ns.mean_frac + jitter_rng.uniform(-cfg.ac_jitter,
-                                                   cfg.ac_jitter),
-                 cfg.ac_lo_frac, cfg.ac_hi_frac);
+  const double lo = -cfg.ac_jitter;
+  const double hi = cfg.ac_jitter;
+  const double frac = std::clamp(ns.mean_frac + (lo + (hi - lo) * u),
+                                 cfg.ac_lo_frac, cfg.ac_hi_frac);
   return ns.wc * frac;
 }
 

@@ -25,6 +25,13 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
+double Rng::first_uniform(std::uint64_t seed) noexcept {
+  std::uint64_t sm = seed;
+  splitmix64_next(sm);  // s_[0]
+  const std::uint64_t s1 = splitmix64_next(sm);
+  return static_cast<double>((rotl(s1 * 5, 7) * 9) >> 11) * 0x1.0p-53;
+}
+
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }

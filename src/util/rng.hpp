@@ -44,6 +44,11 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
+  /// Equal to Rng(seed).uniform() without building the generator:
+  /// xoshiro256**'s first output reads only s_[1], the second SplitMix64
+  /// word of the seeding. For one-draw-per-key callers.
+  static double first_uniform(std::uint64_t seed) noexcept;
+
   /// Uniform double in [lo, hi). Requires lo <= hi (returns lo when equal).
   double uniform(double lo, double hi) noexcept;
 

@@ -1,8 +1,8 @@
 #pragma once
 // Small-N sorting for hot loops.
 //
-// The scheduling hot path sorts a handful of elements per step (EDF
-// order, scored candidates, laEDF's deferral order). Each comparator is
+// The scheduling hot path sorts a handful of elements (EDF order,
+// scored candidates, laEDF's deferral order when it is rebuilt). Each comparator is
 // a strict TOTAL order — every tie is broken explicitly by an id — so
 // any comparison sort produces the same unique sequence std::sort
 // would; insertion sort merely skips the introsort dispatch, which

@@ -3,11 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <span>
+#include <vector>
 
+#include "core/scheme.hpp"
 #include "dvs/policy.hpp"
 #include "dvs/processor.hpp"
 #include "dvs/realizer.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
+#include "util/sort.hpp"
 
 namespace bas {
 namespace {
@@ -236,6 +248,218 @@ TEST(LaEdf, PastDeadlineRunsFlatOut) {
       status(0, 1.0, 1.0, 5e8, 5e8, 1e8),
   };
   EXPECT_DOUBLE_EQ(policy->select(graphs, 1.0), 1e9);
+}
+
+// --- laEDF persistent deferral order bit-exactness ----------------------------
+
+/// laEDF's select() as it stood before the deferral order was kept
+/// between calls, verbatim: the active list, its sort and the static
+/// utilization fold are rebuilt at every call. The persistent order is
+/// contracted to reproduce this to the last bit.
+class ReferenceLaEdf {
+ public:
+  explicit ReferenceLaEdf(double fmax_hz) : fmax_hz_(fmax_hz) {}
+
+  double select(std::span<const dvs::GraphStatus> graphs, double now) {
+    constexpr double kEps = 1e-12;
+    std::vector<const dvs::GraphStatus*>& active = active_;
+    active.clear();
+    active.reserve(graphs.size());
+    if (static_util_.size() < graphs.size()) {
+      static_util_.resize(graphs.size());
+    }
+    double total_util = 0.0;
+    for (const auto& g : graphs) {
+      const auto slot = static_cast<std::size_t>(g.graph);
+      if (slot >= static_util_.size()) {
+        static_util_.resize(slot + 1);
+      }
+      auto& su = static_util_[slot];
+      if (su.wc_total_cycles != g.wc_total_cycles ||
+          su.period_s != g.period_s) {
+        su.wc_total_cycles = g.wc_total_cycles;
+        su.period_s = g.period_s;
+        su.util = g.wc_total_cycles / (fmax_hz_ * g.period_s);
+      }
+      total_util += su.util;
+      if (g.remaining_wc_cycles > kEps) {
+        active.push_back(&g);
+      }
+    }
+    if (active.empty()) {
+      return 0.0;
+    }
+    util::insertion_sort(active, [](const dvs::GraphStatus* a,
+                                    const dvs::GraphStatus* b) {
+      if (a->abs_deadline_s != b->abs_deadline_s) {
+        return a->abs_deadline_s > b->abs_deadline_s;  // latest 1st
+      }
+      return a->graph > b->graph;
+    });
+    const double dn = active.back()->abs_deadline_s;
+    if (dn - now <= kEps) {
+      return fmax_hz_;
+    }
+    double u = total_util;
+    double must_run_cycles = 0.0;
+    for (const dvs::GraphStatus* g : active) {
+      u -= static_util_[static_cast<std::size_t>(g->graph)].util;
+      const double horizon_s = g->abs_deadline_s - dn;
+      const double deferrable =
+          std::max(0.0, (1.0 - u) * fmax_hz_ * horizon_s);
+      const double x = std::max(0.0, g->remaining_wc_cycles - deferrable);
+      if (horizon_s > kEps) {
+        u += (g->remaining_wc_cycles - x) / (fmax_hz_ * horizon_s);
+      }
+      must_run_cycles += x;
+    }
+    return std::min(must_run_cycles / (dn - now), fmax_hz_);
+  }
+
+ private:
+  struct StaticUtil {
+    double wc_total_cycles = -1.0;
+    double period_s = 0.0;
+    double util = 0.0;
+  };
+
+  double fmax_hz_;
+  std::vector<const dvs::GraphStatus*> active_;
+  std::vector<StaticUtil> static_util_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Runs laEDF inside a simulation and checks, at every decision point,
+/// that it returns the reference's bits for the same status snapshot.
+class CheckedLaEdf final : public dvs::DvsPolicy {
+ public:
+  explicit CheckedLaEdf(double fmax_hz)
+      : policy_(dvs::make_la_edf(fmax_hz)), reference_(fmax_hz) {}
+  std::string name() const override { return "laEDF"; }
+  double select(std::span<const dvs::GraphStatus> graphs,
+                double now) override {
+    const double got = policy_->select(graphs, now);
+    ++calls;
+    if (bits(got) != bits(reference_.select(graphs, now))) {
+      ++mismatches;
+    }
+    return got;
+  }
+  void reset() override { policy_->reset(); }
+
+  long calls = 0;
+  long mismatches = 0;
+
+ private:
+  std::unique_ptr<dvs::DvsPolicy> policy_;
+  ReferenceLaEdf reference_;
+};
+
+void expect_recorded_run_matches(const std::string& scenario_name,
+                                 int graph_count, double horizon_s) {
+  auto spec = scenario::scenario(scenario_name);
+  if (graph_count > 0) {
+    spec.workload.graph_count = graph_count;
+  }
+  util::Rng rng(2006);
+  const auto set = spec.make_workload(rng);
+  const auto proc = spec.make_processor();
+  auto config = spec.sim_config(7);
+  if (horizon_s > 0.0) {
+    config.horizon_s = horizon_s;
+    config.drain = true;
+  }
+  auto scheme = core::make_scheme(core::SchemeKind::kBas2, proc.fmax_hz(), 3);
+  auto checked = std::make_unique<CheckedLaEdf>(proc.fmax_hz());
+  CheckedLaEdf* probe = checked.get();
+  scheme.dvs = std::move(checked);
+  auto battery = horizon_s > 0.0 ? nullptr : spec.make_battery();
+  sim::Simulator sim(set, proc, scheme, config);
+  sim.run(battery.get());
+  EXPECT_GT(probe->calls, 1000) << scenario_name;
+  EXPECT_EQ(probe->mismatches, 0) << scenario_name << " over "
+                                  << probe->calls << " calls";
+}
+
+TEST(LaEdf, PersistentOrderMatchesPerCallRebuild) {
+  // Recorded decision sequences: a Table 2 run to battery death and a
+  // Figure 6 energy run with 10 graphs.
+  expect_recorded_run_matches("paper-table2", 0, 0.0);
+  expect_recorded_run_matches("paper-fig6", 10, 60.0);
+
+  // Fuzzed spans: each step mutates the previous span the way a run
+  // never does all at once — deadline and active-flag flips, reordered
+  // and resized spans, changed static parameters, reset() — and most
+  // steps only move remaining work, so both the kept and the rebuilt
+  // order are exercised.
+  const double fmax = 1e9;
+  auto policy = dvs::make_la_edf(fmax);
+  ReferenceLaEdf reference(fmax);
+  util::Rng rng(42);
+  const double periods[] = {0.5, 1.0, 2.0, 5.0};
+  const double remainders[] = {0.0, 1e-13, 1e-12, 2e-12, 1e-4};
+  auto fresh = [&](int graph) {
+    const double period = periods[rng.index(4)];
+    dvs::GraphStatus g;
+    g.graph = graph;
+    g.period_s = period;
+    g.abs_deadline_s = period * static_cast<double>(rng.uniform_int(1, 4));
+    g.wc_total_cycles = 1e8 * rng.uniform(0.1, 2.0);
+    g.remaining_wc_cycles = g.wc_total_cycles * rng.uniform();
+    return g;
+  };
+  std::vector<dvs::GraphStatus> graphs;
+  const auto pick = [&] { return rng.index(graphs.size()); };
+  long key_changes = 0;
+  for (int step = 0; step < 200000; ++step) {
+    switch (graphs.empty() ? 0 : rng.uniform_int(0, 19)) {
+      case 0: {  // new span size, distinct graph indices in any order
+        std::vector<int> ids(12);
+        std::iota(ids.begin(), ids.end(), 0);
+        for (std::size_t i = ids.size() - 1; i > 0; --i) {
+          std::swap(ids[i], ids[rng.index(i + 1)]);
+        }
+        ids.resize(rng.index(11));
+        graphs.clear();
+        for (const int id : ids) {
+          graphs.push_back(fresh(id));
+        }
+        ++key_changes;
+        break;
+      }
+      case 1:  // a release: new deadline, full work
+        graphs[pick()].abs_deadline_s += periods[rng.index(4)];
+        ++key_changes;
+        break;
+      case 2:  // active-flag flip, including the threshold's edge
+        graphs[pick()].remaining_wc_cycles = remainders[rng.index(5)];
+        ++key_changes;
+        break;
+      case 3:  // reordered span
+        std::swap(graphs[pick()], graphs[pick()]);
+        ++key_changes;
+        break;
+      case 4:  // changed static parameters of one graph
+        graphs[pick()].wc_total_cycles *= 1.5;
+        ++key_changes;
+        break;
+      case 5:
+        policy->reset();
+        break;
+      default: {  // node progress only
+        auto& g = graphs[pick()];
+        g.remaining_wc_cycles *= rng.uniform();
+        break;
+      }
+    }
+    // Sometimes at or past the earliest deadline.
+    const double now = rng.bernoulli(0.05) ? 8.0 : rng.uniform(0.0, 0.4);
+    const double got = policy->select(graphs, now);
+    const double want = reference.select(graphs, now);
+    ASSERT_EQ(bits(got), bits(want)) << "step " << step;
+  }
+  EXPECT_GT(key_changes, 10000);
 }
 
 TEST(PolicyNames, AreStable) {

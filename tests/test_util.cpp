@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +36,25 @@ TEST(Rng, DifferentSeedsDiverge) {
     }
   }
   EXPECT_LT(equal, 3);
+}
+
+TEST(Rng, FirstUniformMatchesFreshGenerator) {
+  // Bitwise, over structured and hashed seeds, both ends of the range
+  // included.
+  auto check = [](std::uint64_t seed) {
+    const double fresh = util::Rng(seed).uniform();
+    const double first = util::Rng::first_uniform(seed);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(first),
+              std::bit_cast<std::uint64_t>(fresh))
+        << "seed " << seed;
+  };
+  check(0);
+  check(UINT64_MAX);
+  for (std::uint64_t i = 0; i < 50000; ++i) {
+    check(i);
+    check(UINT64_MAX - i);
+    check(util::Rng::mix(i));
+  }
 }
 
 TEST(Rng, UniformInUnitInterval) {
