@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -19,71 +15,6 @@
 #include "util/cli.hpp"
 
 namespace bas::exp {
-
-namespace {
-
-/// First retry delay; each further retry of the same job doubles it,
-/// so transient failures (I/O hiccups, load-induced deadline misses)
-/// get room to clear without hammering.
-constexpr double kRetryBackoffS = 0.05;
-
-/// Evaluates one job attempt under an optional wall-clock deadline.
-/// With no deadline this is a plain call. With one, the attempt runs on
-/// a helper thread; when the deadline passes the helper is abandoned
-/// (detached — its state is shared_ptr-owned, so it finishes or dies
-/// harmlessly in the background) and the attempt counts as failed.
-std::vector<double> run_with_deadline(
-    const std::function<std::vector<double>(const Job&)>& run, const Job& job,
-    double timeout_s) {
-  if (timeout_s <= 0.0) {
-    return run(job);
-  }
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::vector<double> metrics;
-    std::exception_ptr error;
-    std::function<std::vector<double>(const Job&)> run;
-    Job job;
-  };
-  auto state = std::make_shared<Shared>();
-  state->run = run;
-  state->job = job;
-  std::thread helper([state] {
-    std::vector<double> metrics;
-    std::exception_ptr error;
-    try {
-      metrics = state->run(state->job);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->metrics = std::move(metrics);
-    state->error = error;
-    state->done = true;
-    state->done_cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  const bool finished =
-      state->done_cv.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                              [&] { return state->done; });
-  if (!finished) {
-    lock.unlock();
-    helper.detach();
-    throw std::runtime_error("exceeded the per-job deadline of " +
-                             std::to_string(timeout_s) + "s");
-  }
-  lock.unlock();
-  helper.join();
-  if (state->error) {
-    std::rethrow_exception(state->error);
-  }
-  return std::move(state->metrics);
-}
-
-}  // namespace
 
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {}
 
@@ -123,14 +54,6 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
         "experiment '" + spec.title + "': shard " +
         std::to_string(options_.shard->index) + "/" +
         std::to_string(options_.shard->count) + " needs 0 <= i < n");
-  }
-  if (options_.job_attempts < 1) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "': job_attempts must be >= 1");
-  }
-  if (options_.job_timeout_s < 0.0) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "': job_timeout_s must be >= 0");
   }
 
   std::optional<store::CompactionStats> compaction;
@@ -175,7 +98,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
           std::to_string(present) + " of " + std::to_string(n_jobs) +
           " jobs in store '" + options_.cache_dir + "' (first missing: " +
           plan.describe(plan.job(first_missing)) + ")";
-      // Jobs that failed permanently under --keep-going left error rows
+      // Jobs that failed under --keep-going left error rows
       // instead of metrics; say so rather than just "missing".
       const auto errors = cache->load_errors();
       std::size_t failed = 0;
@@ -214,7 +137,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
                     options_.progress_interval_s);
 
   // Campaign trace (--trace-out): per-job spans on per-worker tracks and
-  // retry/fail markers. The log is observational only — it never feeds
+  // fail markers. The log is observational only — it never feeds
   // results or the store.
   std::optional<obs::TraceLog> trace;
   if (!options_.trace_out.empty()) {
@@ -272,49 +195,29 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
       }
       const Job& job = plan.job(pending[k]);
       const double job_t0 = tlog != nullptr ? tlog->now_us() : 0.0;
-      const int attempts = options_.job_attempts;
       store::StoreRecord record;
       record.job_index = job.index;
       bool ok = false;
       std::string what;
-      int attempt = 1;
-      for (;; ++attempt) {
-        try {
-          record.metrics =
-              run_with_deadline(spec.run, job, options_.job_timeout_s);
-          if (record.metrics.size() != spec.metrics.size()) {
-            throw std::runtime_error(
-                "returned " + std::to_string(record.metrics.size()) +
-                " metrics, expected " + std::to_string(spec.metrics.size()));
-          }
-          ok = true;
-          break;
-        } catch (const std::exception& e) {
-          what = e.what();
-        } catch (...) {
-          what = "non-standard exception";
+      try {
+        record.metrics = spec.run(job);
+        if (record.metrics.size() != spec.metrics.size()) {
+          throw std::runtime_error(
+              "returned " + std::to_string(record.metrics.size()) +
+              " metrics, expected " + std::to_string(spec.metrics.size()));
         }
-        if (attempt == attempts) {
-          break;
-        }
-        if (tlog != nullptr) {
-          tlog->instant("retry", obs::kCampaignPid, tid, tlog->now_us(),
-                        "{\"job\": " + std::to_string(job.index) +
-                            ", \"attempt\": " + std::to_string(attempt) +
-                            "}");
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            kRetryBackoffS * static_cast<double>(1 << (attempt - 1))));
+        ok = true;
+      } catch (const std::exception& e) {
+        what = e.what();
+      } catch (...) {
+        what = "non-standard exception";
       }
 
-      // Attempts exhausted: record the failure as an error row and
-      // carry on (keep_going) or abort the run.
+      // Jobs are deterministic, so a failure is final: record it as an
+      // error row and carry on (keep_going) or abort the run.
       if (!ok) {
         record.metrics.clear();
-        record.error = plan.describe(job) + ": " + what +
-                       (attempts > 1 ? " (after " + std::to_string(attempts) +
-                                           " attempts)"
-                                     : "");
+        record.error = plan.describe(job) + ": " + what;
         if (!options_.keep_going) {
           abort_run(record.error);
           return;
@@ -322,7 +225,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
       }
       // The row is durable before this worker claims its next job. A
       // store that cannot be written fails the campaign once — it is
-      // not the job's fault, so it is never retried as one.
+      // not the job's fault, so it never becomes an error row.
       if (cache) {
         try {
           cache->append(record);
@@ -350,9 +253,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
         }
         tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
                    now - job_t0,
-                   "{\"job\": " + id +
-                       (ok ? ", \"attempt\": " + std::to_string(attempt)
-                           : std::string(", \"failed\": true")) +
+                   "{\"job\": " + id + (ok ? "" : ", \"failed\": true") +
                        "}");
       }
       progress.tick();
@@ -390,7 +291,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   }
   if (const std::size_t n_failed = failed_jobs.load(); n_failed > 0) {
     progress.note(std::to_string(n_failed) +
-                  " job(s) failed permanently (first: " + first_failure +
+                  " job(s) failed (first: " + first_failure +
                   "); their cells aggregate the surviving replicates and "
                   "the failures are recorded as error rows");
   }
@@ -442,12 +343,6 @@ RunnerOptions options_from_cli(const util::Cli& cli) {
   options.merge_only = cli.get_flag("merge");
   options.compact_cache = cli.get_flag("cache-compact");
   options.progress = cli.get_flag("progress");
-  if (cli.has("job-timeout")) {
-    options.job_timeout_s = cli.get_double("job-timeout");
-  }
-  if (cli.has("job-attempts")) {
-    options.job_attempts = static_cast<int>(cli.get_int("job-attempts"));
-  }
   if (cli.has("keep-going")) {
     options.keep_going = cli.get_flag("keep-going");
   }

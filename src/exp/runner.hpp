@@ -31,13 +31,14 @@
 //     expected to build its own Scheme / Battery / TaskGraphSet, so no
 //     mutable state is shared between workers.
 //
-// Robustness: a per-job deadline (job_timeout_s) and bounded retries
-// with exponential backoff (job_attempts) guard long campaigns against
-// hung or flaky cells; with keep_going, a job that still fails is
-// recorded in the store as an error row and the shard carries on —
+// Robustness: each claimed job runs exactly once, on the worker that
+// claimed it. A job is a deterministic function of its coordinates, so
+// running it again would fail the same way; there are no retries and no
+// per-job deadline. A failed job aborts the run, or with keep_going it
+// is recorded in the store as an error row and the shard carries on —
 // resumed runs re-execute failed jobs rather than trusting the
 // failure. A store that cannot be written is not a job failure: it
-// aborts the campaign once, naming the store file, without retries.
+// aborts the campaign once, naming the store file.
 //
 // Cluster fan-out: run shard i with `{.shard = Shard{i, n},
 // .cache_dir = DIR}` on n machines sharing DIR (or copy the shard files
@@ -85,20 +86,13 @@ struct RunnerOptions {
   /// <= 0 prints on every finished job.
   double progress_interval_s = 0.5;
   /// When non-empty, record a whole-campaign Chrome trace (per-job
-  /// spans on per-worker tracks, retry/fail markers) and write it to
+  /// spans on per-worker tracks, fail markers) and write it to
   /// this path after the pool drains — load it in Perfetto / chrome://tracing. Purely
   /// observational: results and stored rows are byte-identical with or
   /// without it.
   std::string trace_out;
-  /// Per-job wall-clock deadline in seconds; 0 disables. A job past
-  /// its deadline counts as a failed attempt (the runner stops waiting
-  /// for it; the abandoned attempt finishes on a detached thread).
-  double job_timeout_s = 0.0;
-  /// Attempts per job (>= 1). Failed attempts retry with exponential
-  /// backoff starting at 50 ms.
-  int job_attempts = 1;
-  /// When a job exhausts its attempts: record an error row in the
-  /// store and carry on (true) instead of aborting the run (false).
+  /// When a job fails: record an error row in the store and carry on
+  /// (true) instead of aborting the run (false).
   /// Cells with failed jobs aggregate the replicates that succeeded.
   bool keep_going = false;
 };
@@ -110,11 +104,10 @@ class Runner {
   /// Runs the spec's campaign. Throws std::invalid_argument on a
   /// malformed spec (no run function, no metrics, replicates < 1) or an
   /// inconsistent option set (merge without a store, merge with a
-  /// shard, job_attempts < 1), and std::runtime_error when a job fails
-  /// permanently without keep_going — the message names the failing
-  /// job's grid coordinates and replicate — or the store cannot be
-  /// written — the message names the store file. Remaining jobs are
-  /// abandoned.
+  /// shard), and std::runtime_error when a job fails without keep_going
+  /// — the message names the failing job's grid coordinates and
+  /// replicate — or the store cannot be written — the message names the
+  /// store file. Remaining jobs are abandoned.
   ExperimentResult run(const ExperimentSpec& spec) const;
 
  private:
@@ -130,8 +123,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
 /// Builds RunnerOptions from the shared bench flags (--jobs, --shard,
 /// --cache, --cache-compact, --merge, --progress,
-/// --progress-interval, --trace-out, --job-timeout, --job-attempts,
-/// --keep-going; see util::Cli::with_bench_defaults).
+/// --progress-interval, --trace-out, --keep-going; see
+/// util::Cli::with_bench_defaults).
 /// Throws std::runtime_error on a malformed --shard;
 /// cross-option consistency (--merge needs --cache, ...) is enforced
 /// by Runner::run.

@@ -8,7 +8,7 @@
 //                    and per-node execution spans (sim-time timeline,
 //                    pid kSimPid, tid = graph)
 //   whole campaign   the runner emits per-job spans (tid = worker) and
-//                    retry/fail markers (wall-clock timeline, pid
+//                    fail markers (wall-clock timeline, pid
 //                    kCampaignPid)
 //
 // The log is instrumentation only: it is attached through non-owning

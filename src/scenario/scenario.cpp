@@ -395,7 +395,7 @@ std::string ScenarioSpec::fingerprint() const {
       << " ac-model=" << ac_model_to_string(sim.ac_model)
       << " ac=" << sim.ac_lo_frac << ".." << sim.ac_hi_frac
       << " ac-jitter=" << sim.ac_jitter
-      << " stop-on-empty=" << (sim.stop_when_battery_empty ? 1 : 0)
+      << " stop-on-empty=1"  // literal: a run always stops on an empty cell
       << " engine=event"  // literal: keeps pre-one-engine caches valid
       << " battery-window=" << sim.battery_window_s
       << " " << arrival::fingerprint(sim.arrival);

@@ -741,7 +741,7 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (!config_.drain && t >= config_.horizon_s - kEps) {
       break;
     }
-    if (battery_dead && config_.stop_when_battery_empty) {
+    if (battery_dead) {
       break;
     }
 
@@ -831,7 +831,7 @@ SimResult Simulator::run(bat::Battery* battery) {
           res.perf.idle_time_jumped_s += dt;
         }
         accrue(t, dt, proc_.idle_current_a(), 0.0, false);
-        if (battery_dead && config_.stop_when_battery_empty) {
+        if (battery_dead) {
           break;
         }
       }
@@ -992,7 +992,7 @@ SimResult Simulator::run(bat::Battery* battery) {
       }
       last_busy_current = current;
       t_now += sustained;
-      if (battery_dead && config_.stop_when_battery_empty) {
+      if (battery_dead) {
         break;
       }
     }
@@ -1003,7 +1003,7 @@ SimResult Simulator::run(bat::Battery* battery) {
     nr.remaining_ac -= executed_cycles;
     ir.remaining_wc = std::max(0.0, ir.remaining_wc - executed_cycles);
 
-    if (battery_dead && config_.stop_when_battery_empty) {
+    if (battery_dead) {
       break;
     }
 
@@ -1084,7 +1084,7 @@ SimResult Simulator::run(bat::Battery* battery) {
   // Settle the battery: flush whatever the last window holds, then pin
   // the end time to the cutoff if the cell emptied.
   flush_window();
-  if (res.battery_died && config_.stop_when_battery_empty) {
+  if (res.battery_died) {
     t = death_t;
   }
 

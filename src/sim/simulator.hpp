@@ -90,8 +90,6 @@ struct SimConfig {
   bool record_trace = false;
   /// Record the battery-current load profile.
   bool record_profile = true;
-  /// With an attached battery: stop the run the moment it empties.
-  bool stop_when_battery_empty = true;
   /// Count hot-path work (scheduling steps, battery draws, scratch-
   /// buffer growth) into SimResult::perf. Counters are instrumentation
   /// only — they never enter a sink or a cache record, so recording
@@ -219,8 +217,8 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs the simulation; with a battery, discharges it inline and (by
-  /// default) stops when it empties. The battery is reset first.
+  /// Runs the simulation; with a battery, discharges it inline and stops
+  /// the moment it empties. The battery is reset first.
   SimResult run(bat::Battery* battery = nullptr);
 
  private:

@@ -69,8 +69,6 @@ std::map<std::string, std::string> Cli::with_bench_defaults(
   defaults.emplace("progress", "false");
   defaults.emplace("progress-interval", "0.5");
   defaults.emplace("trace-out", "");
-  defaults.emplace("job-timeout", "0");
-  defaults.emplace("job-attempts", "1");
   defaults.emplace("keep-going", "false");
   return defaults;
 }
@@ -153,14 +151,13 @@ std::string Cli::summary() const {
 
 std::string Cli::config_summary() const {
   // Flags that steer execution, reporting or storage without changing
-  // any job's output — excluded from the cache-keying summary. Retry
-  // flags (--job-timeout, --job-attempts, --keep-going) belong here
-  // too: adding retries must not invalidate a store full of results.
+  // any job's output — excluded from the cache-keying summary.
+  // --keep-going belongs here too: tolerating failed jobs must not
+  // invalidate a store full of results.
   static const char* const kEngineFlags[] = {
-      "jobs",          "csv",         "shard",          "cache",
-      "cache-compact", "merge",       "progress",       "progress-interval",
-      "trace-out",     "job-timeout", "job-attempts",   "keep-going",
-      "list-scenarios"};
+      "jobs",          "csv",        "shard",    "cache",
+      "cache-compact", "merge",      "progress", "progress-interval",
+      "trace-out",     "keep-going", "list-scenarios"};
   std::ostringstream out;
   bool first = true;
   for (const auto& [key, value] : values_) {

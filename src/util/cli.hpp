@@ -45,15 +45,10 @@ class Cli {
   ///                0.5; <= 0 prints on every finished job)
   ///   --trace-out PATH
   ///                write a Chrome-trace-event JSON of the campaign
-  ///                (per-job spans per worker, retry/fail markers) —
-  ///                load in Perfetto or
-  ///                chrome://tracing; purely observational
-  ///   --job-timeout S
-  ///                per-job wall-clock deadline in seconds (0 = off)
-  ///   --job-attempts N
-  ///                attempts per job before it counts as failed
-  ///   --keep-going record permanently failed jobs as error rows and
-  ///                finish the shard instead of aborting
+  ///                (per-job spans per worker, fail markers) — load in
+  ///                Perfetto or chrome://tracing; purely observational
+  ///   --keep-going record failed jobs as error rows and finish the
+  ///                shard instead of aborting
   static std::map<std::string, std::string> with_bench_defaults(
       std::map<std::string, std::string> defaults);
 
@@ -85,8 +80,7 @@ class Cli {
 
   /// summary() minus the engine/campaign flags (--jobs, --csv, --shard,
   /// --cache, --cache-compact, --merge, --progress, --progress-interval,
-  /// --trace-out, --job-timeout, --job-attempts, --keep-going,
-  /// --list-scenarios) and minus options
+  /// --trace-out, --keep-going, --list-scenarios) and minus options
   /// whose value is empty (unset optional settings, e.g. unused
   /// --scenario.FIELD overrides) — exactly the options that can alter
   /// job outputs. Feed it to ExperimentSpec::config so the campaign

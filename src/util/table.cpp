@@ -1,10 +1,8 @@
 #include "util/table.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace bas::util {
 
@@ -55,46 +53,6 @@ std::string Table::str() const {
 }
 
 void Table::print() const { std::cout << str(); }
-
-namespace {
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') {
-      out += "\"\"";
-    } else {
-      out += ch;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("Table::write_csv: cannot open " + path);
-  }
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << csv_escape(cells[c]);
-      if (c + 1 < cells.size()) {
-        out << ',';
-      }
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) {
-    emit(row);
-  }
-}
 
 void print_banner(const std::string& title) {
   std::cout << "\n==== " << title << " ====\n\n";

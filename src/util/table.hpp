@@ -31,10 +31,6 @@ class Table {
   /// Renders to stdout.
   void print() const;
 
-  /// Writes the table as CSV (headers + rows) to the given path.
-  /// Throws std::runtime_error when the file cannot be opened.
-  void write_csv(const std::string& path) const;
-
   std::size_t rows() const noexcept { return rows_.size(); }
 
  private:

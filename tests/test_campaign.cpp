@@ -1,6 +1,6 @@
 // Tests for the campaign layer: plan/fingerprint, shard partition,
-// store-backed resume, per-job store durability, merge collection, job
-// timeout/retry/keep-going robustness, determinism across worker counts
+// store-backed resume, per-job store durability, merge collection,
+// keep-going error rows, determinism across worker counts
 // and the coordinate-bearing runner error reports. The store subsystem
 // itself (JSONL store, compaction) is covered by test_store.cpp.
 
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,76 +364,7 @@ TEST(Campaign, EveryJobExecutesExactlyOnceWithManyWorkers) {
   }
 }
 
-// ------------------------------------- timeout, retry and keep-going
-
-TEST(Campaign, FlakyJobSucceedsWithinItsRetryBudget) {
-  auto spec = awkward_spec();
-  std::atomic<int> failures{0};
-  const auto inner = spec.run;
-  spec.run = [&failures, inner](const exp::Job& job) {
-    // Job 5 fails twice before succeeding.
-    if (job.index == 5 && failures.load() < 2) {
-      failures.fetch_add(1);
-      throw std::runtime_error("transient");
-    }
-    return inner(job);
-  };
-  exp::RunnerOptions options;
-  options.jobs = 2;
-  options.job_attempts = 3;
-  const auto retried = exp::run_experiment(spec, options);
-  EXPECT_EQ(failures.load(), 2);
-  expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), retried);
-}
-
-TEST(Campaign, ExhaustedRetriesReportTheAttemptCount) {
-  auto spec = awkward_spec();
-  spec.run = [](const exp::Job& job) -> std::vector<double> {
-    if (job.index == 3) {
-      throw std::runtime_error("permanent");
-    }
-    return {0.0, 0.0};
-  };
-  exp::RunnerOptions options;
-  options.job_attempts = 2;
-  try {
-    exp::run_experiment(spec, options);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("job 3"), std::string::npos) << message;
-    EXPECT_NE(message.find("permanent"), std::string::npos) << message;
-    EXPECT_NE(message.find("2 attempts"), std::string::npos) << message;
-  }
-}
-
-TEST(Campaign, TimedOutJobFailsWithADeadlineError) {
-  auto spec = awkward_spec();
-  auto release = std::make_shared<std::atomic<bool>>(false);
-  const auto inner = spec.run;
-  spec.run = [release, inner](const exp::Job& job) {
-    if (job.index == 2) {
-      while (!release->load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    return inner(job);
-  };
-  exp::RunnerOptions options;
-  options.job_timeout_s = 0.05;
-  try {
-    exp::run_experiment(spec, options);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("job 2"), std::string::npos) << message;
-    EXPECT_NE(message.find("deadline"), std::string::npos) << message;
-  }
-  // Let the abandoned attempt's detached thread finish before the test
-  // (and its spec) go away.
-  release->store(true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-}
+// ------------------------------------------------------------ keep-going
 
 TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
   TempDir dir("keep-going");
@@ -540,7 +470,7 @@ TEST(Campaign, EachRowIsStoredBeforeTheNextJobStarts) {
 TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
   // A directory squatting on the store file makes every append fail.
   // That is the store's fault, not a job's: the campaign must stop at
-  // the first write, name the file, and never retry a job for it.
+  // the first write, name the file, and run no job twice.
   TempDir dir("unwritable");
   auto spec = awkward_spec();
   const std::string path =
@@ -556,7 +486,6 @@ TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
   };
   exp::RunnerOptions options;
   options.jobs = 1;
-  options.job_attempts = 3;
   options.cache_dir = dir.path;
   try {
     exp::run_experiment(spec, options);
@@ -565,7 +494,6 @@ TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
     const std::string message = e.what();
     EXPECT_NE(message.find("store '" + path + "'"), std::string::npos)
         << message;
-    EXPECT_EQ(message.find("attempts"), std::string::npos) << message;
   }
   for (std::size_t i = 0; i < executions.size(); ++i) {
     EXPECT_LE(executions[i].load(), 1) << "job " << i;
@@ -585,17 +513,6 @@ TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
     EXPECT_NE(message.find("store '" + path + "'"), std::string::npos)
         << message;
   }
-}
-
-TEST(Campaign, InvalidRobustnessOptionsAreRejected) {
-  exp::RunnerOptions options;
-  options.job_attempts = 0;
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
-               std::invalid_argument);
-  options = {};
-  options.job_timeout_s = -1.0;
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
-               std::invalid_argument);
 }
 
 // ----------------------------------------------------- error reporting
@@ -641,12 +558,11 @@ TEST(Campaign, ArityErrorsCarryCoordinatesToo) {
 // ------------------------------------------------------ CLI threading
 
 TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
-  const char* argv[] = {"bench",        "--jobs",     "3",
-                        "--shard",      "1/4",        "--cache",
-                        "/tmp/c",       "--progress", "--cache-compact",
-                        "--job-timeout", "2.5",       "--job-attempts",
-                        "3",            "--keep-going"};
-  util::Cli cli(14, argv, util::Cli::with_bench_defaults({}));
+  const char* argv[] = {"bench",   "--jobs",     "3",
+                        "--shard", "1/4",        "--cache",
+                        "/tmp/c",  "--progress", "--cache-compact",
+                        "--keep-going"};
+  util::Cli cli(10, argv, util::Cli::with_bench_defaults({}));
   const auto options = exp::options_from_cli(cli);
   EXPECT_EQ(options.jobs, 3);
   ASSERT_TRUE(options.shard.has_value());
@@ -656,8 +572,6 @@ TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
   EXPECT_FALSE(options.merge_only);
   EXPECT_TRUE(options.compact_cache);
   EXPECT_TRUE(options.progress);
-  EXPECT_DOUBLE_EQ(options.job_timeout_s, 2.5);
-  EXPECT_EQ(options.job_attempts, 3);
   EXPECT_TRUE(options.keep_going);
 }
 
@@ -670,8 +584,6 @@ TEST(Campaign, OptionsFromCliDefaultsAreInert) {
   EXPECT_FALSE(options.merge_only);
   EXPECT_FALSE(options.compact_cache);
   EXPECT_FALSE(options.progress);
-  EXPECT_DOUBLE_EQ(options.job_timeout_s, 0.0);
-  EXPECT_EQ(options.job_attempts, 1);
   EXPECT_FALSE(options.keep_going);
 }
 
@@ -686,6 +598,24 @@ TEST(Campaign, StoreOptionIsUnknown) {
     EXPECT_NE(std::string(e.what()).find("unknown option --store"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Campaign, RemovedJobFlagsAreUnknown) {
+  // Jobs are deterministic and run exactly once: there is no per-job
+  // deadline or retry budget left to set, so both flags fail at parse
+  // time like any unknown option.
+  for (const char* flag : {"--job-timeout", "--job-attempts"}) {
+    const char* argv[] = {"bench", flag, "2"};
+    try {
+      util::Cli cli(3, argv, util::Cli::with_bench_defaults({}));
+      FAIL() << "expected std::runtime_error for " << flag;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown option ") +
+                                           flag),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -718,16 +648,14 @@ TEST(Campaign, ConfigSummaryExcludesEngineFlags) {
   const char* argv_a[] = {"bench",      "--battery",       "kibam",
                           "--jobs",     "7",               "--shard",
                           "0/2",        "--cache",         "dir",
-                          "--progress", "--cache-compact", "--job-timeout",
-                          "3",          "--job-attempts",  "2",
-                          "--keep-going"};
-  util::Cli a(16, argv_a,
+                          "--progress", "--cache-compact", "--keep-going"};
+  util::Cli a(12, argv_a,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   const char* argv_b[] = {"bench", "--battery", "kibam"};
   util::Cli b(3, argv_b,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   // Campaign/engine flags must not perturb the sweep identity — a
-  // store full of results stays valid when the retry policy or the
+  // store full of results stays valid when the failure policy or the
   // thread count changes...
   EXPECT_EQ(a.config_summary(), b.config_summary());
   // ...but driver parameters must.

@@ -1,101 +1,16 @@
-// Tests for the extension modules: TGFF file I/O round-trips and the
-// profile-clamped DVS decorator (Guideline 1 enforced at the DVS
-// level), including its deadline-safety when composed into a scheme.
+// Tests for the extension modules: the profile-clamped DVS decorator
+// (Guideline 1 enforced at the DVS level), including its deadline-safety
+// when composed into a scheme.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "dvs/clamped.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
-#include "tgff/io.hpp"
 #include "tgff/workload.hpp"
 
 namespace bas {
 namespace {
-
-// ------------------------------------------------------------ tgff I/O ---
-
-TEST(TgffIo, RoundTripPreservesEverything) {
-  util::Rng rng(91);
-  const auto set = tgff::paper_workload(4, rng);
-  const auto text = tgff::to_tgff_string(set);
-  const auto parsed = tgff::parse_tgff_string(text);
-
-  ASSERT_EQ(parsed.size(), set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const auto& a = set.graph(i);
-    const auto& b = parsed.graph(i);
-    EXPECT_EQ(a.name(), b.name());
-    EXPECT_DOUBLE_EQ(a.period(), b.period());
-    ASSERT_EQ(a.node_count(), b.node_count());
-    ASSERT_EQ(a.edge_count(), b.edge_count());
-    for (tg::NodeId id = 0; id < a.node_count(); ++id) {
-      EXPECT_DOUBLE_EQ(a.node(id).wcet_cycles, b.node(id).wcet_cycles);
-      EXPECT_EQ(a.node(id).name, b.node(id).name);
-      EXPECT_EQ(a.successors(id), b.successors(id));
-    }
-  }
-}
-
-TEST(TgffIo, DoubleRoundTripIsIdentity) {
-  util::Rng rng(92);
-  const auto set = tgff::paper_workload(2, rng);
-  const auto once = tgff::to_tgff_string(set);
-  const auto twice = tgff::to_tgff_string(tgff::parse_tgff_string(once));
-  EXPECT_EQ(once, twice);
-}
-
-TEST(TgffIo, ParsesHandWrittenInput) {
-  const std::string text = R"(
-# comment
-@TASKGRAPH video PERIOD 0.04
-  TASK fetch WCET 4e6
-  TASK decode WCET 1.4e7   # trailing comment
-  ARC 0 1
-@END
-)";
-  const auto set = tgff::parse_tgff_string(text);
-  ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.graph(0).name(), "video");
-  EXPECT_DOUBLE_EQ(set.graph(0).period(), 0.04);
-  EXPECT_DOUBLE_EQ(set.graph(0).node(1).wcet_cycles, 1.4e7);
-  EXPECT_EQ(set.graph(0).successors(0), std::vector<tg::NodeId>{1});
-}
-
-TEST(TgffIo, RejectsMalformedInput) {
-  EXPECT_THROW(tgff::parse_tgff_string("@TASKGRAPH g PERIOD 1\nTASK a\n"),
-               std::runtime_error);
-  EXPECT_THROW(tgff::parse_tgff_string("TASK a WCET 1\n"),
-               std::runtime_error);
-  EXPECT_THROW(tgff::parse_tgff_string("@TASKGRAPH g PERIOD 1\n"),
-               std::runtime_error);  // unterminated
-  EXPECT_THROW(
-      tgff::parse_tgff_string("@TASKGRAPH g PERIOD 1\nARC 0 1\n@END\n"),
-      std::runtime_error);  // arc to unknown tasks
-  EXPECT_THROW(tgff::parse_tgff_string("@END\n"), std::runtime_error);
-  EXPECT_THROW(tgff::parse_tgff_string("NONSENSE x\n"), std::runtime_error);
-}
-
-TEST(TgffIo, RejectsCyclicGraphAtValidation) {
-  const std::string text =
-      "@TASKGRAPH g PERIOD 1\nTASK a WCET 1e6\nTASK b WCET 1e6\n"
-      "ARC 0 1\nARC 1 0\n@END\n";
-  EXPECT_THROW(tgff::parse_tgff_string(text), std::logic_error);
-}
-
-TEST(TgffIo, FileRoundTrip) {
-  util::Rng rng(93);
-  const auto set = tgff::paper_workload(3, rng);
-  const std::string path = "/tmp/bas_tgff_io_test.tgff";
-  tgff::save_tgff_file(path, set);
-  const auto loaded = tgff::load_tgff_file(path);
-  EXPECT_EQ(loaded.size(), set.size());
-  EXPECT_NEAR(loaded.utilization(1e9), set.utilization(1e9), 1e-12);
-  EXPECT_THROW(tgff::load_tgff_file("/nonexistent/x.tgff"),
-               std::runtime_error);
-}
 
 // ----------------------------------------------------- clamped DVS ---------
 
