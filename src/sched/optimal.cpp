@@ -169,13 +169,13 @@ struct Search {
 
   double best_energy = std::numeric_limits<double>::infinity();
   double best_finish = 0.0;
-  std::vector<tg::NodeId> best_order;
-  std::vector<tg::NodeId> current;
+  std::vector<tg::NodeId> best_order{};
+  std::vector<tg::NodeId> current{};
 
   // Pareto memo: per completed-set, (time, energy) pairs already seen;
   // a new state dominated in both coordinates cannot improve.
   std::unordered_map<std::uint64_t, std::vector<std::pair<double, double>>>
-      memo;
+      memo{};
 
   double lower_bound(double t, double remaining_ac) const {
     if (remaining_ac <= 0.0) {
@@ -267,8 +267,9 @@ SingleGraphResult optimal_schedule(const tg::TaskGraph& graph,
   const auto oracle = make_oracle_estimator();
   const auto seed = greedy_schedule(graph, actual_cycles, proc, *pubs, *oracle);
 
-  Search search{graph, actual_cycles, proc, predecessor_masks(graph), 0,
-                graph.deadline(), 0.0};
+  Search search{.graph = graph, .actuals = actual_cycles, .proc = proc,
+                .pred_masks = predecessor_masks(graph),
+                .deadline = graph.deadline()};
   const std::size_t n = graph.node_count();
   search.all_mask = (n == 64) ? ~0ULL : ((1ULL << n) - 1);
   search.budget = node_budget;

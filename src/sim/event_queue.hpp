@@ -23,7 +23,9 @@
 //                re-armed from the graph's ArrivalProcess on pop.
 //   kBatteryObs  a battery-observation point: the open merge window
 //                must be flushed through the kernel (actor unused).
-//   kHorizon     fixed-horizon (drain = false) end of releases.
+//
+// The fixed horizon (drain = false) is not an event: the loop compares
+// the clock against it once per step.
 //
 // DVS decision points are not queued: the paper re-selects the
 // frequency exactly at releases and completions, so every dispatch of
@@ -41,7 +43,6 @@ enum class EventKind : std::uint8_t {
   kCompletion = 0,
   kRelease = 1,
   kBatteryObs = 2,
-  kHorizon = 3,
 };
 
 inline std::string to_string(EventKind kind) {
@@ -49,7 +50,6 @@ inline std::string to_string(EventKind kind) {
     case EventKind::kCompletion: return "completion";
     case EventKind::kRelease: return "release";
     case EventKind::kBatteryObs: return "battery-obs";
-    case EventKind::kHorizon: return "horizon";
   }
   return "?";
 }

@@ -2,13 +2,20 @@
 //
 // Instead of scanning every arrival stream at the top of each step, the
 // loop keeps a priority queue of (time, kind, actor) events — one
-// pending release per graph (re-armed from its ArrivalProcess on pop),
-// battery-observation points, and the fixed-horizon marker — and keeps
-// the at-most-one pending job completion in a running-slice register
-// compared against the queue head (see event_queue.hpp for the
-// taxonomy and the deterministic ordering contract). Scheduling
-// decisions are taken exactly at the paper's decision points: releases
-// and node completions.
+// pending release per graph (re-armed from its ArrivalProcess on pop)
+// and battery-observation points — and keeps the at-most-one pending
+// job completion in a running-slice register compared against the
+// queue head (see event_queue.hpp for the taxonomy and the
+// deterministic ordering contract). Scheduling decisions are taken
+// exactly at the paper's decision points: releases and node
+// completions.
+//
+// One run is a `Run` object (below) whose member functions are the
+// loop's phases, in step order: dispatch due events, apply the release
+// batch, idle jump, select the plan (laEDF's half), build/score and
+// choose a candidate (the ordering half), execute the slice, complete
+// the node. Simulator::run resets state, runs the loop and settles the
+// battery.
 //
 // Executed and idle slices shorter than SimConfig::battery_window_s
 // accrue into a charge-equivalent mean-current window that advances the
@@ -60,7 +67,6 @@ struct NodeRt {
   double ac = 0.0;
   double remaining_ac = 0.0;
   int pending_preds = 0;
-  bool done = false;
 
   double executed() const { return ac - remaining_ac; }
 };
@@ -269,66 +275,6 @@ double min_next_release(const Scratch& s) {
   return best;
 }
 
-/// Releases graph g's next instance at time arrivals[g].next and
-/// advances the stream: single-buffered supersede counts a deadline
-/// miss, node actuals are drawn from the stateless per-(instance, node)
-/// keys, and the ready list starts as the no-predecessor ids in
-/// ascending order.
-void release_instance(Scratch& s, const SimConfig& cfg, int g,
-                      SimResult& res, bool count_perf) {
-  auto& ir = s.inst[static_cast<std::size_t>(g)];
-  auto& ar = s.arrivals[static_cast<std::size_t>(g)];
-  const auto& gs = s.statics[static_cast<std::size_t>(g)];
-  if (s.released_count[static_cast<std::size_t>(g)] > 0 && !ir.complete()) {
-    ++res.deadline_misses;  // previous instance overran into this release
-  }
-  ir.number = s.released_count[static_cast<std::size_t>(g)];
-  ir.release_s = ar.next;
-  ir.deadline_s = ir.release_s + gs.deadline_s;
-  ar.prev = ar.next;
-  if (ar.next != kInf) {
-    const double upcoming = ar.process->next_release(ar.prev, ar.rng);
-    ar.next = upcoming < cfg.horizon_s - kEps ? upcoming : kInf;
-  }
-  const std::size_t n_nodes = gs.nodes.size();
-  if (ir.nodes.size() != n_nodes) {
-    if (count_perf && ir.nodes.capacity() < n_nodes) {
-      ++res.perf.scratch_grows;
-    }
-    ir.nodes.resize(n_nodes);
-  }
-  ir.done_count = 0;
-  ir.ready.clear();
-  for (tg::NodeId id = 0; id < n_nodes; ++id) {
-    const auto& ns = gs.nodes[id];
-    auto& nr = ir.nodes[id];
-    nr.wc = ns.wc;
-    nr.ac = draw_actual(cfg, ns, ir.number);
-    nr.remaining_ac = nr.ac;
-    nr.pending_preds = ns.pred_count;
-    nr.done = false;
-    if (ns.pred_count == 0) {
-      ir.ready.push_back(id);
-    }
-  }
-  // Σ wc over the release loop is the same node-order fold
-  // total_wcet_cycles() performs, precomputed in the constructor.
-  ir.cc_wc = gs.total_wc_cycles;
-  ir.remaining_wc = gs.total_wc_cycles;
-  ++s.released_count[static_cast<std::size_t>(g)];
-  ++res.instances_released;
-  if (cfg.trace_log != nullptr) {
-    // Sim-time release marker, one per instance on the graph's track.
-    // The fixed name is what the trace-based arrival-rate diagnostic
-    // counts (tests/test_arrival.cpp).
-    char args[64];
-    std::snprintf(args, sizeof(args), "{\"graph\": %d, \"instance\": %llu}",
-                  g, static_cast<unsigned long long>(ir.number));
-    cfg.trace_log->instant("release", obs::kSimPid, g, ir.release_s * 1e6,
-                           args);
-  }
-}
-
 }  // namespace detail
 
 using namespace detail;
@@ -388,403 +334,323 @@ Simulator::Simulator(const tg::TaskGraphSet& set, const dvs::Processor& proc,
 
 Simulator::~Simulator() = default;
 
-SimResult Simulator::run(bat::Battery* battery) {
-  scheme_.reset();
-  if (battery != nullptr) {
-    battery->reset();
+namespace {
+
+/// The selection order over scored candidates: score, then graph, then
+/// node — a strict total order, so the minimum is unique.
+bool cand_less(const ScoredCandidate& a, const ScoredCandidate& b) {
+  if (a.score != b.score) {
+    return a.score < b.score;
   }
+  if (a.cand.graph != b.cand.graph) {
+    return a.cand.graph < b.cand.graph;
+  }
+  return a.cand.node < b.cand.node;
+}
 
-  SimResult res;
-  res.battery_attached = battery != nullptr;
-  const bool count_perf = config_.record_perf_counters;
-  const int n_graphs = static_cast<int>(set_.size());
-  const std::size_t n = set_.size();
+/// EDF order over graph ids: absolute deadline, then id. A strict total
+/// order, so the maintained list is the unique sequence insertion_sort
+/// produces.
+struct EdfLess {
+  ByGraph<InstanceRt> inst;
+  bool operator()(int a, int b) const {
+    const double da = inst[a].deadline_s;
+    const double db = inst[b].deadline_s;
+    return da != db ? da < db : a < b;
+  }
+};
 
+/// One Simulator::run: the loop's state and its phases. loop() calls
+/// each phase from one place per step, and the struct lives in this
+/// file's unnamed namespace, so the compiler inlines the phases back
+/// into the loop.
+struct Run {
+  const tg::TaskGraphSet& set;
+  const dvs::Processor& proc;
+  core::Scheme& scheme;
+  const SimConfig& cfg;
+  Scratch& s;
+  bat::Battery* const battery;
   // Optional trace sink: pure instrumentation that appends to the log,
   // never touches simulation state, so results are bitwise identical
   // with it on or off.
-  obs::TraceLog* const tlog = config_.trace_log;
-
-  Scratch& s = *scratch_;
-  reset_run_state(s, n);
-  if (config_.record_trace) {
-    res.trace.reserve(1024);
-  }
-  if (config_.record_profile) {
-    res.profile.reserve(1024);
-  }
-
-  const ByGraph inst(s.inst);
-  const ByGraph statuses(s.statuses);
-  auto graph_at = [&](int g) -> decltype(auto) {
-    return set_.graph(static_cast<std::size_t>(g));
-  };
-  auto scratch_caps = [&s] {
-    std::size_t caps = s.edf.capacity() + s.candidates.capacity() +
-                       s.statuses.capacity() + s.queue.capacity() +
-                       s.win_slices.capacity() + s.released_batch.capacity() +
-                       s.expiry.capacity() + s.edf_check.capacity();
-    for (const auto& ir : s.inst) {
-      caps += ir.ready.capacity();
-    }
-    return caps;
-  };
-  const std::size_t caps_at_start = count_perf ? scratch_caps() : 0;
+  obs::TraceLog* const tlog = cfg.trace_log;
+  const ByGraph<InstanceRt> inst{s.inst};
+  const ByGraph<dvs::GraphStatus> statuses{s.statuses};
+  const EdfLess edf_less{inst};
+  const int n_graphs = static_cast<int>(set.size());
 
   // Audit runs (profile/trace) flush the battery per slice and stay
   // draw-for-draw identical to window-0 runs; merging applies to the
   // plain lifetime/feasibility runs campaigns are made of.
-  const bool merging = battery != nullptr && config_.battery_window_s > 0.0 &&
-                       !config_.record_profile && !config_.record_trace;
+  const bool merging = battery != nullptr && cfg.battery_window_s > 0.0 &&
+                       !cfg.record_profile && !cfg.record_trace;
+  const bool stochastic_prio = scheme.priority->stochastic();
+  // Estimator history is observable only through estimate() calls; when
+  // the priority never consults the estimator (Random and the fixed
+  // orderings), feeding its history is dead work the loop skips.
+  const bool need_estimate = scheme.priority->uses_estimate();
+  // A run-constant DVS policy (noDVS, staticDVS) returns the same fref
+  // at every decision point; select it once and realize the plan in the
+  // constructor instead of per step. For the rest, realize() is
+  // memoized on fref: policies saturate (fmax under load, repeated
+  // clamps), and the mapping fref -> plan is pure.
+  const bool constant_dvs = scheme.dvs->run_constant();
+  // The status snapshot feeds exactly two readers: DvsPolicy::select and
+  // the feasibility guard. With a run-constant policy (select hoisted)
+  // and most-imminent scope (every candidate sits at EDF position 0, so
+  // the guard never fires), neither reader exists and the snapshot is
+  // dead work. The debug cross-check compares the snapshot too, so it
+  // forces the write-through maintenance on.
+  const bool maintain_statuses =
+      !constant_dvs || scheme.scope == core::ReadyScope::kAllReleased ||
+      cfg.check_incremental_state;
+  const std::size_t caps_at_start = scratch_caps();
 
+  SimResult res;
+  // Always counted; settle() copies them into res.perf only when
+  // SimConfig::record_perf_counters asks for them.
+  PerfCounters perf;
   double t = 0.0;
-  bool battery_dead = false;
   double death_t = kInf;
   double last_busy_current = kInf;
+  double next_release_s = kInf;
+  double cached_fref = -1.0;
+  dvs::FreqPlan cached_plan{};
 
-  init_arrivals(s, config_, n_graphs);
-  double next_release_s = min_next_release(s);
-
-  EventQueue& q = s.queue;
-  q.clear();
-  for (int g = 0; g < n_graphs; ++g) {
-    const double first = s.arrivals[static_cast<std::size_t>(g)].next;
-    if (first != kInf) {
-      q.push({first, EventKind::kRelease, g});
-    }
-  }
-  if (!config_.drain) {
-    q.push({config_.horizon_s, EventKind::kHorizon, -1});
-  }
-
-  // ---- battery merge window -------------------------------------------
+  // ---- battery merge window -----------------------------------------
   bool win_open = false;
   bool obs_scheduled = false;
   double win_start = 0.0;
   double win_span = 0.0;
   double win_charge = 0.0;
 
-  // Advances the kernel over the open window in one charge-equivalent
-  // mean-current call, then attributes the buffered slices to the
-  // result exactly up to the sustained duration (the whole window
-  // unless the cell hit cutoff inside it).
-  auto flush_window = [&] {
-    if (!win_open) {
-      return;
+  Run(const tg::TaskGraphSet& set, const dvs::Processor& proc,
+      core::Scheme& scheme, const SimConfig& cfg, Scratch& s,
+      bat::Battery* battery)
+      : set(set), proc(proc), scheme(scheme), cfg(cfg), s(s),
+        battery(battery) {
+    res.battery_attached = battery != nullptr;
+    if (cfg.record_trace) {
+      res.trace.reserve(1024);
     }
-    win_open = false;
-    const double span = win_span;
-    if (span <= 0.0) {
-      s.win_slices.clear();
-      return;
+    if (cfg.record_profile) {
+      res.profile.reserve(1024);
     }
-    const double sustained = battery->advance_interval(win_charge, span);
-    if (count_perf) {
-      ++res.perf.battery_draws;
-      ++res.perf.battery_interval_advances;
-    }
-    if (battery->empty()) {
-      battery_dead = true;
-      res.battery_died = true;
-      death_t = std::min(death_t, win_start + sustained);
-    }
-    double remaining = sustained;
-    for (const auto& sl : s.win_slices) {
-      const double take = std::min(sl.dur, remaining);
-      if (take <= 0.0) {
-        break;
-      }
-      res.charge_c += sl.current_a * take;
-      res.energy_j += sl.power_w * take;
-      if (sl.busy) {
-        res.busy_s += take;
-      }
-      remaining -= take;
-    }
-    s.win_slices.clear();
-  };
 
-  // Accounts `current_a` at `power_w` for `dur` starting at `t0`.
-  // Returns the sustained duration: `dur` unless the battery died — in
-  // merge mode a slice rejected because an earlier flush emptied the
-  // cell returns 0 and death_t already holds the cutoff time.
-  auto accrue = [&](double t0, double dur, double current_a, double power_w,
-                    bool busy) -> double {
-    double sustained = dur;
-    if (battery != nullptr && !battery_dead) {
-      if (merging) {
-        if (win_open && win_span + dur > config_.battery_window_s + kEps) {
-          flush_window();
-        }
-        if (battery_dead) {
-          return 0.0;
-        }
-        if (dur >= config_.battery_window_s) {
-          // Constant stretch of at least a window (a long idle gap):
-          // one exact closed-form advance, no merging error at all.
-          flush_window();
-          if (battery_dead) {
-            return 0.0;
-          }
-          sustained = battery->draw(current_a, dur);
-          if (count_perf) {
-            ++res.perf.battery_draws;
-            ++res.perf.battery_interval_advances;
-          }
-          if (battery->empty()) {
-            battery_dead = true;
-            res.battery_died = true;
-            death_t = std::min(death_t, t0 + sustained);
-          }
-          res.charge_c += current_a * sustained;
-          res.energy_j += power_w * sustained;
-          if (busy) {
-            res.busy_s += sustained;
-          }
-          return sustained;
-        }
-        if (!win_open) {
-          win_open = true;
-          win_start = t0;
-          win_span = 0.0;
-          win_charge = 0.0;
-          s.win_slices.clear();
-          if (!obs_scheduled) {
-            q.push({t0 + config_.battery_window_s, EventKind::kBatteryObs,
-                    -1});
-            obs_scheduled = true;
-          }
-        }
-        win_span += dur;
-        win_charge += current_a * dur;
-        s.win_slices.push_back({dur, current_a, power_w, busy});
-        if (count_perf) {
-          ++res.perf.ticks_skipped;
-        }
-        return dur;  // applied to res at the flush
-      }
-      // Exact per-slice path (audit runs and window 0): one kernel draw
-      // per executed slice or idle gap.
-      sustained = battery->draw(current_a, dur);
-      if (count_perf) {
-        ++res.perf.battery_draws;
-      }
-      if (battery->empty()) {
-        battery_dead = true;
-        res.battery_died = true;
-        death_t = std::min(death_t, t0 + sustained);
-      }
-    }
-    if (config_.record_profile && sustained > 0.0) {
-      res.profile.add(sustained, current_a);
-    }
-    res.charge_c += current_a * sustained;
-    res.energy_j += power_w * sustained;
-    if (busy) {
-      res.busy_s += sustained;
-    }
-    return sustained;
-  };
-
-  const bool stochastic_prio = scheme_.priority->stochastic();
-  const bool need_estimate = scheme_.priority->uses_estimate();
-  // Estimator history is observable only through estimate() calls; when
-  // the priority never consults the estimator (Random and the fixed
-  // orderings), feeding its history is dead work the loop skips.
-  const bool feed_estimator = need_estimate;
-
-  // A run-constant DVS policy (noDVS, staticDVS) returns the same fref
-  // at every decision point; select it once and realize the plan here
-  // instead of per step. For the rest, realize() is memoized on fref:
-  // policies saturate (fmax under load, repeated clamps), and the
-  // mapping fref -> plan is pure.
-  const bool constant_dvs = scheme_.dvs->run_constant();
-  double cached_fref = -1.0;
-  dvs::FreqPlan cached_plan{};
-  if (constant_dvs) {
-    cached_fref = std::clamp(scheme_.dvs->select(s.statuses, 0.0), 0.0,
-                             proc_.fmax_hz());
-    cached_plan = dvs::realize(proc_, cached_fref);
-  }
-  // The status snapshot feeds exactly two readers: DvsPolicy::select and
-  // the feasibility guard. With a run-constant policy (select hoisted)
-  // and most-imminent scope (every candidate sits at EDF position 0, so
-  // the guard never fires), neither reader exists and the snapshot is
-  // dead work.
-  const bool need_statuses =
-      !constant_dvs || scheme_.scope == core::ReadyScope::kAllReleased;
-  // The debug cross-check compares the snapshot too, so it forces the
-  // write-through maintenance on even when no reader exists.
-  const bool maintain_statuses =
-      need_statuses || config_.check_incremental_state;
-  // Considered and dropped: a per-(graph, node) cache of estimate()
-  // results keyed on (instance, observe-epoch). Exact — the history
-  // estimator is a pure function of its observed history — but the
-  // interleaved A/B harness measured it ~5-8% SLOWER on the dense
-  // BAS-2 cell: the estimator's EMA read is already one array load, so
-  // the two-level cache indirection plus key compare cost more than
-  // the devirtualized call it elided (EXPERIMENTS.md, "Scheduler-loop
-  // perf").
-
-  // ---- persistent incremental state ---------------------------------
-  // s.edf, the status snapshot and the expiry watch are maintained
-  // across steps from here on: releases and the running node's
-  // bookkeeping are the only writers, so a per-step rebuild would be
-  // pure recomputation of unchanged state.
-  s.edf.clear();
-  s.released_batch.clear();
-  s.expiry.clear();
-  if (maintain_statuses) {
-    // Pre-first-release snapshot at t = 0: every instance is an empty
-    // node list (complete()) whose deadline 0 counts as expired — the
-    // bytes a from-scratch rebuild produces on the first step.
+    init_arrivals(s, cfg, n_graphs);
+    next_release_s = min_next_release(s);
+    s.queue.clear();
     for (int g = 0; g < n_graphs; ++g) {
-      auto& st = statuses[g];
-      st.abs_deadline_s = 0.0;
-      st.complete = true;
-      st.cc_wc_cycles = 0.0;
-      st.remaining_wc_cycles = 0.0;
+      const double first = s.arrivals[static_cast<std::size_t>(g)].next;
+      if (first != kInf) {
+        s.queue.push({first, EventKind::kRelease, g});
+      }
+    }
+
+    if (constant_dvs) {
+      cached_fref = std::clamp(scheme.dvs->select(s.statuses, 0.0), 0.0,
+                               proc.fmax_hz());
+      cached_plan = dvs::realize(proc, cached_fref);
+    }
+    // s.edf, the status snapshot and the expiry watch are maintained
+    // across steps from here on: releases and the running node's
+    // bookkeeping are the only writers, so a per-step rebuild would be
+    // pure recomputation of unchanged state.
+    s.edf.clear();
+    s.released_batch.clear();
+    s.expiry.clear();
+    if (maintain_statuses) {
+      // Pre-first-release snapshot at t = 0: every instance is an empty
+      // node list (complete()) whose deadline 0 counts as expired — the
+      // bytes a from-scratch rebuild produces on the first step.
+      for (int g = 0; g < n_graphs; ++g) {
+        auto& st = statuses[g];
+        st.abs_deadline_s = 0.0;
+        st.complete = true;
+        st.cc_wc_cycles = 0.0;
+        st.remaining_wc_cycles = 0.0;
+      }
     }
   }
-  const auto edf_less = [&](int a, int b) {
-    const double da = inst[a].deadline_s;
-    const double db = inst[b].deadline_s;
-    return da != db ? da < db : a < b;
-  };
 
-  // SimConfig::check_incremental_state: rebuild both maintained
-  // structures from scratch — the EDF order via insertion_sort — and
-  // require them element-for-element (and for the snapshot,
-  // byte-for-byte) identical.
-  auto check_state = [&](double now) {
-    s.edf_check.clear();
-    for (int g = 0; g < n_graphs; ++g) {
-      if (!inst[g].complete()) {
-        s.edf_check.push_back(g);
+  /// One iteration per decision point (a release batch or a node
+  /// completion) or idle jump.
+  void loop() {
+    while (true) {
+      ++perf.steps;
+      dispatch_due_events();
+      if ((!cfg.drain && t >= cfg.horizon_s - kEps) || res.battery_died) {
+        return;
       }
-    }
-    util::insertion_sort(s.edf_check, edf_less);
-    if (s.edf_check != s.edf) {
-      throw std::logic_error(
-          "Simulator: maintained EDF order diverged from rebuild");
-    }
-    for (int g = 0; g < n_graphs; ++g) {
-      const auto& ir = inst[g];
-      const auto& st = statuses[g];
-      const bool complete = ir.complete();
-      const bool expired = complete && now >= ir.deadline_s - kEps;
-      const double cc = expired ? 0.0 : ir.cc_wc;
-      if (st.abs_deadline_s != ir.deadline_s || st.complete != complete ||
-          st.cc_wc_cycles != cc ||
-          st.remaining_wc_cycles != ir.remaining_wc) {
-        throw std::logic_error(
-            "Simulator: write-through status snapshot diverged from "
-            "rebuild");
+      apply_release_batch();
+      if (cfg.check_incremental_state) {
+        check_state();
       }
-    }
-  };
-
-  while (true) {
-    if (count_perf) {
-      ++res.perf.steps;
-    }
-
-    // ---- 1. dispatch every event due now -----------------------------
-    if (!q.empty() && q.top().time <= t + kEps) {
-      bool released = false;
-      do {
-        const Event e = q.pop();
-        if (count_perf) {
-          ++res.perf.events_popped;
+      if (s.edf.empty()) {
+        if (!idle_jump()) {
+          return;
         }
-        switch (e.kind) {
-          case EventKind::kRelease: {
-            // Collect each graph once per batch; the EDF/status
-            // maintenance replays after the whole batch so the list is
-            // only ever searched with consistent keys (a graph may
-            // release twice at one instant under bursty arrivals).
-            bool seen = false;
-            for (const int other : s.released_batch) {
-              if (other == e.actor) {
-                seen = true;
-                break;
-              }
-            }
-            if (!seen) {
-              s.released_batch.push_back(e.actor);
-            }
-            release_instance(s, config_, e.actor, res, count_perf);
-            const double upcoming =
-                s.arrivals[static_cast<std::size_t>(e.actor)].next;
-            if (upcoming != kInf) {
-              q.push({upcoming, EventKind::kRelease, e.actor});
-            }
-            released = true;
-            break;
+        continue;
+      }
+      const dvs::FreqPlan& plan = select_plan();
+      build_candidates();
+      const ScoredCandidate& chosen = choose(plan);
+      if (!execute(chosen.cand, plan)) {
+        return;
+      }
+    }
+  }
+
+  /// Settles the battery: flushes whatever the last window holds, then
+  /// pins the end time to the cutoff if the cell emptied.
+  SimResult settle() {
+    flush_window();
+    if (res.battery_died) {
+      t = death_t;
+    }
+    if (scratch_caps() != caps_at_start) {
+      ++perf.scratch_grows;
+    }
+    res.end_time_s = t;
+    if (battery != nullptr) {
+      res.battery_lifetime_s = battery->time_alive_s();
+      res.battery_delivered_mah = battery->charge_delivered_mah();
+    }
+    if (cfg.record_perf_counters) {
+      res.perf = perf;
+      if (battery != nullptr) {
+        res.perf.kernel = battery->kernel_counters();
+      }
+    }
+    return std::move(res);
+  }
+
+  /// Phase 1: pops every event due now. Releases are applied to their
+  /// instance at once and collected, each graph once, into the batch
+  /// apply_release_batch() replays; a battery observation flushes the
+  /// merge window.
+  void dispatch_due_events() {
+    EventQueue& q = s.queue;
+    bool released = false;
+    while (!q.empty() && q.top().time <= t + kEps) {
+      const Event e = q.pop();
+      ++perf.events_popped;
+      switch (e.kind) {
+        case EventKind::kRelease: {
+          // The EDF/status maintenance replays after the whole batch so
+          // the list is only ever searched with consistent keys (a graph
+          // may release twice at one instant under bursty arrivals).
+          auto& batch = s.released_batch;
+          if (std::find(batch.begin(), batch.end(), e.actor) == batch.end()) {
+            batch.push_back(e.actor);
           }
-          case EventKind::kBatteryObs:
-            obs_scheduled = false;
-            flush_window();
-            break;
-          case EventKind::kHorizon:
-          case EventKind::kCompletion:
-            // Horizon is handled by the time check below; completions
-            // live in the running-slice register, never in the queue.
-            break;
+          release(e.actor);
+          const double upcoming =
+              s.arrivals[static_cast<std::size_t>(e.actor)].next;
+          if (upcoming != kInf) {
+            q.push({upcoming, EventKind::kRelease, e.actor});
+          }
+          released = true;
+          break;
         }
-      } while (!q.empty() && q.top().time <= t + kEps);
-      if (released) {
-        next_release_s = min_next_release(s);
+        case EventKind::kBatteryObs:
+          obs_scheduled = false;
+          flush_window();
+          break;
+        case EventKind::kCompletion:  // only ever in the running-slice register
+          break;
       }
     }
-
-    if (!config_.drain && t >= config_.horizon_s - kEps) {
-      break;
+    if (released) {
+      next_release_s = min_next_release(s);
     }
-    if (battery_dead) {
-      break;
-    }
+  }
 
-    // ---- 2. incremental maintenance: releases + expiry ---------------
-    // The maintained EDF order and snapshot can only have moved at the
-    // releases the batch above dispatched; time passing additionally
-    // carries complete instances across their deadline, which the
-    // expiry watch applies. Everything else is unchanged state a
-    // per-step rebuild would recompute for nothing.
+  /// Releases graph g's next instance at time arrivals[g].next and
+  /// advances the stream: single-buffered supersede counts a deadline
+  /// miss, node actuals are drawn from the stateless per-(instance, node)
+  /// keys, and the ready list starts as the no-predecessor ids in
+  /// ascending order.
+  void release(int g) {
+    auto& ir = inst[g];
+    auto& ar = s.arrivals[static_cast<std::size_t>(g)];
+    const auto& gs = s.statics[static_cast<std::size_t>(g)];
+    if (s.released_count[static_cast<std::size_t>(g)] > 0 && !ir.complete()) {
+      ++res.deadline_misses;  // previous instance overran into this release
+    }
+    ir.number = s.released_count[static_cast<std::size_t>(g)];
+    ir.release_s = ar.next;
+    ir.deadline_s = ir.release_s + gs.deadline_s;
+    ar.prev = ar.next;
+    if (ar.next != kInf) {
+      const double upcoming = ar.process->next_release(ar.prev, ar.rng);
+      ar.next = upcoming < cfg.horizon_s - kEps ? upcoming : kInf;
+    }
+    const std::size_t n_nodes = gs.nodes.size();
+    if (ir.nodes.size() != n_nodes) {
+      if (ir.nodes.capacity() < n_nodes) {
+        ++perf.scratch_grows;
+      }
+      ir.nodes.resize(n_nodes);
+    }
+    ir.done_count = 0;
+    ir.ready.clear();
+    for (tg::NodeId id = 0; id < n_nodes; ++id) {
+      const auto& ns = gs.nodes[id];
+      auto& nr = ir.nodes[id];
+      nr.wc = ns.wc;
+      nr.ac = draw_actual(cfg, ns, ir.number);
+      nr.remaining_ac = nr.ac;
+      nr.pending_preds = ns.pred_count;
+      if (ns.pred_count == 0) {
+        ir.ready.push_back(id);
+      }
+    }
+    // Σ wc over the release loop is the same node-order fold
+    // total_wcet_cycles() performs, precomputed in the constructor.
+    ir.cc_wc = gs.total_wc_cycles;
+    ir.remaining_wc = gs.total_wc_cycles;
+    ++s.released_count[static_cast<std::size_t>(g)];
+    ++res.instances_released;
+    trace_instant("release", g, ir.number, ir.release_s);
+  }
+
+  /// Phase 2: incremental maintenance. The maintained EDF order and
+  /// snapshot can only have moved at the releases the batch dispatched;
+  /// time passing additionally carries complete instances across their
+  /// deadline, which the expiry watch applies. Everything else is
+  /// unchanged state a per-step rebuild would recompute for nothing.
+  void apply_release_batch() {
     if (!s.released_batch.empty()) {
       // Pass 1: drop entries keyed under superseded deadlines, so the
-      // re-inserts below only ever search a list whose keys are
-      // current (inst[g].deadline_s already moved for the whole batch).
+      // re-inserts below only ever search a list whose keys are current
+      // (inst[g].deadline_s already moved for the whole batch).
       for (const int rg : s.released_batch) {
         const auto it = std::find(s.edf.begin(), s.edf.end(), rg);
         if (it != s.edf.end()) {
           s.edf.erase(it);
-          if (count_perf) {
-            ++res.perf.edf_incremental_ops;
-          }
+          ++perf.edf_incremental_ops;
         }
         if (maintain_statuses && !s.expiry.empty()) {
-          const auto we =
-              std::find_if(s.expiry.begin(), s.expiry.end(),
-                           [rg](const std::pair<double, int>& e) {
-                             return e.second == rg;
-                           });
+          const auto we = std::find_if(s.expiry.begin(), s.expiry.end(),
+                                       [rg](const std::pair<double, int>& e) {
+                                         return e.second == rg;
+                                       });
           if (we != s.expiry.end()) {
             s.expiry.erase(we);
           }
         }
       }
-      // Pass 2: insert the fresh instances at their (deadline, id)
-      // slots. Same comparator total order as the rebuild's sort, so
-      // the maintained list is the unique sequence insertion_sort
-      // produces — element for element.
+      // Pass 2: insert the fresh instances at their (deadline, id) slots.
+      // Same comparator total order as the rebuild's sort, so the
+      // maintained list is the unique sequence insertion_sort produces —
+      // element for element.
       for (const int rg : s.released_batch) {
         const auto& ir = inst[rg];
         if (!ir.complete()) {
           util::insert_sorted(s.edf, rg, edf_less);
-          if (count_perf) {
-            ++res.perf.edf_incremental_ops;
-          }
+          ++perf.edf_incremental_ops;
         }
         if (maintain_statuses) {
           auto& st = statuses[rg];
@@ -803,59 +669,91 @@ SimResult Simulator::run(bat::Battery* battery) {
       s.released_batch.clear();
     }
     if (maintain_statuses) {
-      // Expiry watch: a complete instance's cc_wc_cycles drops to 0
-      // the moment t passes its deadline — the rebuild's `expired`
-      // rule with the same epsilon, applied once per crossing instead
-      // of re-derived per step per graph.
+      // Expiry watch: a complete instance's cc_wc_cycles drops to 0 the
+      // moment t passes its deadline — the rebuild's `expired` rule with
+      // the same epsilon, applied once per crossing instead of re-derived
+      // per step per graph.
       while (!s.expiry.empty() && t >= s.expiry.front().first - kEps) {
         statuses[s.expiry.front().second].cc_wc_cycles = 0.0;
         s.expiry.erase(s.expiry.begin());
       }
     }
-    if (config_.check_incremental_state) {
-      check_state(t);
-    }
+  }
 
-    if (s.edf.empty()) {
-      // Jump the whole idle gap to the next release (or the horizon).
-      double t_next = next_release_s;
-      if (t_next == kInf) {
-        if (config_.drain || t >= config_.horizon_s - kEps) {
-          break;  // drained: nothing in flight, nothing to release
-        }
-        t_next = config_.horizon_s;
+  /// SimConfig::check_incremental_state: rebuilds both maintained
+  /// structures from scratch — the EDF order via insertion_sort — and
+  /// requires them element-for-element (and for the snapshot,
+  /// byte-for-byte) identical.
+  void check_state() const {
+    s.edf_check.clear();
+    for (int g = 0; g < n_graphs; ++g) {
+      if (!inst[g].complete()) {
+        s.edf_check.push_back(g);
       }
-      const double dt = t_next - t;
-      if (dt > 0.0) {
-        if (count_perf) {
-          res.perf.idle_time_jumped_s += dt;
-        }
-        accrue(t, dt, proc_.idle_current_a(), 0.0, false);
-        if (battery_dead) {
-          break;
-        }
-      }
-      t = t_next;
-      continue;
     }
+    util::insertion_sort(s.edf_check, edf_less);
+    if (s.edf_check != s.edf) {
+      throw std::logic_error(
+          "Simulator: maintained EDF order diverged from rebuild");
+    }
+    for (int g = 0; g < n_graphs; ++g) {
+      const auto& ir = inst[g];
+      const auto& st = statuses[g];
+      const bool complete = ir.complete();
+      const bool expired = complete && t >= ir.deadline_s - kEps;
+      const double cc = expired ? 0.0 : ir.cc_wc;
+      if (st.abs_deadline_s != ir.deadline_s || st.complete != complete ||
+          st.cc_wc_cycles != cc || st.remaining_wc_cycles != ir.remaining_wc) {
+        throw std::logic_error(
+            "Simulator: write-through status snapshot diverged from rebuild");
+      }
+    }
+  }
 
-    // ---- 4. frequency selection (the scheme's DVS half) --------------
+  /// Phase 3, nothing ready: jumps the whole idle gap to the next release
+  /// (or the horizon). Returns false when the run is over — drained, or
+  /// the cell emptied inside the gap.
+  bool idle_jump() {
+    double t_next = next_release_s;
+    if (t_next == kInf) {
+      if (cfg.drain || t >= cfg.horizon_s - kEps) {
+        return false;  // drained: nothing in flight, nothing to release
+      }
+      t_next = cfg.horizon_s;
+    }
+    const double dt = t_next - t;
+    if (dt > 0.0) {
+      perf.idle_time_jumped_s += dt;
+      accrue(t, dt, proc.idle_current_a(), 0.0, false);
+      if (res.battery_died) {
+        return false;
+      }
+    }
+    t = t_next;
+    return true;
+  }
+
+  /// Phase 4: frequency selection, the scheme's DVS half.
+  const dvs::FreqPlan& select_plan() {
     if (!constant_dvs) {
-      const double fref = std::clamp(scheme_.dvs->select(s.statuses, t), 0.0,
-                                     proc_.fmax_hz());
+      const double fref = std::clamp(scheme.dvs->select(s.statuses, t), 0.0,
+                                     proc.fmax_hz());
       if (fref != cached_fref) {
         cached_fref = fref;
-        cached_plan = dvs::realize(proc_, fref);
+        cached_plan = dvs::realize(proc, fref);
       }
     }
-    const auto& plan = cached_plan;
+    return cached_plan;
+  }
 
-    // ---- 5. ready list + priority order (the ordering half) ----------
-    // Candidates are enumerated in EDF order, ascending node id within
-    // a graph; a stochastic priority's draw stream follows that order.
+  /// Phase 5a: the ready list in the scheme's scope, scored by its
+  /// priority. Candidates are enumerated in EDF order, ascending node id
+  /// within a graph; a stochastic priority's draw stream follows that
+  /// order.
+  void build_candidates() {
     s.candidates.clear();
     const std::size_t scan_depth =
-        scheme_.scope == core::ReadyScope::kAllReleased ? s.edf.size() : 1;
+        scheme.scope == core::ReadyScope::kAllReleased ? s.edf.size() : 1;
     for (std::size_t pos = 0; pos < scan_depth; ++pos) {
       const int g = s.edf[pos];
       const auto& ir = inst[g];
@@ -874,77 +772,62 @@ SimResult Simulator::run(bat::Battery* battery) {
         sc.score = 0.0;
       }
     }
-    const std::size_t n_cand = s.candidates.size();
-    if (count_perf) {
-      res.perf.candidates_scored += n_cand;
-    }
+    perf.candidates_scored += s.candidates.size();
     // A lone candidate needs no order — unless the priority consumes
     // randomness, in which case it is scored anyway so its draw stream
     // advances once per candidate at every decision point.
-    const bool do_score = n_cand > 1 || stochastic_prio;
-    if (do_score) {
-      for (auto& sc : s.candidates) {
-        if (need_estimate) {
-          const auto& nr = inst[sc.cand.graph].nodes[sc.cand.node];
-          const double full_estimate = scheme_.estimator->estimate(
-              sc.cand.graph, sc.cand.node, nr.wc, nr.ac);
-          sc.cand.estimate_cycles =
-              std::max(full_estimate - nr.executed(), kCycleEps);
-        }
-        sc.score = scheme_.priority->score(sc.cand, t);
-      }
+    if (s.candidates.size() < 2 && !stochastic_prio) {
+      return;
     }
+    for (auto& sc : s.candidates) {
+      if (need_estimate) {
+        const auto& nr = inst[sc.cand.graph].nodes[sc.cand.node];
+        const double full_estimate = scheme.estimator->estimate(
+            sc.cand.graph, sc.cand.node, nr.wc, nr.ac);
+        sc.cand.estimate_cycles =
+            std::max(full_estimate - nr.executed(), kCycleEps);
+      }
+      sc.score = scheme.priority->score(sc.cand, t);
+    }
+  }
 
-    // Selection: the unique (score, graph, node) minimum, falling back
-    // to the fully sorted walk only when that minimum fails the
-    // feasibility guard (rare) — the same chosen candidate a
-    // sort-then-walk over every candidate produces.
-    auto cand_less = [](const ScoredCandidate& a, const ScoredCandidate& b) {
-      if (a.score != b.score) {
-        return a.score < b.score;
-      }
-      if (a.cand.graph != b.cand.graph) {
-        return a.cand.graph < b.cand.graph;
-      }
-      return a.cand.node < b.cand.node;
-    };
-    auto feasible = [&](const ScoredCandidate& sc) {
+  /// Phase 5b: the unique (score, graph, node) minimum, falling back to
+  /// the fully sorted walk only when that minimum fails the feasibility
+  /// guard (rare) — the same chosen candidate a sort-then-walk over every
+  /// candidate produces. The EDF-first graph always offers a candidate,
+  /// and position 0 is never guarded.
+  const ScoredCandidate& choose(const dvs::FreqPlan& plan) {
+    const auto feasible = [&](const ScoredCandidate& sc) {
       return sc.cand.edf_position == 0 ||
              sched::feasibility_check(s.statuses, s.edf, sc.cand.edf_position,
                                       sc.cand.wc_cycles,
                                       plan.effective_freq_hz, t);
     };
-    const ScoredCandidate* chosen = nullptr;
-    if (n_cand == 1) {
-      chosen = &s.candidates[0];  // pos 0 by construction: unguarded
-    } else {
-      const ScoredCandidate* best = &s.candidates[0];
-      for (std::size_t i = 1; i < n_cand; ++i) {
-        if (cand_less(s.candidates[i], *best)) {
-          best = &s.candidates[i];
-        }
-      }
-      if (feasible(*best)) {
-        chosen = best;
-      } else {
-        util::insertion_sort(s.candidates, cand_less);
-        for (const auto& sc : s.candidates) {
-          if (feasible(sc)) {
-            chosen = &sc;
-            break;
-          }
-        }
+    const ScoredCandidate* best = &s.candidates[0];
+    for (std::size_t i = 1; i < s.candidates.size(); ++i) {
+      if (cand_less(s.candidates[i], *best)) {
+        best = &s.candidates[i];
       }
     }
-    // The most-imminent graph always offers an unguarded candidate.
-    if (chosen == nullptr) {
-      throw std::logic_error("Simulator: no feasible candidate (bug)");
+    if (feasible(*best)) {
+      return *best;
     }
+    util::insertion_sort(s.candidates, cand_less);
+    for (const auto& sc : s.candidates) {
+      if (feasible(sc)) {
+        return sc;
+      }
+    }
+    throw std::logic_error("Simulator: no feasible candidate (bug)");
+  }
 
-    // ---- 6. run the chosen node until completion or next release -----
-    const int g = chosen->cand.graph;
+  /// Phase 6: runs the chosen node until it completes or the next release
+  /// preempts it, then books the executed cycles. Returns false when the
+  /// cell emptied inside the slice.
+  bool execute(const sched::Candidate& c, const dvs::FreqPlan& plan) {
+    const int g = c.graph;
     auto& ir = inst[g];
-    auto& nr = ir.nodes[chosen->cand.node];
+    auto& nr = ir.nodes[c.node];
 
     const double full_duration = nr.remaining_ac / plan.effective_freq_hz;
     const double t_release = next_release_s;
@@ -964,143 +847,247 @@ SimResult Simulator::run(bat::Battery* battery) {
     }
 
     double executed_cycles = 0.0;
-    double t_now = t;
     for (std::size_t p = 0; p < n_phases; ++p) {
       const auto& ph = phase_buf[p];
       const double dt = ph.end - ph.start;
       if (dt <= 0.0) {
         continue;
       }
-      const double current = proc_.battery_current_a(ph.op);
-      const double power = proc_.core_power_w(ph.op);
-      const double sustained = accrue(t_now, dt, current, power, true);
+      const double current = proc.battery_current_a(ph.op);
+      const double power = proc.core_power_w(ph.op);
+      const double sustained = accrue(t, dt, current, power, true);
       executed_cycles += ph.op.freq_hz * sustained;
-      if (config_.record_trace && sustained > 0.0) {
-        res.trace.push_back(ExecSlice{g, ir.number, chosen->cand.node,
-                                      t_now, t_now + sustained,
-                                      ph.op.freq_hz, current});
+      if (cfg.record_trace && sustained > 0.0) {
+        res.trace.push_back(ExecSlice{g, ir.number, c.node, t, t + sustained,
+                                      ph.op.freq_hz, current, ir.release_s,
+                                      ir.deadline_s});
       }
       if (tlog != nullptr && sustained > 0.0) {
         char name[48];
         std::snprintf(name, sizeof(name), "g%d/n%u i%llu", g,
-                      static_cast<unsigned>(chosen->cand.node),
+                      static_cast<unsigned>(c.node),
                       static_cast<unsigned long long>(ir.number));
-        tlog->span(name, obs::kSimPid, g, t_now * 1e6, sustained * 1e6);
+        tlog->span(name, obs::kSimPid, g, t * 1e6, sustained * 1e6);
       }
       if (current > last_busy_current + 1e-12) {
         ++res.frequency_increases;
       }
       last_busy_current = current;
-      t_now += sustained;
-      if (battery_dead) {
+      t += sustained;
+      if (res.battery_died) {
         break;
       }
     }
-    t = t_now;
 
-    // ---- 7. bookkeeping ----------------------------------------------
     executed_cycles = std::min(executed_cycles, nr.remaining_ac);
     nr.remaining_ac -= executed_cycles;
     ir.remaining_wc = std::max(0.0, ir.remaining_wc - executed_cycles);
-
-    if (battery_dead) {
-      break;
+    if (res.battery_died) {
+      return false;
     }
-
-    bool node_completed = false;
-    bool instance_completed = false;
     if (nr.remaining_ac <= kCycleEps) {
-      // The running-slice register dispatches its completion here —
-      // the kCompletion arm of the event taxonomy.
-      if (count_perf) {
-        ++res.perf.events_popped;
-      }
-      node_completed = true;
-      nr.remaining_ac = 0.0;
-      nr.done = true;
-      ++ir.done_count;
-      ++res.nodes_executed;
-      // Completion adjustments (paper Algorithm 1): the instance's WCi
-      // swaps this node's wc for its actual; remaining worst case drops
-      // by the wc that was never going to run.
-      ir.cc_wc += nr.ac - nr.wc;
-      ir.remaining_wc = std::max(0.0, ir.remaining_wc - (nr.wc - nr.ac));
-      auto& rd = ir.ready;
-      rd.erase(std::lower_bound(rd.begin(), rd.end(), chosen->cand.node));
-      const auto& graph = graph_at(g);
-      for (tg::NodeId succ : graph.successors(chosen->cand.node)) {
-        if (--ir.nodes[succ].pending_preds == 0) {
-          rd.insert(std::lower_bound(rd.begin(), rd.end(), succ), succ);
-        }
-      }
-      if (feed_estimator) {
-        scheme_.estimator->observe(g, chosen->cand.node, nr.ac);
-      }
-      if (ir.complete()) {
-        instance_completed = true;
-        ++res.instances_completed;
-        if (t > ir.deadline_s + 1e-6) {
-          ++res.deadline_misses;
-        }
-        if (tlog != nullptr) {
-          char args[64];
-          std::snprintf(args, sizeof(args),
-                        "{\"graph\": %d, \"instance\": %llu}", g,
-                        static_cast<unsigned long long>(ir.number));
-          tlog->instant("complete", obs::kSimPid, g, t * 1e6, args);
-        }
-      }
-    } else if (run_until >= t_release - kEps) {
+      complete_node(c);
+      return true;
+    }
+    if (run_until >= t_release - kEps) {
       ++res.preemptions;
     }
+    if (maintain_statuses) {
+      statuses[g].remaining_wc_cycles = ir.remaining_wc;
+    }
+    return true;
+  }
 
-    // ---- 8. incremental maintenance: only the running graph moved ----
+  /// Phase 7: the running-slice register dispatches its completion — the
+  /// kCompletion arm of the event taxonomy. Only the running graph's
+  /// maintained state moves.
+  void complete_node(const sched::Candidate& c) {
+    const int g = c.graph;
+    auto& ir = inst[g];
+    auto& nr = ir.nodes[c.node];
+    ++perf.events_popped;
+    nr.remaining_ac = 0.0;
+    ++ir.done_count;
+    ++res.nodes_executed;
+    // Completion adjustments (paper Algorithm 1): the instance's WCi swaps
+    // this node's wc for its actual; remaining worst case drops by the wc
+    // that was never going to run.
+    ir.cc_wc += nr.ac - nr.wc;
+    ir.remaining_wc = std::max(0.0, ir.remaining_wc - (nr.wc - nr.ac));
+    auto& rd = ir.ready;
+    rd.erase(std::lower_bound(rd.begin(), rd.end(), c.node));
+    for (tg::NodeId succ :
+         set.graph(static_cast<std::size_t>(g)).successors(c.node)) {
+      if (--ir.nodes[succ].pending_preds == 0) {
+        rd.insert(std::lower_bound(rd.begin(), rd.end(), succ), succ);
+      }
+    }
+    if (need_estimate) {
+      scheme.estimator->observe(g, c.node, nr.ac);
+    }
+
+    const bool instance_done = ir.complete();
     if (maintain_statuses) {
       auto& st = statuses[g];
       st.remaining_wc_cycles = ir.remaining_wc;
-      if (instance_completed) {
-        st.complete = true;
-        if (t >= ir.deadline_s - kEps) {
-          st.cc_wc_cycles = 0.0;  // completed at/after its deadline
-        } else {
-          st.cc_wc_cycles = ir.cc_wc;
-          util::insert_sorted(s.expiry, {ir.deadline_s, g},
-                              std::less<std::pair<double, int>>{});
-        }
-      } else if (node_completed) {
+      if (!instance_done) {
         st.cc_wc_cycles = ir.cc_wc;
+      } else if (t >= ir.deadline_s - kEps) {
+        st.complete = true;
+        st.cc_wc_cycles = 0.0;  // completed at/after its deadline
+      } else {
+        st.complete = true;
+        st.cc_wc_cycles = ir.cc_wc;
+        util::insert_sorted(s.expiry, {ir.deadline_s, g},
+                            std::less<std::pair<double, int>>{});
       }
     }
-    if (instance_completed) {
+    if (instance_done) {
+      ++res.instances_completed;
+      if (t > ir.deadline_s + 1e-6) {
+        ++res.deadline_misses;
+      }
+      trace_instant("complete", g, ir.number, t);
       // edf_position indexes the maintained list, which nothing has
       // touched since the candidate build read it.
-      s.edf.erase(s.edf.begin() + chosen->cand.edf_position);
-      if (count_perf) {
-        ++res.perf.edf_incremental_ops;
+      s.edf.erase(s.edf.begin() + c.edf_position);
+      ++perf.edf_incremental_ops;
+    }
+  }
+
+  /// Accounts `current_a` at `power_w` for `dur` starting at `t0`.
+  /// Returns the sustained duration: `dur` unless the battery died — in
+  /// merge mode a slice rejected because an earlier flush emptied the
+  /// cell returns 0 and death_t already holds the cutoff time.
+  double accrue(double t0, double dur, double current_a, double power_w,
+                bool busy) {
+    double sustained = dur;
+    if (battery != nullptr && !res.battery_died) {
+      if (merging) {
+        const double window = cfg.battery_window_s;
+        if (win_open && (win_span + dur > window + kEps || dur >= window)) {
+          flush_window();
+        }
+        if (res.battery_died) {
+          return 0.0;
+        }
+        if (dur < window) {
+          if (!win_open) {
+            win_open = true;
+            win_start = t0;
+            win_span = 0.0;
+            win_charge = 0.0;
+            s.win_slices.clear();
+            if (!obs_scheduled) {
+              s.queue.push({t0 + window, EventKind::kBatteryObs, -1});
+              obs_scheduled = true;
+            }
+          }
+          win_span += dur;
+          win_charge += current_a * dur;
+          s.win_slices.push_back({dur, current_a, power_w, busy});
+          ++perf.ticks_skipped;
+          return dur;  // attributed at the flush
+        }
+        // Constant stretch of at least a window (a long idle gap): one
+        // exact closed-form advance, no merging error at all.
+        ++perf.battery_interval_advances;
+      }
+      // Otherwise the exact per-slice path (audit runs and window 0): one
+      // kernel draw per executed slice or idle gap.
+      sustained = battery->draw(current_a, dur);
+      ++perf.battery_draws;
+      note_emptied(t0, sustained);
+    }
+    if (cfg.record_profile && sustained > 0.0) {
+      res.profile.add(sustained, current_a);
+    }
+    attribute(sustained, current_a, power_w, busy);
+    return sustained;
+  }
+
+  /// Advances the kernel over the open window in one charge-equivalent
+  /// mean-current call, then attributes the buffered slices exactly up to
+  /// the sustained duration (the whole window unless the cell hit cutoff
+  /// inside it).
+  void flush_window() {
+    if (!win_open) {
+      return;
+    }
+    win_open = false;
+    if (win_span > 0.0) {
+      const double sustained = battery->advance_interval(win_charge, win_span);
+      ++perf.battery_draws;
+      ++perf.battery_interval_advances;
+      note_emptied(win_start, sustained);
+      double remaining = sustained;
+      for (const auto& sl : s.win_slices) {
+        const double take = std::min(sl.dur, remaining);
+        if (take <= 0.0) {
+          break;
+        }
+        attribute(take, sl.current_a, sl.power_w, sl.busy);
+        remaining -= take;
       }
     }
+    s.win_slices.clear();
   }
 
-  // Settle the battery: flush whatever the last window holds, then pin
-  // the end time to the cutoff if the cell emptied.
-  flush_window();
-  if (res.battery_died) {
-    t = death_t;
-  }
-
-  if (count_perf && scratch_caps() != caps_at_start) {
-    ++res.perf.scratch_grows;
-  }
-
-  res.end_time_s = t;
-  if (battery != nullptr) {
-    res.battery_lifetime_s = battery->time_alive_s();
-    res.battery_delivered_mah = battery->charge_delivered_mah();
-    if (count_perf) {
-      res.perf.kernel = battery->kernel_counters();
+  /// Records the cell emptying, if the kernel call that sustained
+  /// `sustained` seconds from `t0` emptied it.
+  void note_emptied(double t0, double sustained) {
+    if (battery->empty()) {
+      res.battery_died = true;
+      death_t = std::min(death_t, t0 + sustained);
     }
   }
-  return res;
+
+  /// Charges `dur` seconds at `current_a` / `power_w` to the result.
+  void attribute(double dur, double current_a, double power_w, bool busy) {
+    res.charge_c += current_a * dur;
+    res.energy_j += power_w * dur;
+    if (busy) {
+      res.busy_s += dur;
+    }
+  }
+
+  /// A release or completion marker on graph g's sim-time track. The
+  /// fixed names are what the trace-based arrival-rate diagnostic counts
+  /// (tests/test_arrival.cpp).
+  void trace_instant(const char* name, int g, std::uint32_t number,
+                     double at_s) const {
+    if (tlog == nullptr) {
+      return;
+    }
+    char args[64];
+    std::snprintf(args, sizeof(args), "{\"graph\": %d, \"instance\": %llu}", g,
+                  static_cast<unsigned long long>(number));
+    tlog->instant(name, obs::kSimPid, g, at_s * 1e6, args);
+  }
+
+  std::size_t scratch_caps() const {
+    std::size_t caps = s.edf.capacity() + s.candidates.capacity() +
+                       s.statuses.capacity() + s.queue.capacity() +
+                       s.win_slices.capacity() + s.released_batch.capacity() +
+                       s.expiry.capacity() + s.edf_check.capacity();
+    for (const auto& ir : s.inst) {
+      caps += ir.ready.capacity();
+    }
+    return caps;
+  }
+};
+
+}  // namespace
+
+SimResult Simulator::run(bat::Battery* battery) {
+  scheme_.reset();
+  if (battery != nullptr) {
+    battery->reset();
+  }
+  reset_run_state(*scratch_, set_.size());
+  Run r(set_, proc_, scheme_, config_, *scratch_, battery);
+  r.loop();
+  return r.settle();
 }
 
 SimResult simulate_scheme(const tg::TaskGraphSet& set,

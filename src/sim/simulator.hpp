@@ -3,7 +3,7 @@
 // task-graph set on a DVS processor, optionally discharging a battery
 // inline — the experimental apparatus behind every table and figure.
 // One loop (simulator.cpp): a priority queue of (time, kind, actor)
-// events — releases, battery observations, horizon — with battery
+// events — releases and battery observations — with battery
 // decay/recovery evaluated over merged intervals in one closed-form
 // kernel call (SimConfig::battery_window_s; EXPERIMENTS.md,
 // "Event-driven core" has the numerical-equivalence argument).
@@ -90,11 +90,11 @@ struct SimConfig {
   bool record_trace = false;
   /// Record the battery-current load profile.
   bool record_profile = true;
-  /// Count hot-path work (scheduling steps, battery draws, scratch-
-  /// buffer growth) into SimResult::perf. Counters are instrumentation
-  /// only — they never enter a sink or a cache record, so recording
-  /// them cannot perturb the byte-identity contract. The perf bench
-  /// (bench/perf_hotpath) flips this on to normalize its timings.
+  /// Copy the hot-path work counters (always counted) into
+  /// SimResult::perf; otherwise it stays zero. Counters are
+  /// instrumentation only — they never enter a sink or a cache record,
+  /// so recording them cannot perturb the byte-identity contract. The
+  /// perf benches flip this on to normalize their timings.
   bool record_perf_counters = false;
   /// Debug cross-check of the incrementally maintained scheduler
   /// state: at every decision point the simulator additionally rebuilds
@@ -117,14 +117,16 @@ struct SimConfig {
   /// it everywhere.
   double battery_window_s = 5.0;
   /// Optional Chrome-trace sink (obs/trace_log.hpp), not owned. When
-  /// attached the simulator emits release/completion instants and — with
-  /// record_trace — per-node execution spans on the sim-time track.
+  /// attached the simulator emits release/completion instants and
+  /// per-node execution spans on the sim-time track (record_trace or
+  /// not).
   /// Instrumentation only: never enters a fingerprint, sink or store
   /// record, so attaching a log leaves every result byte-identical.
   obs::TraceLog* trace_log = nullptr;
 };
 
-/// Hot-path work counters (SimConfig::record_perf_counters).
+/// Hot-path work counters, counted on every run and reported under
+/// SimConfig::record_perf_counters.
 struct PerfCounters {
   /// Scheduling-loop iterations — decision points visited (releases,
   /// completions, idle hops). The denominator behind steps/sec.
@@ -138,8 +140,8 @@ struct PerfCounters {
   /// allocate or grow. Steady state should hold this at a small warmup
   /// constant — the zero-alloc property bench/perf_hotpath tracks.
   std::uint64_t scratch_grows = 0;
-  /// Events dispatched from the queue (releases, battery observations,
-  /// horizon) plus completion dispatches of the running-slice register.
+  /// Events dispatched from the queue (releases, battery observations)
+  /// plus completion dispatches of the running-slice register.
   std::uint64_t events_popped = 0;
   /// Executed slices whose battery evaluation was deferred into a merge
   /// window instead of an individual kernel call — per-slice draws
@@ -194,7 +196,7 @@ struct SimResult {
 
   bat::LoadProfile profile;       // when record_profile
   std::vector<ExecSlice> trace;   // when record_trace
-  PerfCounters perf;              // when record_perf_counters
+  PerfCounters perf;              // when record_perf_counters, else 0
 
   bool battery_attached = false;
   bool battery_died = false;

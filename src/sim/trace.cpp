@@ -89,17 +89,16 @@ TraceAudit audit_trace(const std::vector<ExecSlice>& trace,
 
   for (auto& [key, slices] : instances) {
     const auto& graph = set.graph(static_cast<std::size_t>(key.graph));
-    const double release = key.instance * graph.period();
-    const double deadline = release + graph.deadline();
 
     std::sort(slices.begin(), slices.end(),
               [](const ExecSlice* a, const ExecSlice* b) {
                 return a->start_s < b->start_s;
               });
 
-    // Window containment.
+    // Window containment, against the window each slice recorded.
     for (const auto* s : slices) {
-      if (s->start_s < release - kTol || s->end_s > deadline + kTol) {
+      if (s->start_s < s->release_s - kTol ||
+          s->end_s > s->deadline_s + kTol) {
         std::ostringstream what;
         what << "graph " << key.graph << " instance " << key.instance
              << " executed outside its window at t=" << s->start_s;

@@ -29,6 +29,10 @@ struct ExecSlice {
   double end_s = 0.0;
   double freq_hz = 0.0;
   double current_a = 0.0;
+  /// The instance's real [release, deadline] window, copied from the
+  /// simulator's instance state (releases need not be k * period).
+  double release_s = 0.0;
+  double deadline_s = 0.0;
 };
 
 struct TraceAudit {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Differential bit-identity smoke (ctest: golden_bit_identity).
 #
-# Two battery modes, two golden sets:
+# Two battery modes, two golden sets, plus one battery-less golden:
 #
 #   *_window0.csv — battery merging off (--scenario.battery-window=0):
 #                   one kernel draw per executed slice. These bytes were
@@ -22,6 +22,12 @@
 # cache + merge campaign path, so shard/merge byte-identity is covered
 # per mode as well.
 #
+#   fig6_smoke.csv — fig6_ordering_schemes: no battery, laEDF with the
+#                   Random/LTF/pUBS orderings in both scopes against
+#                   the near-optimal reference. It is the only golden
+#                   on the energy-only path, so it runs once, outside
+#                   the battery-mode loop.
+#
 # If a future change moves the bytes ON PURPOSE (a genuine semantic
 # change, not a perf transformation), regenerate with the commands below
 # and say so in the PR. The window-0 goldens should only ever be
@@ -33,14 +39,17 @@
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
 #   (append --scenario.battery-window=0 for the *_window0.csv variants)
+#   fig6_ordering_schemes --sets 2 --jobs 2 --csv tests/golden/fig6_smoke.csv
 #
-# Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress golden_dir
+# Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress \
+#            /path/to/fig6_ordering_schemes golden_dir
 
 set -euo pipefail
 
 table2="$1"
 arrival="$2"
-golden="$3"
+fig6="$3"
+golden="$4"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -78,3 +87,7 @@ for mode in default window0; do
 
   echo "golden outputs ($mode): OK"
 done
+
+"$fig6" --sets 2 --jobs 2 --csv "$work/fig6.csv" > /dev/null
+cmp "$golden/fig6_smoke.csv" "$work/fig6.csv"
+echo "golden outputs (fig6, no battery): OK"

@@ -416,6 +416,10 @@ TEST(ArrivalSim, DeadlinesAreReleaseRelativeUnderJitter) {
               window_start + 1.0 + 0.5 + 1e-6);  // release + deadline bound
   }
   EXPECT_TRUE(saw_offset);
+  // The auditor judges each slice against its instance's real window,
+  // so a miss-free jittered run audits clean.
+  const auto audit = sim::audit_trace(r.trace, set, proc, true);
+  EXPECT_TRUE(audit.ok) << audit.summary();
 }
 
 TEST(ArrivalSim, ArrivalsAreSeedStableAndSchemeIndependent) {

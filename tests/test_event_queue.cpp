@@ -40,10 +40,10 @@ TEST(EventQueue, PopsInTimeOrder) {
 TEST(EventQueue, EqualTimesBreakTiesByKindThenActor) {
   // At one instant: a completion dispatches before a release (the
   // finished node frees the processor before the new instance is
-  // considered), releases order by graph id, and the horizon marker
-  // comes last.
+  // considered), releases order by graph id, and the battery
+  // observation comes last.
   EventQueue q;
-  q.push({5.0, EventKind::kHorizon, -1});
+  q.push({5.0, EventKind::kRelease, 1});
   q.push({5.0, EventKind::kRelease, 2});
   q.push({5.0, EventKind::kRelease, 0});
   q.push({5.0, EventKind::kBatteryObs, -1});
@@ -51,12 +51,11 @@ TEST(EventQueue, EqualTimesBreakTiesByKindThenActor) {
   const auto order = drain(q);
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order[0].kind, EventKind::kCompletion);
-  EXPECT_EQ(order[1].kind, EventKind::kRelease);
-  EXPECT_EQ(order[1].actor, 0);
-  EXPECT_EQ(order[2].kind, EventKind::kRelease);
-  EXPECT_EQ(order[2].actor, 2);
-  EXPECT_EQ(order[3].kind, EventKind::kBatteryObs);
-  EXPECT_EQ(order[4].kind, EventKind::kHorizon);
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(order[i].kind, EventKind::kRelease);
+    EXPECT_EQ(order[i].actor, i - 1);
+  }
+  EXPECT_EQ(order[4].kind, EventKind::kBatteryObs);
 }
 
 TEST(EventQueue, PopSequenceInvariantUnderInsertionOrder) {
@@ -66,7 +65,7 @@ TEST(EventQueue, PopSequenceInvariantUnderInsertionOrder) {
   std::vector<Event> events = {
       {2.0, EventKind::kRelease, 0},    {2.0, EventKind::kRelease, 1},
       {2.0, EventKind::kCompletion, 0}, {1.5, EventKind::kBatteryObs, -1},
-      {3.0, EventKind::kHorizon, -1},   {2.0, EventKind::kBatteryObs, -1},
+      {3.0, EventKind::kRelease, 2},    {2.0, EventKind::kBatteryObs, -1},
   };
   std::sort(events.begin(), events.end(), event_before);
   const std::vector<Event> reference = events;  // sorted == expected pops
@@ -119,7 +118,6 @@ TEST(EventQueue, KindToStringCoversTaxonomy) {
   EXPECT_EQ(to_string(EventKind::kCompletion), "completion");
   EXPECT_EQ(to_string(EventKind::kRelease), "release");
   EXPECT_EQ(to_string(EventKind::kBatteryObs), "battery-obs");
-  EXPECT_EQ(to_string(EventKind::kHorizon), "horizon");
 }
 
 }  // namespace

@@ -259,28 +259,33 @@ TEST(TraceAudit, DetectsViolations) {
 
   // Overlapping slices.
   std::vector<sim::ExecSlice> overlap{
-      {0, 0, 0, 0.0, 0.3, 1e9, 1.0}, {0, 0, 1, 0.2, 0.5, 1e9, 1.0}};
+      {0, 0, 0, 0.0, 0.3, 1e9, 1.0, 0.0, 1.0},
+      {0, 0, 1, 0.2, 0.5, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_FALSE(sim::audit_trace(overlap, set, proc, false).ok);
 
   // Precedence violation: successor first.
   std::vector<sim::ExecSlice> prec{
-      {0, 0, 1, 0.0, 0.1, 1e9, 1.0}, {0, 0, 0, 0.1, 0.2, 1e9, 1.0}};
+      {0, 0, 1, 0.0, 0.1, 1e9, 1.0, 0.0, 1.0},
+      {0, 0, 0, 0.1, 0.2, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_GT(sim::audit_trace(prec, set, proc, false).precedence_violations,
             0u);
 
   // Outside the instance window (deadline miss).
   std::vector<sim::ExecSlice> window{
-      {0, 0, 0, 0.0, 0.1, 1e9, 1.0}, {0, 0, 1, 0.95, 1.2, 1e9, 1.0}};
+      {0, 0, 0, 0.0, 0.1, 1e9, 1.0, 0.0, 1.0},
+      {0, 0, 1, 0.95, 1.2, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_GT(sim::audit_trace(window, set, proc, false).window_violations, 0u);
 
   // Frequency outside the processor range.
   std::vector<sim::ExecSlice> freq{
-      {0, 0, 0, 0.0, 0.1, 2e9, 1.0}, {0, 0, 1, 0.1, 0.2, 1e9, 1.0}};
+      {0, 0, 0, 0.0, 0.1, 2e9, 1.0, 0.0, 1.0},
+      {0, 0, 1, 0.1, 0.2, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_GT(sim::audit_trace(freq, set, proc, false).frequency_violations,
             0u);
 
   // Incomplete instance in drained mode.
-  std::vector<sim::ExecSlice> incomplete{{0, 0, 0, 0.0, 0.1, 1e9, 1.0}};
+  std::vector<sim::ExecSlice> incomplete{
+      {0, 0, 0, 0.0, 0.1, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_GT(sim::audit_trace(incomplete, set, proc, true)
                 .incomplete_instances,
             0u);
@@ -288,8 +293,19 @@ TEST(TraceAudit, DetectsViolations) {
 
   // A clean trace passes.
   std::vector<sim::ExecSlice> clean{
-      {0, 0, 0, 0.0, 0.1, 1e9, 1.0}, {0, 0, 1, 0.1, 0.2, 1e9, 1.0}};
+      {0, 0, 0, 0.0, 0.1, 1e9, 1.0, 0.0, 1.0},
+      {0, 0, 1, 0.1, 0.2, 1e9, 1.0, 0.0, 1.0}};
   EXPECT_TRUE(sim::audit_trace(clean, set, proc, true).ok);
+
+  // Windows come from the slices, not from instance * period: instance 3
+  // released early at 0.5 s (a jittered or sporadic arrival) is clean
+  // inside its own [0.5, 1.5] window and late outside it.
+  std::vector<sim::ExecSlice> shifted{
+      {0, 3, 0, 0.5, 0.6, 1e9, 1.0, 0.5, 1.5},
+      {0, 3, 1, 0.6, 0.7, 1e9, 1.0, 0.5, 1.5}};
+  EXPECT_TRUE(sim::audit_trace(shifted, set, proc, true).ok);
+  shifted[1].end_s = 1.6;
+  EXPECT_EQ(sim::audit_trace(shifted, set, proc, true).window_violations, 1u);
 }
 
 TEST(Simulator, PerfCountersCountWorkWithoutChangingResults) {
@@ -330,7 +346,8 @@ TEST(TraceAudit, SummaryMentionsFirstProblem) {
   g.add_node(1e8);
   set.add(std::move(g));
   const auto proc = dvs::Processor::paper_default();
-  std::vector<sim::ExecSlice> bad{{0, 0, 0, 0.0, 1.5, 1e9, 1.0}};
+  std::vector<sim::ExecSlice> bad{
+      {0, 0, 0, 0.0, 1.5, 1e9, 1.0, 0.0, 1.0}};
   const auto audit = sim::audit_trace(bad, set, proc, false);
   EXPECT_FALSE(audit.ok);
   EXPECT_NE(audit.summary().find("FAILED"), std::string::npos);
