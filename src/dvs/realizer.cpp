@@ -46,11 +46,6 @@ FreqPlan realize(const Processor& proc, double fref_hz) {
   return plan;
 }
 
-double plan_battery_current_a(const Processor& proc, const FreqPlan& plan) {
-  return plan.hi_fraction * proc.battery_current_a(plan.hi) +
-         (1.0 - plan.hi_fraction) * proc.battery_current_a(plan.lo);
-}
-
 double plan_core_power_w(const Processor& proc, const FreqPlan& plan) {
   return plan.hi_fraction * proc.core_power_w(plan.hi) +
          (1.0 - plan.hi_fraction) * proc.core_power_w(plan.lo);

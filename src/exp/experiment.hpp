@@ -25,7 +25,7 @@ struct ExperimentSpec {
   std::vector<std::string> metrics;
   /// Replicates per cell (the paper's "100 random task graph sets").
   int replicates = 1;
-  /// Root seed; all job seeds derive from it (see job.hpp).
+  /// Root seed; all job seeds are derived from it (see job.hpp).
   std::uint64_t seed = 1;
   /// Extra identity folded into spec_fingerprint() (plan.hpp): driver
   /// parameters the run function captures in its closure (battery

@@ -1,10 +1,12 @@
 #include "exp/plan.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 namespace bas::exp {
 
@@ -65,28 +67,17 @@ void feed_string(std::uint64_t& hash, const std::string& text) {
 
 Shard parse_shard(const std::string& text) {
   const auto slash = text.find('/');
-  long long index = -1;
-  long long count = -1;
-  bool ok = slash != std::string::npos && slash > 0;
-  if (ok) {
-    try {
-      std::size_t consumed = 0;
-      index = std::stoll(text.substr(0, slash), &consumed);
-      ok = consumed == slash;
-      if (ok) {
-        const std::string rest = text.substr(slash + 1);
-        count = std::stoll(rest, &consumed);
-        ok = !rest.empty() && consumed == rest.size();
-      }
-    } catch (const std::exception&) {
-      ok = false;
-    }
+  std::optional<long long> index;
+  std::optional<long long> count;
+  if (slash != std::string::npos) {
+    index = util::parse_int(text.substr(0, slash));
+    count = util::parse_int(text.substr(slash + 1));
   }
-  if (!ok || count < 1 || index < 0 || index >= count) {
+  if (!index || !count || *count < 1 || *index < 0 || *index >= *count) {
     throw std::runtime_error(
         "option --shard expects 'i/n' with 0 <= i < n, got '" + text + "'");
   }
-  return Shard{static_cast<int>(index), static_cast<int>(count)};
+  return Shard{static_cast<int>(*index), static_cast<int>(*count)};
 }
 
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec) {

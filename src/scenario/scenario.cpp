@@ -49,28 +49,18 @@ std::string method_to_string(tgff::Method method) {
 }
 
 double parse_double(const std::string& key, const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed == text.size()) {
-      return value;
-    }
-  } catch (const std::exception&) {
+  if (const auto value = util::parse_double(text)) {
+    return *value;
   }
   throw std::invalid_argument("--scenario." + key + " expects a number, got '" +
                               text + "'");
 }
 
 int parse_int(const std::string& key, const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(text, &consumed);
-    if (consumed == text.size() &&
-        value >= std::numeric_limits<int>::min() &&
-        value <= std::numeric_limits<int>::max()) {
-      return static_cast<int>(value);
-    }
-  } catch (const std::exception&) {
+  const auto value = util::parse_int(text);
+  if (value && *value >= std::numeric_limits<int>::min() &&
+      *value <= std::numeric_limits<int>::max()) {
+    return static_cast<int>(*value);
   }
   throw std::invalid_argument("--scenario." + key +
                               " expects an integer, got '" + text + "'");

@@ -2,21 +2,15 @@
 
 namespace bas::sched {
 
-namespace {
-
-// The one prefix fold both public overloads share. `status_at(j)` must
-// return the j-th graph of the EDF order; keeping the fold in a single
-// template (rather than two hand-kept copies) is what guarantees the
-// span and indexed paths stay bitwise-identical: same accumulation
-// order, same comparisons, same early exits.
-template <typename StatusAt>
-bool check_prefix(StatusAt status_at, int candidate_pos,
-                  double candidate_wc_cycles, double fref_hz,
-                  double now) noexcept {
+bool feasibility_check(std::span<const dvs::GraphStatus> statuses,
+                       std::span<const int> edf_order, int candidate_pos,
+                       double candidate_wc_cycles, double fref_hz,
+                       double now) noexcept {
   // Position 0 (most imminent graph) is plain EDF: nothing to check.
   double prefix_wc_cycles = 0.0;
   for (int j = 0; j < candidate_pos; ++j) {
-    const dvs::GraphStatus& g = status_at(j);
+    const dvs::GraphStatus& g = statuses[static_cast<std::size_t>(
+        edf_order[static_cast<std::size_t>(j)])];
     prefix_wc_cycles += g.remaining_wc_cycles;
     const double window_s = g.abs_deadline_s - now;
     if (window_s < 0.0) {
@@ -27,30 +21,6 @@ bool check_prefix(StatusAt status_at, int candidate_pos,
     }
   }
   return true;
-}
-
-}  // namespace
-
-bool feasibility_check(std::span<const dvs::GraphStatus> edf_sorted,
-                       int candidate_pos, double candidate_wc_cycles,
-                       double fref_hz, double now) noexcept {
-  return check_prefix(
-      [edf_sorted](int j) -> const dvs::GraphStatus& {
-        return edf_sorted[static_cast<std::size_t>(j)];
-      },
-      candidate_pos, candidate_wc_cycles, fref_hz, now);
-}
-
-bool feasibility_check(std::span<const dvs::GraphStatus> statuses,
-                       std::span<const int> edf_order, int candidate_pos,
-                       double candidate_wc_cycles, double fref_hz,
-                       double now) noexcept {
-  return check_prefix(
-      [statuses, edf_order](int j) -> const dvs::GraphStatus& {
-        return statuses[static_cast<std::size_t>(
-            edf_order[static_cast<std::size_t>(j)])];
-      },
-      candidate_pos, candidate_wc_cycles, fref_hz, now);
 }
 
 }  // namespace bas::sched

@@ -21,21 +21,13 @@
 
 namespace bas::sched {
 
-/// `edf_sorted` must hold the released, incomplete graph instances in
-/// EDF order (ascending absolute deadline). `candidate_pos` is the index
-/// of the candidate's own graph in that array. Returns true when running
-/// the candidate next (for up to `candidate_wc_cycles`) cannot violate
-/// any earlier deadline at frequency `fref_hz`.
-bool feasibility_check(std::span<const dvs::GraphStatus> edf_sorted,
-                       int candidate_pos, double candidate_wc_cycles,
-                       double fref_hz, double now) noexcept;
-
-/// The same check reading the EDF order through an index list:
-/// `statuses` is addressed by graph id and `edf_order` holds the ids in
-/// ascending-deadline order. Lets the simulator's hot loop skip
-/// materializing an EDF-sorted copy of the statuses each step; both
-/// overloads run the same internal prefix fold (one template, two
-/// accessors), so the folds cannot drift apart.
+/// `statuses` is addressed by graph id and `edf_order` holds the ids of
+/// the released, incomplete graph instances in EDF order (ascending
+/// absolute deadline), so the simulator's hot loop never materializes an
+/// EDF-sorted copy of the statuses. `candidate_pos` is the index of the
+/// candidate's own graph in `edf_order`. Returns true when running the
+/// candidate next (for up to `candidate_wc_cycles`) cannot violate any
+/// earlier deadline at frequency `fref_hz`.
 bool feasibility_check(std::span<const dvs::GraphStatus> statuses,
                        std::span<const int> edf_order, int candidate_pos,
                        double candidate_wc_cycles, double fref_hz,

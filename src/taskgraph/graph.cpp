@@ -108,21 +108,6 @@ std::vector<NodeId> TaskGraph::topological_order() const {
   return order;
 }
 
-double TaskGraph::critical_path_cycles() const {
-  const auto order = topological_order();
-  std::vector<double> longest(nodes_.size(), 0.0);
-  double best = 0.0;
-  for (NodeId id : order) {
-    double in = 0.0;
-    for (NodeId p : pred_[id]) {
-      in = std::max(in, longest[p]);
-    }
-    longest[id] = in + nodes_[id].wcet_cycles;
-    best = std::max(best, longest[id]);
-  }
-  return best;
-}
-
 std::vector<NodeId> TaskGraph::sources() const {
   std::vector<NodeId> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {

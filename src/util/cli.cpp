@@ -1,9 +1,12 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+
+#include "util/text.hpp"
 
 namespace bas::util {
 
@@ -21,8 +24,7 @@ Cli::Cli(int argc, const char* const* argv,
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw std::runtime_error("unexpected argument '" + arg + "'");
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -78,21 +80,15 @@ int Cli::jobs() const {
   if (value == "auto" || value == "0") {
     return std::max(1u, std::thread::hardware_concurrency());
   }
-  long long parsed = 0;
-  std::size_t consumed = 0;
-  try {
-    parsed = std::stoll(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
   // Reject trailing garbage ("4x") and out-of-range counts rather than
   // silently truncating.
-  if (consumed != value.size() || parsed < 1 || parsed > 4096) {
+  const auto parsed = parse_int(value);
+  if (!parsed || *parsed < 1 || *parsed > 4096) {
     throw std::runtime_error(
         "option --jobs expects a thread count in [1, 4096] or 'auto', got '" +
         value + "'");
   }
-  return static_cast<int>(parsed);
+  return static_cast<int>(*parsed);
 }
 
 bool Cli::has(const std::string& name) const {
@@ -107,12 +103,29 @@ std::string Cli::get(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+
+// Unwraps a strict parse or throws the option's "expects" error.
+template <typename T>
+T expect(const std::optional<T>& parsed, const std::string& name,
+         const char* what, const std::string& text) {
+  if (!parsed) {
+    throw std::runtime_error("option --" + name + " expects " + what +
+                             ", got '" + text + "'");
+  }
+  return *parsed;
+}
+
+}  // namespace
+
 long long Cli::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  const std::string text = get(name);
+  return expect(parse_int(text), name, "an integer", text);
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  const std::string text = get(name);
+  return expect(parse_double(text), name, "a number", text);
 }
 
 bool Cli::get_flag(const std::string& name) const {
@@ -121,7 +134,8 @@ bool Cli::get_flag(const std::string& name) const {
 }
 
 std::uint64_t Cli::get_u64(const std::string& name) const {
-  return std::stoull(get(name));
+  const std::string text = get(name);
+  return expect(parse_u64(text), name, "a non-negative integer", text);
 }
 
 void Cli::show_effective(const std::string& key, long long value) {

@@ -2,7 +2,8 @@
 // Minimal command-line option parsing for bench/example binaries.
 //
 // Supported syntax:  --name value | --name=value | --flag
-// Unknown options throw, so typos in sweep scripts fail loudly.
+// Unknown options, stray arguments and malformed numbers throw, so typos
+// in sweep scripts fail loudly.
 
 #include <cstdint>
 #include <map>
@@ -18,7 +19,9 @@ class Cli {
   /// "true" is a boolean flag: bare `--name` sets it to "true" and it
   /// never consumes the following argument (use `--name=false` to
   /// override explicitly). Every other option requires a value.
-  /// Unknown options throw std::runtime_error naming the known options.
+  /// Unknown options throw std::runtime_error naming the known options;
+  /// an argument that is neither an option nor an option's value throws
+  /// "unexpected argument".
   Cli(int argc, const char* const* argv,
       std::map<std::string, std::string> defaults);
 
@@ -59,13 +62,13 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Numeric getters parse the whole value strictly (util::parse_int,
+  /// parse_u64, parse_double) and throw std::runtime_error
+  /// "option --NAME expects ..., got '...'" otherwise.
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   std::uint64_t get_u64(const std::string& name) const;
-
-  /// Positional arguments (anything not starting with --).
-  const std::vector<std::string>& positional() const { return positional_; }
 
   /// Renders "--key value" pairs of the effective configuration, for
   /// reproducibility banners at the top of each bench's output. Options
@@ -93,7 +96,6 @@ class Cli {
   std::map<std::string, std::string> values_;
   std::map<std::string, std::string> shown_;  ///< show_effective overrides
   std::vector<std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace bas::util

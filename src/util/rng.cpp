@@ -65,22 +65,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(1.0 - u);
 }
 
-double Rng::normal(double mean, double stddev) noexcept {
-  double u1 = uniform();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-Rng Rng::derive(std::uint64_t tag) const noexcept {
-  const std::uint64_t fingerprint =
-      hash_combine(hash_combine(s_[0], s_[1]), hash_combine(s_[2], s_[3]));
-  return Rng(hash_combine(fingerprint, tag));
-}
-
 std::uint64_t Rng::hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
   return mix(a ^ (b + kSplitMixGamma + (a << 6) + (a >> 2)));
 }

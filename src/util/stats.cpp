@@ -81,15 +81,4 @@ double Sample::quantile(double q) const {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double geometric_mean(const std::vector<double>& values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  double log_sum = 0.0;
-  for (double v : values) {
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace bas::util

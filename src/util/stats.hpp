@@ -50,7 +50,4 @@ class Sample {
   std::vector<double> values_;
 };
 
-/// Geometric mean of a sample of positive values; 0 if empty.
-double geometric_mean(const std::vector<double>& values);
-
 }  // namespace bas::util

@@ -138,14 +138,6 @@ TEST(Realizer, ContinuousIsExact) {
   EXPECT_TRUE(plan.single_level());
 }
 
-TEST(Realizer, MixCurrentBetweenEndpoints) {
-  const auto p = dvs::Processor::paper_default();
-  const auto plan = dvs::realize(p, 0.6e9);
-  const double i = dvs::plan_battery_current_a(p, plan);
-  EXPECT_GT(i, p.battery_current_a(plan.lo));
-  EXPECT_LT(i, p.battery_current_a(plan.hi));
-}
-
 TEST(NoDvs, AlwaysFmax) {
   auto policy = dvs::make_no_dvs(1e9);
   const std::vector<dvs::GraphStatus> empty;

@@ -129,8 +129,8 @@ TEST(Pubs, EstimateFillingWindowIsFiniteButLarge) {
   auto p = sched::make_pubs_priority();
   // X so large the estimated run uses the entire window.
   const auto filling = candidate(3e8, 3e8, 1.0, 3e8);
-  const auto normal = candidate(1e8, 0.5e8, 1.0, 3e8);
-  EXPECT_GT(p->score(filling, 0.0), p->score(normal, 0.0));
+  const auto plain = candidate(1e8, 0.5e8, 1.0, 3e8);
+  EXPECT_GT(p->score(filling, 0.0), p->score(plain, 0.0));
 }
 
 TEST(SimplePriorities, LtfAndStfAreOpposites) {
@@ -164,9 +164,24 @@ TEST(SimplePriorities, RandomIsSeededAndResettable) {
 
 // ------------------------------------------------------ feasibility check ---
 
+// Runs the check on `edf` (graphs listed in EDF order) the way the
+// simulator calls it: statuses stored apart from the EDF order and read
+// through an index list. They are stored in reverse so that the index
+// list is not the identity.
+bool feasible(const std::vector<dvs::GraphStatus>& edf, int candidate_pos,
+              double candidate_wc_cycles, double fref_hz, double now) {
+  const std::vector<dvs::GraphStatus> statuses(edf.rbegin(), edf.rend());
+  std::vector<int> edf_order;
+  for (int j = static_cast<int>(edf.size()) - 1; j >= 0; --j) {
+    edf_order.push_back(j);
+  }
+  return sched::feasibility_check(statuses, edf_order, candidate_pos,
+                                  candidate_wc_cycles, fref_hz, now);
+}
+
 TEST(Feasibility, PositionZeroNeedsNoChecks) {
   const std::vector<dvs::GraphStatus> edf{status(0, 1.0, 9e9)};
-  EXPECT_TRUE(sched::feasibility_check(edf, 0, 1e9, 1e8, 0.0));
+  EXPECT_TRUE(feasible(edf, 0, 1e9, 1e8, 0.0));
 }
 
 TEST(Feasibility, AllowsOutOfOrderWhenSlackSuffices) {
@@ -174,14 +189,14 @@ TEST(Feasibility, AllowsOutOfOrderWhenSlackSuffices) {
   // At fref = 0.5e9, window 1 s fits 5e8 >= 1e8 + 2e8.
   const std::vector<dvs::GraphStatus> edf{status(0, 1.0, 1e8),
                                           status(1, 5.0, 6e8)};
-  EXPECT_TRUE(sched::feasibility_check(edf, 1, 2e8, 0.5e9, 0.0));
+  EXPECT_TRUE(feasible(edf, 1, 2e8, 0.5e9, 0.0));
 }
 
 TEST(Feasibility, RejectsWhenImminentDeadlineWouldBeJeopardized) {
   // Same but fref only 0.25e9: 2.5e8 < 1e8 + 2e8 -> reject.
   const std::vector<dvs::GraphStatus> edf{status(0, 1.0, 1e8),
                                           status(1, 5.0, 6e8)};
-  EXPECT_FALSE(sched::feasibility_check(edf, 1, 2e8, 0.25e9, 0.0));
+  EXPECT_FALSE(feasible(edf, 1, 2e8, 0.25e9, 0.0));
 }
 
 TEST(Feasibility, ChecksEveryPrefixNotJustTheFirst) {
@@ -191,23 +206,23 @@ TEST(Feasibility, ChecksEveryPrefixNotJustTheFirst) {
       status(0, 1.0, 0.5e8), status(1, 1.2, 4e8), status(2, 8.0, 1e8),
       status(3, 9.0, 5e8)};
   // fref 0.5e9: j=0: 0.5e8+1e8 <= 5e8 OK; j=1: 4.5e8+1e8 <= 0.6e9 OK
-  EXPECT_TRUE(sched::feasibility_check(edf, 3, 1e8, 0.5e9, 0.0));
+  EXPECT_TRUE(feasible(edf, 3, 1e8, 0.5e9, 0.0));
   // Larger candidate: j=1 fails (4.5e8 + 2e8 > 6e8).
-  EXPECT_FALSE(sched::feasibility_check(edf, 3, 2.0e8, 0.5e9, 0.0));
+  EXPECT_FALSE(feasible(edf, 3, 2.0e8, 0.5e9, 0.0));
 }
 
 TEST(Feasibility, TimeAdvancesShrinkWindows) {
   const std::vector<dvs::GraphStatus> edf{status(0, 1.0, 1e8),
                                           status(1, 5.0, 6e8)};
-  EXPECT_TRUE(sched::feasibility_check(edf, 1, 2e8, 0.5e9, 0.0));
+  EXPECT_TRUE(feasible(edf, 1, 2e8, 0.5e9, 0.0));
   // At t=0.5 only 0.25e9... wait 0.5e9*0.5=2.5e8 < 3e8 -> reject.
-  EXPECT_FALSE(sched::feasibility_check(edf, 1, 2e8, 0.5e9, 0.5));
+  EXPECT_FALSE(feasible(edf, 1, 2e8, 0.5e9, 0.5));
 }
 
 TEST(Feasibility, PastDeadlinePrefixRejects) {
   const std::vector<dvs::GraphStatus> edf{status(0, 1.0, 1e8),
                                           status(1, 5.0, 6e8)};
-  EXPECT_FALSE(sched::feasibility_check(edf, 1, 1e6, 1e9, 2.0));
+  EXPECT_FALSE(feasible(edf, 1, 1e6, 1e9, 2.0));
 }
 
 // --------------------------------------------- single-graph evaluation ------
