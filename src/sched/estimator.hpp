@@ -24,6 +24,10 @@ class Estimator {
   /// Estimate of the actual cycles task (graph, node) will take this
   /// instance. `actual_cycles` is the ground truth — only the oracle may
   /// look at it; it exists so all estimators share one call signature.
+  /// The simulator asks only at decision points with two or more ready
+  /// candidates (a lone candidate needs no order), once per candidate in
+  /// its ready-list order — so a stochastic estimator's stream advances
+  /// only at those points.
   virtual double estimate(int graph, tg::NodeId node, double wc_cycles,
                           double actual_cycles) = 0;
 

@@ -123,9 +123,8 @@ SingleGraphResult greedy_schedule(const tg::TaskGraph& graph,
       cand.graph = 0;
       cand.node = id;
       cand.wc_cycles = graph.node(id).wcet_cycles;
-      cand.actual_cycles = actual_cycles[id];
       cand.estimate_cycles =
-          estimator.estimate(0, id, cand.wc_cycles, cand.actual_cycles);
+          estimator.estimate(0, id, cand.wc_cycles, actual_cycles[id]);
       cand.graph_abs_deadline_s = graph.deadline();
       cand.graph_remaining_wc_cycles = remaining_wc;
       cand.edf_position = 0;

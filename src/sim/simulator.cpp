@@ -386,6 +386,11 @@ struct Run {
   const bool merging = battery != nullptr && cfg.battery_window_s > 0.0 &&
                        !cfg.record_profile && !cfg.record_trace;
   const bool stochastic_prio = scheme.priority->stochastic();
+  // pUBS is recognised by type, once per run, and scored inline (its
+  // score() is a pure function of the candidate). A decorator around it
+  // is a different type and stays on the virtual call.
+  const sched::PubsPriority* const pubs =
+      dynamic_cast<const sched::PubsPriority*>(scheme.priority.get());
   // Estimator history is observable only through estimate() calls; when
   // the priority never consults the estimator (Random and the fixed
   // orderings), feeding its history is dead work the loop skips.
@@ -747,16 +752,32 @@ struct Run {
   }
 
   /// Phase 5a: the ready list in the scheme's scope, scored by its
-  /// priority. Candidates are enumerated in EDF order, ascending node id
-  /// within a graph; a stochastic priority's draw stream follows that
-  /// order.
+  /// priority in the pass that builds it. Candidates are enumerated in
+  /// EDF order, ascending node id within a graph; the estimator and a
+  /// stochastic priority see their calls in that order, estimate then
+  /// score per candidate. A lone candidate needs no order, so it is
+  /// neither estimated nor scored — unless the priority consumes
+  /// randomness, in which case it is scored anyway so its draw stream
+  /// advances once per candidate at every decision point. A stochastic
+  /// estimator therefore advances only at points with two or more
+  /// candidates. pUBS is scored inline with its per-graph terms computed
+  /// once per graph; any other priority through its virtual score().
   void build_candidates() {
     s.candidates.clear();
     const std::size_t scan_depth =
         scheme.scope == core::ReadyScope::kAllReleased ? s.edf.size() : 1;
+    std::size_t n_ready = 0;
+    for (std::size_t pos = 0; pos < scan_depth && n_ready < 2; ++pos) {
+      n_ready += inst[s.edf[pos]].ready.size();
+    }
+    const bool order = n_ready >= 2 || stochastic_prio;
     for (std::size_t pos = 0; pos < scan_depth; ++pos) {
       const int g = s.edf[pos];
       const auto& ir = inst[g];
+      const sched::PubsGraphTerms terms =
+          pubs != nullptr && order
+              ? sched::pubs_graph_terms(t, ir.deadline_s, ir.remaining_wc)
+              : sched::PubsGraphTerms{};
       for (const tg::NodeId id : ir.ready) {
         const auto& nr = ir.nodes[id];
         auto& sc = s.candidates.emplace_back();
@@ -764,31 +785,27 @@ struct Run {
         c.graph = g;
         c.node = id;
         c.wc_cycles = std::max(nr.wc - nr.executed(), kCycleEps);
-        c.actual_cycles = nr.remaining_ac;
         c.estimate_cycles = c.wc_cycles;  // overwritten when needed
         c.graph_abs_deadline_s = ir.deadline_s;
         c.graph_remaining_wc_cycles = ir.remaining_wc;
         c.edf_position = static_cast<int>(pos);
         sc.score = 0.0;
+        if (!order) {
+          continue;
+        }
+        if (need_estimate) {
+          const double full_estimate =
+              scheme.estimator->estimate(g, id, nr.wc, nr.ac);
+          c.estimate_cycles =
+              std::max(full_estimate - nr.executed(), kCycleEps);
+        }
+        sc.score = pubs != nullptr
+                       ? sched::pubs_score(terms, c.estimate_cycles,
+                                           c.wc_cycles)
+                       : scheme.priority->score(c, t);
       }
     }
     perf.candidates_scored += s.candidates.size();
-    // A lone candidate needs no order — unless the priority consumes
-    // randomness, in which case it is scored anyway so its draw stream
-    // advances once per candidate at every decision point.
-    if (s.candidates.size() < 2 && !stochastic_prio) {
-      return;
-    }
-    for (auto& sc : s.candidates) {
-      if (need_estimate) {
-        const auto& nr = inst[sc.cand.graph].nodes[sc.cand.node];
-        const double full_estimate = scheme.estimator->estimate(
-            sc.cand.graph, sc.cand.node, nr.wc, nr.ac);
-        sc.cand.estimate_cycles =
-            std::max(full_estimate - nr.executed(), kCycleEps);
-      }
-      sc.score = scheme.priority->score(sc.cand, t);
-    }
   }
 
   /// Phase 5b: the unique (score, graph, node) minimum, falling back to

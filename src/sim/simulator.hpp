@@ -133,7 +133,8 @@ struct PerfCounters {
   std::uint64_t steps = 0;
   /// Battery::draw calls issued (busy and idle segments alike).
   std::uint64_t battery_draws = 0;
-  /// Ready-list candidates scored across all steps.
+  /// Ready-list candidates built across all steps. Counts lone
+  /// candidates too, which a non-stochastic priority never scores.
   std::uint64_t candidates_scored = 0;
   /// Times a reused scratch buffer (status/EDF/candidate arrays,
   /// per-instance node and ready-list storage, event queue) had to

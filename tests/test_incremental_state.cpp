@@ -16,9 +16,11 @@
 // path at every decision point and throw std::logic_error on any
 // divergence.
 //
-// The pUBS hoist (priorities.cpp: per-decision-point memo of time_left,
-// s_o, s_o^2) is pinned separately against an unhoisted reference copy
-// of the scoring arithmetic — EXPECT_EQ on doubles, no tolerance.
+// The pUBS hoist (sched::pubs_graph_terms: time_left, s_o and s_o^2
+// computed once per graph and shared by its ready nodes in the
+// simulator's ready-list pass) is pinned separately against an
+// unhoisted reference copy of the scoring arithmetic — EXPECT_EQ on
+// doubles, no tolerance.
 
 #include <gtest/gtest.h>
 
@@ -108,9 +110,9 @@ TEST(IncrementalState, CountersAttributeTheIncrementalWork) {
 // ---------------------------------------------------------------------
 // pUBS hoist bit-identity.
 
-/// The scoring arithmetic exactly as written before the hoist
-/// (priorities.cpp history: every division inline, no memo). The hoisted
-/// implementation must reproduce these doubles bit-for-bit.
+/// The scoring arithmetic exactly as written before the hoist (every
+/// division inline, no per-graph terms). sched::pubs_score over
+/// sched::pubs_graph_terms must reproduce these doubles bit-for-bit.
 double reference_pubs_score(const sched::Candidate& cand, double now) {
   constexpr double kEps = 1e-12;
   const double time_left = cand.graph_abs_deadline_s - now;
@@ -138,9 +140,9 @@ double reference_pubs_score(const sched::Candidate& cand, double now) {
 
 TEST(PubsHoist, ScoreBitIdenticalToUnhoistedReference) {
   // Dense sweep over awkward operand values, including groups of
-  // same-graph siblings (shared deadline + remaining wc — the memo-hit
-  // path) interleaved with graph switches (the memo-miss path), plus
-  // every early-return branch: past deadline, zero remaining work,
+  // same-graph siblings (shared deadline + remaining wc — one set of
+  // per-graph terms) interleaved with graph switches, plus every
+  // early-return branch: past deadline, zero remaining work,
   // window-filling estimates and the degenerate denominator guard.
   const auto pubs = sched::make_pubs_priority();
   pubs->reset();
@@ -153,11 +155,13 @@ TEST(PubsHoist, ScoreBitIdenticalToUnhoistedReference) {
   int checked = 0;
   for (const double dl : deadlines) {
     for (const double rem : rem_wcs) {
+      const auto terms = sched::pubs_graph_terms(now, now + dl, rem);
       int graph = 0;
       for (const double wc : wcs) {
         // Each (deadline, rem) pair plays a sibling group: several
-        // candidates of one graph scored back to back hit the memo,
-        // then the next (dl, rem) changes the key.
+        // candidates of one graph scored back to back, both through
+        // PubsPriority::score and through one shared set of per-graph
+        // terms, as the simulator's ready-list pass does.
         for (const double frac : est_fracs) {
           sched::Candidate cand;
           cand.graph = graph;
@@ -171,14 +175,17 @@ TEST(PubsHoist, ScoreBitIdenticalToUnhoistedReference) {
           EXPECT_EQ(expected, actual)
               << "dl=" << dl << " rem=" << rem << " wc=" << wc
               << " frac=" << frac;
+          EXPECT_EQ(expected, sched::pubs_score(terms, cand.estimate_cycles,
+                                                cand.wc_cycles))
+              << "shared terms: dl=" << dl << " rem=" << rem;
           ++checked;
         }
         ++graph;
       }
     }
   }
-  // Re-score a stale key after other keys were cached in between: the
-  // memo must recompute, not serve the wrong graph's hoists.
+  // Re-score an earlier (deadline, rem) pair after other graphs were
+  // scored in between: no state carries over from one call to the next.
   sched::Candidate cand;
   cand.wc_cycles = 9.7e6;
   cand.estimate_cycles = 0.2 * 9.7e6;

@@ -28,7 +28,6 @@ sched::Candidate candidate(double wc, double estimate, double deadline,
   c.graph = graph;
   c.node = node;
   c.wc_cycles = wc;
-  c.actual_cycles = estimate;  // oracle ground truth mirrors estimate here
   c.estimate_cycles = estimate;
   c.graph_abs_deadline_s = deadline;
   c.graph_remaining_wc_cycles = remaining_wc;

@@ -4,13 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 
+#include "analysis/compare.hpp"
 #include "battery/ideal.hpp"
 #include "battery/kibam.hpp"
+#include "core/scheme.hpp"
+#include "dvs/policy.hpp"
+#include "scenario/scenario.hpp"
+#include "sched/estimator.hpp"
+#include "sched/priority.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "tgff/workload.hpp"
+#include "util/rng.hpp"
 
 namespace bas {
 namespace {
@@ -338,6 +351,237 @@ TEST(Simulator, PerfCountersCountWorkWithoutChangingResults) {
   EXPECT_EQ(recount.energy_j, plain.energy_j);
   EXPECT_EQ(recount.charge_c, plain.charge_c);
   EXPECT_EQ(recount.nodes_executed, plain.nodes_executed);
+}
+
+// ---------------------------------------------------------------------
+// Inline pUBS vs the virtual score() path.
+
+/// Calls seen by the forwarding decorators below.
+struct CallLog {
+  std::uint64_t estimates = 0;
+  std::uint64_t scores = 0;
+  /// Order-sensitive hash of the (graph, node) of every estimate call.
+  std::uint64_t estimate_seq = 0;
+};
+
+/// Forwarding decorators in the manner of perfbench's timing layers:
+/// every call and behaviour query goes straight to the wrapped object.
+/// A wrapped pUBS is no longer a sched::PubsPriority, so the simulator
+/// scores it through the virtual call.
+class ForwardingDvs final : public dvs::DvsPolicy {
+ public:
+  explicit ForwardingDvs(std::unique_ptr<dvs::DvsPolicy> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  double select(std::span<const dvs::GraphStatus> graphs,
+                double now) override {
+    return inner_->select(graphs, now);
+  }
+  bool run_constant() const override { return inner_->run_constant(); }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<dvs::DvsPolicy> inner_;
+};
+
+class ForwardingPriority final : public sched::PriorityPolicy {
+ public:
+  ForwardingPriority(std::unique_ptr<sched::PriorityPolicy> inner,
+                     CallLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  std::string name() const override { return inner_->name(); }
+  double score(const sched::Candidate& candidate, double now) override {
+    ++log_->scores;
+    return inner_->score(candidate, now);
+  }
+  bool stochastic() const override { return inner_->stochastic(); }
+  bool uses_estimate() const override { return inner_->uses_estimate(); }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<sched::PriorityPolicy> inner_;
+  CallLog* log_;
+};
+
+class ForwardingEstimator final : public sched::Estimator {
+ public:
+  ForwardingEstimator(std::unique_ptr<sched::Estimator> inner, CallLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  std::string name() const override { return inner_->name(); }
+  double estimate(int graph, tg::NodeId node, double wc_cycles,
+                  double actual_cycles) override {
+    ++log_->estimates;
+    log_->estimate_seq = util::Rng::hash_combine(
+        log_->estimate_seq, static_cast<std::uint64_t>(graph) * 4096u + node);
+    return inner_->estimate(graph, node, wc_cycles, actual_cycles);
+  }
+  void observe(int graph, tg::NodeId node, double actual_cycles) override {
+    inner_->observe(graph, node, actual_cycles);
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<sched::Estimator> inner_;
+  CallLog* log_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_identical(const sim::SimResult& a, const sim::SimResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(bits(a.end_time_s), bits(b.end_time_s)) << label;
+  EXPECT_EQ(bits(a.energy_j), bits(b.energy_j)) << label;
+  EXPECT_EQ(bits(a.charge_c), bits(b.charge_c)) << label;
+  EXPECT_EQ(bits(a.busy_s), bits(b.busy_s)) << label;
+  EXPECT_EQ(a.instances_released, b.instances_released) << label;
+  EXPECT_EQ(a.instances_completed, b.instances_completed) << label;
+  EXPECT_EQ(a.nodes_executed, b.nodes_executed) << label;
+  EXPECT_EQ(a.preemptions, b.preemptions) << label;
+  EXPECT_EQ(a.frequency_increases, b.frequency_increases) << label;
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses) << label;
+  EXPECT_EQ(a.profile.size(), b.profile.size()) << label;
+  EXPECT_EQ(a.trace.size(), b.trace.size()) << label;
+  EXPECT_EQ(a.battery_attached, b.battery_attached) << label;
+  EXPECT_EQ(a.battery_died, b.battery_died) << label;
+  EXPECT_EQ(bits(a.battery_lifetime_s), bits(b.battery_lifetime_s)) << label;
+  EXPECT_EQ(bits(a.battery_delivered_mah), bits(b.battery_delivered_mah))
+      << label;
+
+  const auto& p = a.perf;
+  const auto& q = b.perf;
+  EXPECT_EQ(p.steps, q.steps) << label;
+  EXPECT_EQ(p.battery_draws, q.battery_draws) << label;
+  EXPECT_EQ(p.candidates_scored, q.candidates_scored) << label;
+  EXPECT_EQ(p.scratch_grows, q.scratch_grows) << label;
+  EXPECT_EQ(p.events_popped, q.events_popped) << label;
+  EXPECT_EQ(p.ticks_skipped, q.ticks_skipped) << label;
+  EXPECT_EQ(p.battery_interval_advances, q.battery_interval_advances)
+      << label;
+  EXPECT_EQ(p.edf_incremental_ops, q.edf_incremental_ops) << label;
+  EXPECT_EQ(bits(p.idle_time_jumped_s), bits(q.idle_time_jumped_s)) << label;
+  const auto& k = p.kernel;
+  const auto& l = q.kernel;
+  EXPECT_EQ(k.exp_sweeps, l.exp_sweeps) << label;
+  EXPECT_EQ(k.exp_calls, l.exp_calls) << label;
+  EXPECT_EQ(k.decay_hits, l.decay_hits) << label;
+  EXPECT_EQ(k.decay_misses, l.decay_misses) << label;
+  EXPECT_EQ(k.gain_hits, l.gain_hits) << label;
+  EXPECT_EQ(k.gain_misses, l.gain_misses) << label;
+  EXPECT_EQ(k.kibam_shared_exps, l.kibam_shared_exps) << label;
+  EXPECT_EQ(k.pow_hits, l.pow_hits) << label;
+  EXPECT_EQ(k.pow_misses, l.pow_misses) << label;
+  EXPECT_EQ(k.fast_advances, l.fast_advances) << label;
+  EXPECT_EQ(k.slots, l.slots) << label;
+  EXPECT_EQ(k.slot_transfers, l.slot_transfers) << label;
+}
+
+/// One pUBS scheme on laEDF (BAS-1 / BAS-2 by scope), simulated bare and
+/// decorated.
+struct PubsCase {
+  std::string label;
+  std::string scenario;
+  std::function<std::unique_ptr<sched::Estimator>()> estimator;
+  core::ReadyScope scope = core::ReadyScope::kAllReleased;
+  bool battery = false;
+  double horizon_s = 0.0;  // 0 keeps the scenario's lifetime horizon
+  int graph_count = 0;     // 0 keeps the scenario's
+  bool strip = false;      // precedence stripped: every node ready
+};
+
+void expect_inline_matches_virtual(const PubsCase& pc, std::uint64_t seed) {
+  auto spec = scenario::scenario(pc.scenario);
+  if (pc.graph_count > 0) {
+    spec.workload.graph_count = pc.graph_count;
+  }
+  if (pc.horizon_s > 0.0) {
+    spec.sim.horizon_s = pc.horizon_s;
+    spec.sim.drain = true;
+  }
+  util::Rng rng(seed);
+  const auto generated = spec.make_workload(rng);
+  const auto set =
+      pc.strip ? analysis::strip_precedence(generated) : generated;
+  const auto proc = spec.make_processor();
+  auto config = spec.sim_config(util::Rng::hash_combine(seed, 555u));
+  config.record_perf_counters = true;
+
+  const auto run = [&](bool decorated, CallLog& log) {
+    std::unique_ptr<dvs::DvsPolicy> dvs = dvs::make_la_edf(proc.fmax_hz());
+    std::unique_ptr<sched::PriorityPolicy> prio = sched::make_pubs_priority();
+    EXPECT_NE(dynamic_cast<sched::PubsPriority*>(prio.get()), nullptr);
+    if (decorated) {
+      dvs = std::make_unique<ForwardingDvs>(std::move(dvs));
+      prio = std::make_unique<ForwardingPriority>(std::move(prio), &log);
+    }
+    // The estimator is wrapped on both sides, to count its calls: the
+    // inline path is chosen by the priority's type alone.
+    auto est = std::make_unique<ForwardingEstimator>(pc.estimator(), &log);
+    auto scheme = core::make_custom_scheme(pc.label, std::move(dvs),
+                                           std::move(prio), std::move(est),
+                                           pc.scope);
+    auto cell = pc.battery ? spec.make_battery() : nullptr;
+    sim::Simulator sim(set, proc, scheme, config);
+    return sim.run(cell.get());
+  };
+  CallLog bare_log;
+  CallLog virt_log;
+  const auto bare = run(false, bare_log);
+  const auto virt = run(true, virt_log);
+  const std::string label = pc.label + " seed " + std::to_string(seed);
+  expect_identical(bare, virt, label);
+  EXPECT_EQ(bare.battery_died, pc.battery && pc.horizon_s == 0.0) << label;
+  // Same estimator calls, for the same candidates in the same order;
+  // pUBS consumes every estimate, so each one is followed by one score.
+  EXPECT_EQ(bare_log.estimates, virt_log.estimates) << label;
+  EXPECT_EQ(bare_log.estimate_seq, virt_log.estimate_seq) << label;
+  EXPECT_EQ(bare_log.scores, 0u) << label;
+  EXPECT_EQ(virt_log.scores, virt_log.estimates) << label;
+  EXPECT_GT(virt_log.scores, 0u) << label;
+  // Lone-candidate points occurred and were neither estimated nor
+  // scored (with the noisy oracle: its stream did not advance there).
+  EXPECT_LT(bare_log.estimates, bare.perf.candidates_scored) << label;
+}
+
+TEST(Simulator, InlinePubsMatchesVirtualPath) {
+  // pUBS is scored inline in the ready-list pass when the scheme holds a
+  // bare sched::PubsPriority, and through score() when it is decorated.
+  // Both must produce the same bits, counters and estimator call
+  // sequence: the same expressions in the same order at the same
+  // decision points.
+  const auto history = [] { return sched::make_history_estimator(); };
+  const auto imminent = core::ReadyScope::kMostImminent;
+  const std::vector<PubsCase> cases{
+      // Table 2's schemes, to battery death.
+      {.label = "BAS-1", .scenario = "paper-table2", .estimator = history,
+       .scope = imminent, .battery = true},
+      {.label = "BAS-2", .scenario = "paper-table2", .estimator = history,
+       .battery = true},
+      // Figure 6's near-optimal reference: every node ready.
+      {.label = "near-optimal", .scenario = "paper-fig6",
+       .estimator = [] { return sched::make_oracle_estimator(); },
+       .horizon_s = 60.0, .graph_count = 10, .strip = true},
+      // A stochastic estimator, in both scopes.
+      {.label = "pUBS/noisy/all", .scenario = "paper-fig6",
+       .estimator = [] { return sched::make_noisy_oracle_estimator(); },
+       .horizon_s = 600.0},
+      {.label = "pUBS/noisy/imminent", .scenario = "paper-fig6",
+       .estimator = [] { return sched::make_noisy_oracle_estimator(); },
+       .scope = imminent, .horizon_s = 600.0},
+      // Xk == wc: the degenerate denominators.
+      {.label = "pUBS/worst-case", .scenario = "paper-fig6",
+       .estimator = [] { return sched::make_worst_case_estimator(); },
+       .horizon_s = 600.0, .graph_count = 6},
+      // A sparse and an idle-heavy world.
+      {.label = "BAS-2/sporadic", .scenario = "sporadic-sensor",
+       .estimator = history, .battery = true},
+      {.label = "BAS-2/idle-heavy", .scenario = "idle-heavy",
+       .estimator = history, .battery = true, .horizon_s = 3600.0},
+  };
+  for (const auto& pc : cases) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      expect_inline_matches_virtual(pc, seed);
+    }
+  }
 }
 
 TEST(TraceAudit, SummaryMentionsFirstProblem) {
