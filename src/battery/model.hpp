@@ -34,7 +34,9 @@ class Battery {
 
   virtual std::string name() const = 0;
 
-  /// Draws `current_a` for `dt_s` seconds (current_a >= 0, dt_s >= 0).
+  /// Draws `current_a` for `dt_s` seconds (current_a >= 0, dt_s finite
+  /// and >= 0; anything else, NaN included, throws
+  /// std::invalid_argument).
   /// Returns the duration actually sustained: dt_s if the cell survived
   /// the whole interval, else the time at which it hit cutoff. Calling
   /// draw on an empty battery returns 0.
@@ -50,8 +52,10 @@ class Battery {
   /// slice. (The stochastic model still steps internal slots of fixed
   /// width, since its recovery is one Bernoulli draw per slot; its
   /// do_draw is one fused loop that keeps the wells and generator in
-  /// registers and retires the common no-transfer slot with a single
-  /// subtraction.) Returns the sustained duration, exactly like draw().
+  /// registers and retires runs of no-transfer slots in blocks, one
+  /// draw and one compare against a bound on the run's quanta per
+  /// slot plus the slot's own adds.) Returns the sustained duration,
+  /// exactly like draw(), and checks its arguments the same way.
   double advance_interval(double charge_c, double dt_s);
 
   /// Non-mutating depletion probe: the fraction of the cell's depletion
@@ -62,7 +66,8 @@ class Battery {
   /// capacity, diffusion reports sigma(T)/alpha, the kinetic models
   /// report 1 - y1_after/(c * capacity) (available-well depletion). The
   /// probe never changes observable cell state — at most it warms the
-  /// same memo buffers the draw path keys on t.
+  /// same memo buffers the draw path keys on t. Arguments are checked
+  /// as in draw().
   double sigma_after(double current_a, double t_s) const;
 
   /// Per-kernel cache/work counters (cleared by reset()).

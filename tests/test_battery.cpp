@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -79,6 +81,47 @@ TEST(AllModels, DrawValidation) {
     EXPECT_THROW(m->draw(-1.0, 1.0), std::invalid_argument) << m->name();
     EXPECT_THROW(m->draw(1.0, -1.0), std::invalid_argument) << m->name();
     EXPECT_DOUBLE_EQ(m->draw(1.0, 0.0), 0.0) << m->name();
+  }
+}
+
+// The entry points' checks must catch NaN, which compares false with
+// everything: a NaN current or charge used to empty a KiBaM cell and
+// leave the stochastic cell alive with a NaN state of charge. A rejected
+// call leaves the cell exactly as it was.
+TEST(AllModels, RejectsNanInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto& m : all_models()) {
+    EXPECT_THROW(m->draw(nan, 1.0), std::invalid_argument) << m->name();
+    EXPECT_THROW(m->draw(1.0, nan), std::invalid_argument) << m->name();
+    EXPECT_THROW(m->advance_interval(nan, 5.0), std::invalid_argument)
+        << m->name();
+    EXPECT_THROW(m->advance_interval(1.0, nan), std::invalid_argument)
+        << m->name();
+    EXPECT_THROW(m->sigma_after(nan, 1.0), std::invalid_argument)
+        << m->name();
+    EXPECT_THROW(m->sigma_after(1.0, nan), std::invalid_argument)
+        << m->name();
+    EXPECT_FALSE(m->empty()) << m->name();
+    EXPECT_EQ(m->state_of_charge(), m->fresh_clone()->state_of_charge())
+        << m->name();
+    EXPECT_EQ(m->charge_delivered_c(), 0.0) << m->name();
+    EXPECT_EQ(m->time_alive_s(), 0.0) << m->name();
+  }
+}
+
+// An infinite time is rejected up front; the stochastic cell would
+// otherwise step slots forever under an idle draw.
+TEST(AllModels, RejectsInfiniteTime) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto& m : all_models()) {
+    EXPECT_THROW(m->draw(0.0, inf), std::invalid_argument) << m->name();
+    EXPECT_THROW(m->draw(1.0, inf), std::invalid_argument) << m->name();
+    EXPECT_THROW(m->advance_interval(1.0, inf), std::invalid_argument)
+        << m->name();
+    EXPECT_THROW(m->sigma_after(1.0, inf), std::invalid_argument)
+        << m->name();
+    EXPECT_FALSE(m->empty()) << m->name();
+    EXPECT_EQ(m->time_alive_s(), 0.0) << m->name();
   }
 }
 
@@ -611,7 +654,9 @@ TEST(Diffusion, PrecomputedTablesAreBitExact) {
 /// members, the recovery draw through Rng::bernoulli, std::floor for the
 /// whole quanta, and Battery::draw's accounting on top. The fused loop is
 /// contracted to reproduce this to the last bit, including the generator
-/// stream position.
+/// stream position. The reference also counts its slots and the slots
+/// that moved at least one whole quantum, the kernel's `slots` and
+/// `slot_transfers` counters.
 struct ReferenceStochastic {
   bat::StochasticParams params_;
   util::Rng rng_;
@@ -622,6 +667,8 @@ struct ReferenceStochastic {
   bool dead_ = false;
   double delivered_c = 0.0;
   double alive_s = 0.0;
+  std::uint64_t slots = 0;
+  std::uint64_t slot_transfers = 0;
 
   explicit ReferenceStochastic(bat::StochasticParams params)
       : params_(params), rng_(params.seed) {
@@ -633,6 +680,7 @@ struct ReferenceStochastic {
   }
 
   double step_slot(double current_a, double dt) {
+    ++slots;
     const double c = params_.kinetics.c_fraction;
     const double h1 = y1_ / c;
     const double h2 = y2_ / one_minus_c_;
@@ -644,6 +692,7 @@ struct ReferenceStochastic {
       if (rng_.bernoulli(quanta - whole)) {
         whole += 1.0;
       }
+      slot_transfers += whole >= 1.0 ? 1 : 0;
       transfer_c = std::min(whole * params_.quantum_c, y2_);
     } else if (expected_transfer_c < 0.0) {
       const double quanta = -expected_transfer_c / params_.quantum_c;
@@ -651,6 +700,7 @@ struct ReferenceStochastic {
       if (rng_.bernoulli(quanta - whole)) {
         whole += 1.0;
       }
+      slot_transfers += whole >= 1.0 ? 1 : 0;
       transfer_c = -std::min(whole * params_.quantum_c, y1_);
     }
 
@@ -729,6 +779,10 @@ TEST(Stochastic, FusedSlotLoopMatchesReferenceBitwise) {
     EXPECT_EQ(got.time_alive_s(), want.alive_s)
         << "variant " << v << " round " << round;
     EXPECT_EQ(got.empty(), want.dead_) << "variant " << v << " round " << round;
+    EXPECT_EQ(got.kernel_counters().slots, want.slots)
+        << "variant " << v << " round " << round;
+    EXPECT_EQ(got.kernel_counters().slot_transfers, want.slot_transfers)
+        << "variant " << v << " round " << round;
   };
 
   for (int v = 0; v < static_cast<int>(variants.size()); ++v) {
@@ -757,6 +811,90 @@ TEST(Stochastic, FusedSlotLoopMatchesReferenceBitwise) {
     EXPECT_TRUE(killed.empty()) << "variant " << v;
     EXPECT_GT(killed.time_alive_s(), 0.0);
   }
+}
+
+TEST(Stochastic, QuietSlotBlocksMatchReferenceFuzzed) {
+  // Seeded random cells against the per-slot reference. The parameter
+  // ranges reach both sides of every block condition: quanta from far
+  // below one per slot (long quiet runs) to thousands (no block, the
+  // whole-quanta path); c_fraction on both sides of the full-cell
+  // height balance (reverse transfer); small capacities, so cells die
+  // in the draw a block ends near cutoff; zero currents (no demand, y1
+  // flat); and spans that end on a slot boundary, one ulp short of one,
+  // inside the first slot or many slots later.
+  constexpr int kCells = 1200;
+  constexpr int kRounds = 12;
+  util::Rng gen(0xb10c5ULL);
+  auto log_uniform = [&gen](double lo, double hi) {
+    return lo * std::pow(hi / lo, gen.uniform());
+  };
+  int died = 0;
+  int transfer_heavy = 0;  // more than half the slots moved charge
+  int quiet_heavy = 0;     // under 5% of the slots moved charge
+  std::uint64_t total_slots = 0;
+  for (int cell = 0; cell < kCells; ++cell) {
+    bat::StochasticParams p;
+    p.quantum_c = log_uniform(1e-4, 3.0);
+    p.kinetics.c_fraction = gen.uniform(0.05, 0.95);
+    p.kinetics.k_rate *= log_uniform(0.1, 100.0);
+    p.kinetics.capacity_c = log_uniform(0.5, 200.0);
+    p.slot_s = gen.uniform(0.001, 0.05);
+    p.seed = gen.next_u64();
+    bat::StochasticBattery got(p);
+    ReferenceStochastic want(p);
+    for (int round = 0; round < kRounds && !got.empty(); ++round) {
+      const double current =
+          gen.uniform() < 0.25 ? 0.0 : log_uniform(1e-3, 3.0);
+      const double whole_slots = p.slot_s * gen.uniform_int(1, 400);
+      double dt = 0.0;
+      switch (gen.uniform_int(0, 3)) {
+        case 0:
+          dt = whole_slots;
+          break;
+        case 1:
+          dt = std::nextafter(whole_slots, 0.0);
+          break;
+        case 2:
+          dt = gen.uniform(0.0, p.slot_s);
+          break;
+        default:
+          dt = gen.uniform(1.0, 20.0);
+          break;
+      }
+      const double got_s = got.draw(current, dt);
+      const double want_s = want.draw(current, dt);
+      ASSERT_EQ(got_s, want_s) << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.available_c(), want.y1_)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.bound_c(), want.y2_)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.empty(), want.dead_)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.charge_delivered_c(), want.delivered_c)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.time_alive_s(), want.alive_s)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.kernel_counters().slots, want.slots)
+          << "cell " << cell << " round " << round;
+      ASSERT_EQ(got.kernel_counters().slot_transfers, want.slot_transfers)
+          << "cell " << cell << " round " << round;
+    }
+    // Same stream position: the next draw of a surviving cell agrees.
+    if (!got.empty()) {
+      ASSERT_EQ(got.draw(0.5, 0.25), want.draw(0.5, 0.25)) << "cell " << cell;
+      ASSERT_EQ(got.available_c(), want.y1_) << "cell " << cell;
+    }
+    died += got.empty() ? 1 : 0;
+    const std::uint64_t slots = want.slots;
+    transfer_heavy += 2 * want.slot_transfers > slots ? 1 : 0;
+    quiet_heavy += 20 * want.slot_transfers < slots ? 1 : 0;
+    total_slots += slots;
+  }
+  // The draw mix must reach the regimes the ranges were chosen for.
+  EXPECT_GT(died, kCells / 10);
+  EXPECT_GT(transfer_heavy, kCells / 100);
+  EXPECT_GT(quiet_heavy, kCells / 10);
+  EXPECT_GT(total_slots, 1000000u);
 }
 
 }  // namespace
