@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     const auto set = scn.make_workload(rng);
     const auto config =
         scn.sim_config(util::Rng::hash_combine(job.replicate_seed, 100u));
-    const auto battery = exp::make_battery(exp::battery_labels()[job.at(0)]);
+    const auto battery =
+        scenario::make_battery(scenario::battery_labels()[job.at(0)]);
     const auto r = sim::simulate_scheme(
         set, proc, exp::scheme_kind_at(job.at(1)), config, battery.get());
     return {r.battery_lifetime_s / 60.0};
@@ -76,8 +77,8 @@ int main(int argc, char** argv) {
   }
   headers.push_back("BAS-2/laEDF");
   util::Table table(headers);
-  for (std::size_t m = 0; m < exp::battery_labels().size(); ++m) {
-    std::vector<std::string> row{exp::battery_labels()[m]};
+  for (std::size_t m = 0; m < scenario::battery_labels().size(); ++m) {
+    std::vector<std::string> row{scenario::battery_labels()[m]};
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       row.push_back(util::Table::num(result.mean({m, k}, 0), 0));
     }

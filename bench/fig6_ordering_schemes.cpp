@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nShape check vs paper: ratios grow with the number of graphs; "
-      "pUBS(all released) stays closest to 1.0.\n");
+      "\nShape check vs paper: pUBS(all released) stays closest to "
+      "1.0.\n");
 
   if (const auto csv = cli.get("csv"); !csv.empty()) {
     exp::write(result, csv);

@@ -13,7 +13,7 @@
 // recovery, only rate penalty) is nearly indifferent too.
 //
 // The battery ladder comes from the scenario registry's battery axis
-// (exp::battery_labels), so the bench can never drift from the models
+// (scenario::battery_labels), so the bench can never drift from the models
 // the lifetime scenarios use. The (model) sweep runs on the experiment
 // engine: one job per battery model evaluates all three arrangements on
 // private instances, so the bench speaks the shared campaign interface
@@ -28,6 +28,7 @@
 #include "exp/factories.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -86,13 +87,13 @@ int main(int argc, char** argv) {
   spec.metrics = {"non_increasing_mah", "zigzag_mah", "non_decreasing_mah",
                   "gain_pct"};
   spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    const auto& label = exp::battery_labels()[job.at(0)];
+    const auto& label = scenario::battery_labels()[job.at(0)];
     const double down =
-        pass_and_drain_mah(*exp::make_battery(label), decreasing, drain_a);
+        pass_and_drain_mah(*scenario::make_battery(label), decreasing, drain_a);
     const double mix =
-        pass_and_drain_mah(*exp::make_battery(label), zigzag, drain_a);
+        pass_and_drain_mah(*scenario::make_battery(label), zigzag, drain_a);
     const double up =
-        pass_and_drain_mah(*exp::make_battery(label), increasing, drain_a);
+        pass_and_drain_mah(*scenario::make_battery(label), increasing, drain_a);
     return {down, mix, up, 100.0 * (down / up - 1.0)};
   };
 

@@ -11,12 +11,15 @@
 // so every cell of one rep times the same task-graph sets (CRN for
 // perf: a cell ratio is a code ratio, not a workload ratio).
 //
-// Each cell is one obs::Metrics: the per-rep obs::fill counters summed
-// with Metrics::add, plus the wall-clock elapsed_s and *_per_sec
-// rates as gauges. BENCH_perf.json (schema "bas-perf/7", documented in
-// EXPERIMENTS.md, "Performance") renders those entries flat, in
-// registry order. The rates are machine-dependent and never gated; the
-// counters are bit-deterministic for a given (--seed, --sets).
+// One file-local field list, kFields, names the 20 sim::PerfCounters
+// fields this binary reports: the hot-path lanes, then the battery
+// kernel's k_* counters. Each cell sums them over its reps, and the
+// JSON and the gate iterate the list. BENCH_perf.json (schema
+// "bas-perf/7", documented in EXPERIMENTS.md, "Performance") writes
+// each cell flat: sims, the kFields counters in list order, then the
+// wall-clock gauges (elapsed_s and the *_per_sec rates). The gauges
+// are machine-dependent and never gated; the counters are
+// bit-deterministic for a given (--seed, --sets).
 //
 //   ./perf_hotpath --smoke                  # CI-sized cells, ~seconds
 //   ./perf_hotpath --full                   # all schemes x batteries
@@ -25,16 +28,18 @@
 //   ./perf_hotpath --smoke --trace-out trace.json
 //
 // With --baseline, the run fails (exit 1) unless every run cell exists
-// in the baseline file and every counter entry of the cell equals the
-// baseline's value exactly. A mismatch means the work changed: if that
-// is intended, regenerate the baseline with --write-baseline in the
-// same change. --trace-out FILE writes a Chrome-trace JSON of one
-// extra, untimed rep of the first cell for Perfetto / chrome://tracing.
+// in the baseline file, sims and every kFields counter of the cell
+// equal the baseline's values exactly, and the baseline cell holds no
+// key this binary does not write. A mismatch means the work changed:
+// if that is intended, regenerate the baseline with --write-baseline
+// in the same change. --trace-out FILE writes a Chrome-trace JSON of
+// one extra, untimed rep of the first cell for Perfetto /
+// chrome://tracing.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -45,7 +50,6 @@
 #include "core/scheme.hpp"
 #include "exp/experiment.hpp"
 #include "exp/factories.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -67,10 +71,72 @@ struct Cell {
   std::string label() const { return scenario + "/" + scheme + "/" + battery; }
 };
 
+/// One cell's totals over its reps.
 struct CellResult {
   Cell cell;
-  obs::Metrics metrics;
+  std::uint64_t sims = 0;
+  sim::PerfCounters perf;
+  double elapsed_s = 0.0;
 };
+
+/// A reported sim::PerfCounters field: its bas-perf/7 key and the
+/// member it reads (mutable, so the per-rep sums write through it).
+struct Field {
+  const char* name;
+  std::uint64_t& (*get)(sim::PerfCounters&);
+};
+
+// The key is the member's name, k_-prefixed for the kernel counters,
+// so a key cannot drift from the field it reads.
+#define LANE(m) {#m, [](sim::PerfCounters& p) -> auto& { return p.m; }}
+#define KERNEL(m) \
+  {"k_" #m, [](sim::PerfCounters& p) -> auto& { return p.kernel.m; }}
+
+/// Every counter the JSON writes and the gate checks after `sims`, in
+/// bas-perf/7 cell order.
+constexpr Field kFields[] = {
+    LANE(steps),
+    LANE(battery_draws),
+    LANE(battery_interval_advances),
+    LANE(candidates_scored),
+    LANE(scratch_grows),
+    LANE(events_popped),
+    LANE(ticks_skipped),
+    LANE(edf_incremental_ops),
+    KERNEL(exp_sweeps),
+    KERNEL(exp_calls),
+    KERNEL(decay_hits),
+    KERNEL(decay_misses),
+    KERNEL(gain_hits),
+    KERNEL(gain_misses),
+    KERNEL(kibam_shared_exps),
+    KERNEL(pow_hits),
+    KERNEL(pow_misses),
+    KERNEL(fast_advances),
+    KERNEL(slots),
+    KERNEL(slot_transfers),
+};
+
+#undef LANE
+#undef KERNEL
+
+double per_sec(const CellResult& r, std::uint64_t count) {
+  return r.elapsed_s > 0.0 ? static_cast<double>(count) / r.elapsed_s : 0.0;
+}
+
+/// Integral values (every counter, all far below 2^53) print as plain
+/// integers, everything else %.6g.
+std::string format_value(double value) {
+  char buffer[64];
+  if (value == static_cast<double>(static_cast<long long>(value)) &&
+      value >= -9.0e15 && value <= 9.0e15) {
+    std::snprintf(buffer, sizeof(buffer), "%lld",
+                  static_cast<long long>(value));
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  }
+  return buffer;
+}
 
 std::string fmt_rate(double v) {
   char buffer[32];
@@ -112,38 +178,25 @@ Rep make_rep(const Cell& cell, std::uint64_t seed, int rep) {
   return Rep{std::move(set), scn.make_processor(),
              exp::scheme_kind_at(scheme_index(cell.scheme)),
              scn.sim_config(util::Rng::hash_combine(rep_seed, 1000u)),
-             exp::make_battery(cell.battery)};
+             scenario::make_battery(cell.battery)};
 }
 
 /// Runs `sets` timed reps of `cell`: the clock wraps simulate_scheme
-/// only, and each rep's counters are added into the cell's registry.
+/// only, and each rep's counters are added into the cell's totals.
 CellResult time_cell(const Cell& cell, int sets, std::uint64_t seed) {
-  CellResult out{cell, {}};
-  obs::Metrics& m = out.metrics;
+  CellResult out{cell, 0, {}, 0.0};
   for (int rep = 0; rep < sets; ++rep) {
     Rep r = make_rep(cell, seed, rep);
     r.config.record_perf_counters = true;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto result = r.run();
+    auto result = r.run();
     const auto t1 = std::chrono::steady_clock::now();
-    obs::Metrics counters;
-    obs::fill(counters, result.perf);
-    m.add("sims", 1.0);
-    for (const auto& entry : counters.entries()) {
-      m.add(entry.name, entry.value, entry.kind);
+    ++out.sims;
+    for (const auto& field : kFields) {
+      field.get(out.perf) += field.get(result.perf);
     }
-    m.add("elapsed_s", std::chrono::duration<double>(t1 - t0).count(),
-          obs::MetricKind::kGauge);
+    out.elapsed_s += std::chrono::duration<double>(t1 - t0).count();
   }
-  const double elapsed = m.value("elapsed_s");
-  auto rate = [&](const char* name, const char* counter) {
-    m.set(name, elapsed > 0.0 ? m.value(counter) / elapsed : 0.0,
-          obs::MetricKind::kGauge);
-  };
-  rate("steps_per_sec", "steps");
-  rate("draws_per_sec", "battery_draws");
-  rate("advances_per_sec", "battery_interval_advances");
-  rate("sims_per_sec", "sims");
   return out;
 }
 
@@ -162,6 +215,30 @@ void write_direct_trace(const Cell& cell, std::uint64_t seed,
   std::printf("\nwrote trace %s (%zu events)\n", path.c_str(), log.size());
 }
 
+/// One cell as a flat JSON object on one line: the baseline loader
+/// reads the file line by line and bench/ab_compare.sh reads each cell
+/// with one sed line.
+std::string cell_json(const CellResult& r) {
+  std::ostringstream out;
+  out << "{\"scenario\": \"" << r.cell.scenario << "\", \"scheme\": \""
+      << r.cell.scheme << "\", \"battery\": \"" << r.cell.battery
+      << "\", \"sims\": " << r.sims;
+  auto put = [&out](const char* key, double value) {
+    out << ", \"" << key << "\": " << format_value(value);
+  };
+  auto perf = r.perf;  // the accessors take a mutable PerfCounters
+  for (const auto& field : kFields) {
+    put(field.name, static_cast<double>(field.get(perf)));
+  }
+  put("elapsed_s", r.elapsed_s);
+  put("steps_per_sec", per_sec(r, perf.steps));
+  put("draws_per_sec", per_sec(r, perf.battery_draws));
+  put("advances_per_sec", per_sec(r, perf.battery_interval_advances));
+  put("sims_per_sec", per_sec(r, r.sims));
+  out << "}";
+  return out.str();
+}
+
 std::string to_json(const std::vector<CellResult>& results,
                     const std::string& mode, int sets, std::uint64_t seed) {
   std::ostringstream out;
@@ -171,15 +248,8 @@ std::string to_json(const std::vector<CellResult>& results,
   out << "  \"seed\": " << seed << ",\n";
   out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    // One flat object per line: the baseline loader chunks the file on
-    // braces and bench/ab_compare.sh reads each cell with one sed line.
-    out << "    {\"scenario\": \"" << r.cell.scenario << "\", \"scheme\": \""
-        << r.cell.scheme << "\", \"battery\": \"" << r.cell.battery << "\"";
-    for (const auto& entry : r.metrics.entries()) {
-      out << ", \"" << entry.name << "\": " << obs::format_value(entry.value);
-    }
-    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+    out << "    " << cell_json(results[i])
+        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return out.str();
@@ -187,101 +257,81 @@ std::string to_json(const std::vector<CellResult>& results,
 
 // ---------------------------------------------------------------------
 // Baseline file handling. The file is this binary's own JSON output: a
-// header plus one flat object per line, so a `"key": ` scan of a brace
-// chunk reads any field.
+// header plus one flat object per line, and no value holds a quote,
+// comma or brace, so a line splits into its fields without a parser.
 
-bool extract_string(const std::string& chunk, const std::string& key,
-                    std::string* value) {
-  const std::string needle = "\"" + key + "\": \"";
-  const auto at = chunk.find(needle);
-  if (at == std::string::npos) {
-    return false;
+using Fields = std::map<std::string, std::string>;
+
+/// The `"key": value` pairs of one line, string values unquoted.
+Fields read_fields(const std::string& line) {
+  Fields fields;
+  auto open = line.find('"');
+  while (open != std::string::npos) {
+    const auto close = line.find('"', open + 1);
+    if (close == std::string::npos) {
+      break;
+    }
+    if (line.compare(close + 1, 2, ": ") != 0) {
+      open = line.find('"', close + 1);
+      continue;
+    }
+    const auto start = close + 3;
+    const auto end = line.find_first_of(",}", start);
+    std::string value = line.substr(start, end - start);
+    if (value.size() >= 2 && value.front() == '"') {
+      value = value.substr(1, value.size() - 2);
+    }
+    fields[line.substr(open + 1, close - open - 1)] = std::move(value);
+    open = line.find('"', end);
   }
-  const auto start = at + needle.size();
-  const auto end = chunk.find('"', start);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *value = chunk.substr(start, end - start);
-  return true;
+  return fields;
 }
 
-/// The `": `-anchored needle cannot match a longer key that starts with
-/// `key` ("steps" never reads "steps_per_sec").
-bool extract_number(const std::string& chunk, const std::string& key,
-                    double* value) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = chunk.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  char* end = nullptr;
-  const char* cursor = chunk.c_str() + at + needle.size();
-  const double parsed = std::strtod(cursor, &end);
-  if (end == cursor) {
-    return false;
-  }
-  *value = parsed;
-  return true;
-}
-
-/// Baseline cell chunks keyed by Cell::label(), after checking the
-/// header: an old schema, or a baseline recorded at another
-/// (--sets, --seed), would compare different work, so both fail loudly
-/// up front.
-std::map<std::string, std::string> load_baseline(const std::string& path,
-                                                 int sets, std::uint64_t seed) {
+/// Baseline cells keyed by Cell::label(), after checking the header: an
+/// old schema, or a baseline recorded at another (--sets, --seed),
+/// would compare different work, so both fail loudly up front.
+std::map<std::string, Fields> load_baseline(const std::string& path, int sets,
+                                            std::uint64_t seed) {
   std::ifstream file(path);
   if (!file) {
     throw std::runtime_error("cannot open baseline file '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
+  Fields header;
+  std::map<std::string, Fields> cells;
+  for (std::string line; std::getline(file, line);) {
+    auto fields = read_fields(line);
+    if (fields.count("scenario") == 0) {
+      header.merge(fields);
+      continue;
+    }
+    const Cell cell{fields["scenario"], fields["scheme"], fields["battery"]};
+    cells[cell.label()] = std::move(fields);
+  }
 
-  std::string schema;
-  if (!extract_string(text, "schema", &schema) || schema != kSchema) {
+  const std::string schema = header["schema"];
+  if (schema != kSchema) {
     throw std::runtime_error(
         "baseline file '" + path + "' has schema '" +
         (schema.empty() ? "<missing>" : schema) + "' but this binary reads '" +
         kSchema + "' — regenerate with --write-baseline");
   }
-  double file_sets = 0.0;
-  double file_seed = 0.0;
-  if (!extract_number(text, "sets", &file_sets) ||
-      !extract_number(text, "seed", &file_seed) ||
-      file_sets != static_cast<double>(sets) ||
-      file_seed != static_cast<double>(seed)) {
+  if (header["sets"] != std::to_string(sets) ||
+      header["seed"] != std::to_string(seed)) {
     throw std::runtime_error(
         "baseline file '" + path + "' was not recorded at --sets " +
         std::to_string(sets) + " --seed " + std::to_string(seed) +
         " — rerun with its settings or regenerate with --write-baseline");
   }
-
-  std::map<std::string, std::string> cells;
-  std::size_t at = 0;
-  while ((at = text.find('{', at + 1)) != std::string::npos) {
-    const auto end = text.find('}', at);
-    if (end == std::string::npos) {
-      break;
-    }
-    std::string chunk = text.substr(at, end - at);
-    Cell cell;
-    if (extract_string(chunk, "scenario", &cell.scenario) &&
-        extract_string(chunk, "scheme", &cell.scheme) &&
-        extract_string(chunk, "battery", &cell.battery)) {
-      cells[cell.label()] = std::move(chunk);
-    }
-    at = end;
-  }
   return cells;
 }
 
 /// The exact counter gate. Returns the number of failed checks: a run
-/// cell missing from the baseline, or one counter of a cell whose value
-/// differs from (or is absent in) the baseline. Gauges are not checked.
+/// cell missing from the baseline, a counter (sims or a kFields entry)
+/// whose value differs from (or is absent in) the baseline, or a
+/// baseline key the run's cell does not write. Gauge values are not
+/// checked.
 int check_against_baseline(const std::vector<CellResult>& results,
-                           const std::map<std::string, std::string>& baseline) {
+                           const std::map<std::string, Fields>& baseline) {
   int failures = 0;
   std::size_t counters = 0;
   for (const auto& r : results) {
@@ -294,23 +344,35 @@ int check_against_baseline(const std::vector<CellResult>& results,
       ++failures;
       continue;
     }
-    for (const auto& entry : r.metrics.entries()) {
-      if (entry.kind != obs::MetricKind::kCounter) {
-        continue;
-      }
+    const Fields& expected = cell->second;
+    auto check = [&](const char* name, std::uint64_t value) {
       ++counters;
-      double expected = 0.0;
-      const bool found = extract_number(cell->second, entry.name, &expected);
-      if (found && expected == entry.value) {
-        continue;
+      const auto it = expected.find(name);
+      const std::string run = std::to_string(value);
+      if (it != expected.end() && it->second == run) {
+        return;
       }
       ++failures;
       std::printf("baseline: cell %s counter %s = %s, baseline %s — the "
                   "work changed; if intended, regenerate with "
                   "--write-baseline\n",
-                  label.c_str(), entry.name.c_str(),
-                  obs::format_value(entry.value).c_str(),
-                  found ? obs::format_value(expected).c_str() : "<missing>");
+                  label.c_str(), name, run.c_str(),
+                  it != expected.end() ? it->second.c_str() : "<missing>");
+    };
+    check("sims", r.sims);
+    auto perf = r.perf;  // the accessors take a mutable PerfCounters
+    for (const auto& field : kFields) {
+      check(field.name, field.get(perf));
+    }
+    const Fields written = read_fields(cell_json(r));
+    for (const auto& entry : expected) {
+      if (written.count(entry.first) == 0) {
+        ++failures;
+        std::printf("baseline: cell %s counter %s is in the baseline but "
+                    "not reported by this binary — regenerate with "
+                    "--write-baseline\n",
+                    label.c_str(), entry.first.c_str());
+      }
     }
   }
   std::printf("baseline: %zu cell(s), %zu counter(s) checked\n",
@@ -369,7 +431,7 @@ int main(int argc, char** argv) {
       scenarios = {"paper-table2", "ippp-diurnal", "overload", "idle-heavy",
                    "sporadic-sensor"};
       schemes = exp::scheme_labels();
-      batteries = exp::battery_labels();
+      batteries = scenario::battery_labels();
     }
     override_axis(cli.get("scenarios"), &scenarios,
                   [](const std::string& s) { scenario::scenario(s); });
@@ -404,48 +466,47 @@ int main(int argc, char** argv) {
       write_direct_trace(cells.front(), seed, path);
     }
 
-    auto count = [](const CellResult& r, const char* name) {
-      return util::Table::num(static_cast<long long>(r.metrics.value(name)));
+    auto count = [](std::uint64_t v) {
+      return util::Table::num(static_cast<long long>(v));
     };
     util::Table table({"scenario", "scheme", "battery", "sims",
                        "steps", "steps/s", "draws/s", "adv/s", "sims/s",
                        "scored/step", "grows"});
     for (const auto& r : results) {
-      const double steps = r.metrics.value("steps");
+      const auto& p = r.perf;
       table.add_row(
-          {r.cell.scenario, r.cell.scheme, r.cell.battery, count(r, "sims"),
-           count(r, "steps"), fmt_rate(r.metrics.value("steps_per_sec")),
-           fmt_rate(r.metrics.value("draws_per_sec")),
-           fmt_rate(r.metrics.value("advances_per_sec")),
-           fmt_rate(r.metrics.value("sims_per_sec")),
-           util::Table::num(
-               steps > 0 ? r.metrics.value("candidates_scored") / steps : 0.0,
-               2),
-           count(r, "scratch_grows")});
+          {r.cell.scenario, r.cell.scheme, r.cell.battery, count(r.sims),
+           count(p.steps), fmt_rate(per_sec(r, p.steps)),
+           fmt_rate(per_sec(r, p.battery_draws)),
+           fmt_rate(per_sec(r, p.battery_interval_advances)),
+           fmt_rate(per_sec(r, r.sims)),
+           util::Table::num(p.steps > 0
+                                ? static_cast<double>(p.candidates_scored) /
+                                      static_cast<double>(p.steps)
+                                : 0.0,
+                            2),
+           count(p.scratch_grows)});
     }
     table.print();
 
-    // Per-kernel counter table. exp/probe is the attribution figure for
-    // the fast-series work: full exp sweeps cost one exp per series
-    // term, fast advances one total. slot xfer/slots is the stochastic
-    // kernel's share of slots that moved a quantum (the rest take the
-    // fused loop's fast path).
+    // Per-kernel counter table. slot xfer/slots is the stochastic
+    // kernel's share of slots that moved a quantum.
     std::printf("\nper-kernel battery counters:\n");
     util::Table ktable({"scenario", "scheme", "battery", "exp_sweeps",
                         "exp_calls", "decay h/m", "gain h/m", "kibam_shx",
                         "pow h/m", "fast_adv", "slot xfer/slots"});
-    auto hm = [&count](const CellResult& r, const char* h, const char* m) {
-      return count(r, h) + "/" + count(r, m);
+    auto hm = [&count](std::uint64_t h, std::uint64_t m) {
+      return count(h) + "/" + count(m);
     };
     for (const auto& r : results) {
+      const auto& k = r.perf.kernel;
       ktable.add_row({r.cell.scenario, r.cell.scheme, r.cell.battery,
-                      count(r, "k_exp_sweeps"), count(r, "k_exp_calls"),
-                      hm(r, "k_decay_hits", "k_decay_misses"),
-                      hm(r, "k_gain_hits", "k_gain_misses"),
-                      count(r, "k_kibam_shared_exps"),
-                      hm(r, "k_pow_hits", "k_pow_misses"),
-                      count(r, "k_fast_advances"),
-                      hm(r, "k_slot_transfers", "k_slots")});
+                      count(k.exp_sweeps), count(k.exp_calls),
+                      hm(k.decay_hits, k.decay_misses),
+                      hm(k.gain_hits, k.gain_misses),
+                      count(k.kibam_shared_exps),
+                      hm(k.pow_hits, k.pow_misses), count(k.fast_advances),
+                      hm(k.slot_transfers, k.slots)});
     }
     ktable.print();
 

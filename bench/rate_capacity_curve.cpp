@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "battery/lifetime.hpp"
-#include "exp/factories.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -41,11 +41,12 @@ int main(int argc, char** argv) {
   exp::ExperimentSpec spec;
   spec.title = "rate_capacity_curve";
   spec.config = cli.config_summary();
-  spec.grid = exp::Grid{}.add("battery", exp::battery_labels())
+  spec.grid = exp::Grid{}.add("battery", scenario::battery_labels())
                   .add("load_a", load_labels);
   spec.metrics = {"delivered_mah", "lifetime_min"};
   spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    const auto model = exp::make_battery(exp::battery_labels()[job.at(0)]);
+    const auto model =
+        scenario::make_battery(scenario::battery_labels()[job.at(0)]);
     const auto point =
         bat::rate_capacity_curve(*model, {loads[job.at(1)]}).front();
     return {point.delivered_mah, point.lifetime_min};
@@ -55,14 +56,14 @@ int main(int argc, char** argv) {
   // Wide layout matching the paper's figure: one row per load, two
   // columns (capacity, lifetime) per model.
   std::vector<std::string> headers{"load_A"};
-  for (const auto& model : exp::battery_labels()) {
+  for (const auto& model : scenario::battery_labels()) {
     headers.push_back(model + "_mAh");
     headers.push_back(model + "_min");
   }
   util::Table table(headers);
   for (std::size_t i = 0; i < loads.size(); ++i) {
     std::vector<std::string> row{load_labels[i]};
-    for (std::size_t m = 0; m < exp::battery_labels().size(); ++m) {
+    for (std::size_t m = 0; m < scenario::battery_labels().size(); ++m) {
       row.push_back(util::Table::num(result.mean({m, i}, 0), 1));
       row.push_back(util::Table::num(result.mean({m, i}, 1), 1));
     }
@@ -74,10 +75,11 @@ int main(int argc, char** argv) {
   exp::ExperimentSpec extrapolate;
   extrapolate.title = "rate_capacity_extrapolation";
   extrapolate.config = cli.config_summary();
-  extrapolate.grid.add("battery", exp::battery_labels());
+  extrapolate.grid.add("battery", scenario::battery_labels());
   extrapolate.metrics = {"max_capacity_mah"};
   extrapolate.run = [&](const exp::Job& job) -> std::vector<double> {
-    const auto model = exp::make_battery(exp::battery_labels()[job.at(0)]);
+    const auto model =
+        scenario::make_battery(scenario::battery_labels()[job.at(0)]);
     return {bat::max_capacity_mah(*model, probe)};
   };
   const auto caps = exp::run_experiment(extrapolate, exp::options_from_cli(cli));

@@ -132,8 +132,8 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nShape check vs paper: pUBS < LTF < Random at every size; pUBS with "
-      "oracle estimates approaches 1.00.\n");
+      "\nShape check vs paper: pUBS with oracle estimates approaches "
+      "1.00.\n");
 
   if (const auto csv = cli.get("csv"); !csv.empty()) {
     exp::write(result, csv);

@@ -23,7 +23,7 @@ Processor::Processor(std::vector<OperatingPoint> points, double vbat_v,
     }
   }
   if (!(vbat_v_ > 0.0) || !(eta_ > 0.0) || eta_ > 1.0 || !(ceff_ > 0.0) ||
-      idle_current_a_ < 0.0) {
+      !(idle_current_a_ >= 0.0) || !std::isfinite(idle_current_a_)) {
     throw std::invalid_argument("Processor: bad electrical parameters");
   }
   std::sort(points_.begin(), points_.end(),

@@ -49,8 +49,6 @@ class Processor {
   bool continuous() const noexcept { return continuous_; }
   double fmax_hz() const noexcept { return points_.back().freq_hz; }
   double fmin_hz() const noexcept { return points_.front().freq_hz; }
-  double vbat_v() const noexcept { return vbat_v_; }
-  double converter_eta() const noexcept { return eta_; }
   double ceff_farad() const noexcept { return ceff_; }
   double idle_current_a() const noexcept { return idle_current_a_; }
 

@@ -5,15 +5,7 @@
 
 namespace bas::exp {
 
-const std::vector<std::string>& battery_labels() {
-  return scenario::battery_labels();
-}
-
-std::unique_ptr<bat::Battery> make_battery(const std::string& label) {
-  return scenario::make_battery(label);
-}
-
-Axis battery_axis() { return Axis{"battery", battery_labels()}; }
+Axis battery_axis() { return Axis{"battery", scenario::battery_labels()}; }
 
 const std::vector<std::string>& scheme_labels() {
   static const std::vector<std::string> labels = [] {

@@ -2,32 +2,22 @@
 // Shared axis/object factories for bench sweeps.
 //
 // Label -> object construction for platform pieces lives in the
-// scenario registry (scenario/scenario.hpp) — the functions here are
-// thin forwards plus the Axis adapters the experiment grids consume, so
-// a Job's axis index is all a run function needs to build its own
-// private instances. Every label function returns a reference to one
-// static list; there is exactly one source of truth per axis.
+// scenario registry (scenario/scenario.hpp); batteries are built with
+// scenario::make_battery directly. The functions here are the Axis
+// adapters the experiment grids consume, so a Job's axis index is all
+// a run function needs to build its own private instances. Every label
+// function returns a reference to one static list; there is exactly one
+// source of truth per axis.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "battery/model.hpp"
 #include "core/scheme.hpp"
 #include "exp/grid.hpp"
 
 namespace bas::exp {
 
-/// {"ideal", "peukert", "kibam", "diffusion", "stochastic"} — forwarded
-/// from scenario::battery_labels().
-const std::vector<std::string>& battery_labels();
-
-/// Fresh battery by label (scenario::make_battery); throws
-/// std::invalid_argument on an unknown one (the message lists the valid
-/// labels).
-std::unique_ptr<bat::Battery> make_battery(const std::string& label);
-
-/// Axis "battery" over battery_labels().
+/// Axis "battery" over scenario::battery_labels().
 Axis battery_axis();
 
 /// Table-2 scheme labels in the paper's order (EDF .. BAS-2).

@@ -319,12 +319,6 @@ const std::vector<ScenarioSpec>& registry() {
   return presets;
 }
 
-}  // namespace
-
-std::string to_string(UtilBasis basis) {
-  return basis == UtilBasis::kActual ? "actual" : "worst-case";
-}
-
 UtilBasis util_basis_from_string(const std::string& text) {
   if (text == "actual") {
     return UtilBasis::kActual;
@@ -334,6 +328,18 @@ UtilBasis util_basis_from_string(const std::string& text) {
   }
   throw std::invalid_argument("unknown utilization basis '" + text +
                               "' (known: actual, worst-case)");
+}
+
+/// {"paper", "continuous"}.
+const std::vector<std::string>& processor_labels() {
+  static const std::vector<std::string> labels{"paper", "continuous"};
+  return labels;
+}
+
+}  // namespace
+
+std::string to_string(UtilBasis basis) {
+  return basis == UtilBasis::kActual ? "actual" : "worst-case";
 }
 
 double ScenarioSpec::worst_case_utilization() const {
@@ -419,11 +425,6 @@ std::unique_ptr<bat::Battery> make_battery(const std::string& label) {
   }
   throw std::invalid_argument("unknown battery model '" + label +
                               "' (known: " + util::join(battery_labels()) + ")");
-}
-
-const std::vector<std::string>& processor_labels() {
-  static const std::vector<std::string> labels{"paper", "continuous"};
-  return labels;
 }
 
 dvs::Processor make_processor(const std::string& label) {

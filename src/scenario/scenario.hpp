@@ -51,7 +51,6 @@ enum class UtilBasis {
 };
 
 std::string to_string(UtilBasis basis);
-UtilBasis util_basis_from_string(const std::string& text);
 
 struct ScenarioSpec {
   /// Registry key; also the label the scenario axis shows.
@@ -66,7 +65,8 @@ struct ScenarioSpec {
   double utilization = 0.7;
   UtilBasis basis = UtilBasis::kActual;
 
-  /// Platform, by registry label (battery_labels(), processor_labels()).
+  /// Platform, by registry label (battery_labels(); make_processor()
+  /// lists the processor labels).
   std::string battery = "kibam";
   std::string processor = "paper";
 
@@ -99,8 +99,8 @@ struct ScenarioSpec {
 
 // ---------------------------------------------------------------------
 // Platform registries — the single source of truth for label -> object.
-// exp::make_battery forwards here, so the experiment factories and the
-// scenario layer cannot drift apart.
+// Drivers and exp::battery_axis build on these, so the experiment
+// factories and the scenario layer cannot drift apart.
 
 /// {"ideal", "peukert", "kibam", "diffusion", "stochastic"}.
 const std::vector<std::string>& battery_labels();
@@ -110,9 +110,6 @@ const std::vector<std::string>& battery_labels();
 /// std::invalid_argument on an unknown label (the message lists the
 /// valid ones).
 std::unique_ptr<bat::Battery> make_battery(const std::string& label);
-
-/// {"paper", "continuous"}.
-const std::vector<std::string>& processor_labels();
 
 /// "paper": the 3-point evaluation processor (Processor::paper_default).
 /// "continuous": the continuous-frequency idealization used by the

@@ -110,7 +110,7 @@ class NoisyOracleEstimator final : public Estimator {
  public:
   NoisyOracleEstimator(double rel_noise, std::uint64_t seed)
       : rel_noise_(rel_noise), seed_(seed), rng_(seed) {
-    if (rel_noise < 0.0 || rel_noise >= 1.0) {
+    if (!(rel_noise >= 0.0 && rel_noise < 1.0)) {
       throw std::invalid_argument(
           "NoisyOracleEstimator: rel_noise must be in [0, 1)");
     }

@@ -23,7 +23,7 @@ void check_params(const GeneratorParams& p) {
   if (!(p.wcet_lo_cycles > 0.0) || p.wcet_hi_cycles < p.wcet_lo_cycles) {
     throw std::invalid_argument("generator: bad wcet range");
   }
-  if (p.edge_density < 0.0 || p.edge_density > 1.0) {
+  if (!(p.edge_density >= 0.0 && p.edge_density <= 1.0)) {
     throw std::invalid_argument("generator: edge_density must be in [0,1]");
   }
 }

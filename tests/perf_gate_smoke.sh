@@ -2,11 +2,15 @@
 # Exact work-counter gate (ctest: perf_counter_gate).
 #
 #   1. perf_hotpath --smoke passes against the committed baseline:
-#      every run cell is in the file and every counter equals it.
+#      every run cell is in the file and every counter equals it. In
+#      the JSON it writes, every counter (each key but the labels and
+#      the elapsed_s / *_per_sec gauges) is a plain integer, 21 a cell.
 #   2. The gate fails on each doctored copy of the baseline, run on the
 #      one cell paper-table2 x EDF x kibam so the checks stay fast:
 #        - its `steps` raised by 1: exit 1, and the message names the
 #          cell, the counter, both values and the regeneration hint;
+#        - an extra counter key the binary does not report: exit 1,
+#          naming the cell and the key;
 #        - the cell deleted: exit 1;
 #        - the schema set back to bas-perf/6: the schema message.
 #
@@ -50,6 +54,28 @@ expect_exit 0 "$work/smoke.log" --smoke --json "$work/smoke.json" \
 expect_line "$work/smoke.log" "baseline gate passed"
 echo "perf gate smoke (committed baseline): OK"
 
+# Counters render as integers: no "1.5e+06", no "2.0".
+grep -F '"scenario": ' "$work/smoke.json" | awk '
+  {
+    cell = $0; counters = 0
+    while (match(cell, /"[a-z_]+": [^,}]+/)) {
+      pair = substr(cell, RSTART, RLENGTH)
+      cell = substr(cell, RSTART + RLENGTH)
+      key = pair; sub(/": .*/, "", key); sub(/^"/, "", key)
+      value = pair; sub(/^[^:]*: /, "", value)
+      if (key ~ /^(scenario|scheme|battery|elapsed_s|.*_per_sec)$/) continue
+      ++counters
+      if (value !~ /^[0-9]+$/) {
+        print "non-integer counter " key ": " value; bad = 1
+      }
+    }
+    if (counters != 21) {
+      print counters " counters, not 21: " $0; bad = 1
+    }
+  }
+  END { exit bad }' || { echo "perf gate smoke: counter rendering" >&2; exit 1; }
+echo "perf gate smoke (counters render as integers): OK"
+
 cell='"scenario": "paper-table2", "scheme": "EDF", "battery": "kibam"'
 one=(--smoke --scenarios paper-table2 --schemes EDF --batteries kibam
      --json /dev/null)
@@ -68,14 +94,23 @@ expect_line "$work/raised.log" \
 expect_line "$work/raised.log" "regenerate with --write-baseline"
 echo "perf gate smoke (changed counter fails): OK"
 
-# 2b. The run's cell missing from the baseline.
+# 2b. A counter key in the baseline that the binary does not report.
+awk -v cell="$cell" -v extra='"k_retired": 0, "sims": ' \
+    'index($0, cell) { sub(/"sims": /, extra) } { print }' \
+    "$baseline" > "$work/extra.json"
+expect_exit 1 "$work/extra.log" "${one[@]}" --baseline "$work/extra.json"
+expect_line "$work/extra.log" \
+    "cell paper-table2/EDF/kibam counter k_retired is in the baseline"
+echo "perf gate smoke (unreported baseline counter fails): OK"
+
+# 2c. The run's cell missing from the baseline.
 grep -vF "$cell" "$baseline" > "$work/deleted.json"
 expect_exit 1 "$work/deleted.log" "${one[@]}" --baseline "$work/deleted.json"
 expect_line "$work/deleted.log" \
     "cell paper-table2/EDF/kibam is missing from the baseline"
 echo "perf gate smoke (missing cell fails): OK"
 
-# 2c. An old schema.
+# 2d. An old schema.
 sed 's|"bas-perf/7"|"bas-perf/6"|' "$baseline" > "$work/old.json"
 expect_exit 2 "$work/old.log" "${one[@]}" --baseline "$work/old.json"
 expect_line "$work/old.log" "has schema 'bas-perf/6'"

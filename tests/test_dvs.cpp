@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -93,6 +94,14 @@ TEST(Processor, RejectsBadConstruction) {
   EXPECT_THROW(
       dvs::Processor({{0.5e9, 5.0}, {1e9, 3.0}}, 1.2, 0.9, 1e-10, 0.0),
       std::invalid_argument);
+}
+
+TEST(Processor, RejectsNonFiniteIdleCurrent) {
+  EXPECT_THROW(dvs::Processor({{1e9, 5.0}}, 1.2, 0.9, 1e-10, std::nan("")),
+               std::invalid_argument);
+  EXPECT_THROW(dvs::Processor({{1e9, 5.0}}, 1.2, 0.9, 1e-10,
+                              std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Realizer, ExactPointPassesThrough) {

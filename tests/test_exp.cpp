@@ -16,6 +16,7 @@
 #include "exp/factories.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tgff/workload.hpp"
 #include "util/cli.hpp"
@@ -142,7 +143,7 @@ exp::ExperimentSpec tiny_table2_spec() {
     config.ac_model = sim::AcModel::kPerNodeMean;
     config.seed = util::Rng::hash_combine(job.replicate_seed, 1000u);
 
-    const auto battery = exp::make_battery("kibam");
+    const auto battery = scenario::make_battery("kibam");
     const auto proc = dvs::Processor::paper_default();
     const auto r = sim::simulate_scheme(
         set, proc, exp::scheme_kind_at(job.at(0)), config, battery.get());
@@ -328,12 +329,14 @@ TEST(Sink, JsonMentionsAxesMetricsAndCells) {
 // -------------------------------------------------------- the factories
 
 TEST(Factories, EveryBatteryLabelBuilds) {
-  for (const auto& label : exp::battery_labels()) {
-    const auto battery = exp::make_battery(label);
+  const auto axis = exp::battery_axis();
+  EXPECT_EQ(axis.name, "battery");
+  for (const auto& label : axis.labels) {
+    const auto battery = scenario::make_battery(label);
     ASSERT_NE(battery, nullptr);
     EXPECT_EQ(battery->name(), label);
   }
-  EXPECT_THROW(exp::make_battery("unobtainium"), std::invalid_argument);
+  EXPECT_THROW(scenario::make_battery("unobtainium"), std::invalid_argument);
 }
 
 TEST(Factories, SchemeAxisMatchesTable2) {

@@ -1,16 +1,13 @@
 // Observability-layer tests: attaching a TraceLog must not perturb
-// any simulation figure (the instrumentation-only contract), the
+// any simulation figure (the instrumentation-only contract), and the
 // Chrome-trace JSON must be well formed with per-track monotone
-// timestamps, and the metrics registry must keep names unique and in
-// stable order.
+// timestamps.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -143,63 +140,6 @@ TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
   EXPECT_GT(spans, 0u);
   // Sim-time spans live inside the simulated horizon (us = s * 1e6).
   EXPECT_LE(last_end_us, r.end_time_s * 1e6 + 1.0);
-}
-
-// ---------------------------------------------------- metrics registry
-
-TEST(Obs, MetricsRegistryKeepsOrderAndUniqueness) {
-  obs::Metrics m;
-  m.set("steps", 10);
-  m.set("draws", 4);
-  m.set("depth", 2, obs::MetricKind::kGauge);
-  m.set("steps", 12);   // overwrite, not duplicate
-  m.add("draws", 3);    // accumulate
-  m.add("fresh", 1);    // add registers when absent
-  ASSERT_EQ(m.size(), 4u);
-  EXPECT_EQ(m.entries()[0].name, "steps");
-  EXPECT_EQ(m.entries()[1].name, "draws");
-  EXPECT_EQ(m.entries()[2].name, "depth");
-  EXPECT_EQ(m.entries()[3].name, "fresh");
-  EXPECT_EQ(m.value("steps"), 12.0);
-  EXPECT_EQ(m.value("draws"), 7.0);
-  EXPECT_EQ(m.entries()[2].kind, obs::MetricKind::kGauge);
-  EXPECT_TRUE(m.has("depth"));
-  EXPECT_FALSE(m.has("missing"));
-  EXPECT_THROW(m.value("missing"), std::out_of_range);
-}
-
-TEST(Obs, FormatValuePrintsCountersAsIntegers) {
-  EXPECT_EQ(obs::format_value(0.0), "0");
-  EXPECT_EQ(obs::format_value(42.0), "42");
-  EXPECT_EQ(obs::format_value(1e15), "1000000000000000");
-  EXPECT_EQ(obs::format_value(2.5), "2.5");
-  EXPECT_EQ(obs::format_value(1.0 / 3.0), "0.333333");
-}
-
-TEST(Obs, PerfCounterFillerNamesAreUniqueAndStable) {
-  const auto r = run_scenario("paper-table2", 19, true, nullptr);
-  obs::Metrics m;
-  obs::fill(m, r.perf);
-  std::set<std::string> names;
-  for (const auto& entry : m.entries()) {
-    EXPECT_TRUE(names.insert(entry.name).second)
-        << "duplicate metric " << entry.name;
-  }
-  // The registry carries both counter surfaces: hot-path lanes and
-  // kernel k_* counters.
-  EXPECT_TRUE(m.has("steps"));
-  EXPECT_TRUE(m.has("battery_draws"));
-  EXPECT_TRUE(m.has("events_popped"));
-  EXPECT_TRUE(m.has("ticks_skipped"));
-  EXPECT_TRUE(m.has("edf_incremental_ops"));
-  EXPECT_TRUE(m.has("k_exp_sweeps"));
-  EXPECT_EQ(m.value("steps"), static_cast<double>(r.perf.steps));
-  // Filling twice overwrites in place — same names, same order.
-  const auto before = m.size();
-  obs::Metrics twice;
-  obs::fill(twice, r.perf);
-  obs::fill(twice, r.perf);
-  EXPECT_EQ(twice.size(), before);
 }
 
 }  // namespace

@@ -58,6 +58,14 @@ TEST(Estimators, MeanFractionScales) {
                std::invalid_argument);
 }
 
+TEST(Estimators, NoisyOracleRejectsNanNoise) {
+  EXPECT_THROW(sched::make_noisy_oracle_estimator(std::nan(""), 1),
+               std::invalid_argument);
+  EXPECT_THROW(sched::make_noisy_oracle_estimator(1.0, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sched::make_noisy_oracle_estimator(0.0, 1));
+}
+
 TEST(Estimators, OracleSeesActual) {
   auto e = sched::make_oracle_estimator();
   EXPECT_DOUBLE_EQ(e->estimate(0, 0, 100.0, 37.5), 37.5);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "taskgraph/algorithms.hpp"
@@ -122,6 +123,13 @@ TEST(Generator, RejectsBadParams) {
   EXPECT_THROW(tgff::generate(p, rng), std::invalid_argument);
   p.max_in_degree = 2;
   p.wcet_hi_cycles = p.wcet_lo_cycles / 2;
+  EXPECT_THROW(tgff::generate(p, rng), std::invalid_argument);
+}
+
+TEST(Generator, RejectsNanEdgeDensity) {
+  util::Rng rng(1);
+  tgff::GeneratorParams p;
+  p.edge_density = std::nan("");
   EXPECT_THROW(tgff::generate(p, rng), std::invalid_argument);
 }
 
