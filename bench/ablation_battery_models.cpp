@@ -9,8 +9,8 @@
 //
 // The workload world comes from the scenario registry (`paper-table2`
 // by default; --scenario / --scenario.FIELD reshape it) — the battery
-// axis replaces the scenario's own cell. The engine shards the
-// (battery model x scheme x set) grid; workloads key off the replicate
+// axis replaces the scenario's own cell. The engine runs the
+// (battery model x scheme x set) grid across threads; workloads key off the replicate
 // seed so every cell sees the same sets (CRN).
 
 #include <cstdio>

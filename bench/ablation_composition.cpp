@@ -7,8 +7,8 @@
 // that the miss count is zero everywhere.
 //
 // The world comes from the scenario registry (`paper-table2` by
-// default; --scenario / --scenario.FIELD reshape it). The engine shards
-// the (scope x DVS x priority x set) grid; workloads key off the
+// default; --scenario / --scenario.FIELD reshape it). The engine runs
+// the (scope x DVS x priority x set) grid across threads; workloads key off the
 // replicate seed so every cell sees the same sets (CRN).
 
 #include <cstdio>

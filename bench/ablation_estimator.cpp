@@ -9,8 +9,8 @@
 //
 // The world comes from the scenario registry (`paper-table2` by
 // default; --scenario / --scenario.FIELD reshape it); the AC-model axis
-// overrides the scenario's own setting per cell. The engine shards the
-// (AC model x estimator x set) grid; workloads key off the replicate
+// overrides the scenario's own setting per cell. The engine runs the
+// (AC model x estimator x set) grid across threads; workloads key off the replicate
 // seed so every rung sees the same sets (CRN).
 
 #include <cstdio>

@@ -22,12 +22,12 @@
 //
 // Workloads key off the replicate seed only, so every (scheme, arrival,
 // burst) cell sees the same random task-graph sets (CRN), and the
-// sweep runs on the campaign runner: --jobs/--shard/--cache/--merge/
-// --progress, byte-identical for any thread count or shard split.
+// sweep runs on the campaign runner: --jobs/--cache/--merge/--progress,
+// byte-identical for any thread count or resume.
 //
 //   ./arrival_stress --sets 3 --jobs auto
 //   ./arrival_stress --scenario poisson-mix --sets 5
-//   ./arrival_stress --shard 0/2 --cache dir   # cluster fan-out
+//   ./arrival_stress --cache dir               # resumable
 
 #include <algorithm>
 #include <cstdio>

@@ -17,7 +17,7 @@
 // the lifetime scenarios use. The (model) sweep runs on the experiment
 // engine: one job per battery model evaluates all three arrangements on
 // private instances, so the bench speaks the shared campaign interface
-// (--jobs/--csv/--shard/--cache). For the matching *workload* stress —
+// (--jobs/--csv/--cache). For the matching *workload* stress —
 // schemes compared where profile shape decides the gap — see the
 // `paper-guideline1` scenario in the gallery.
 

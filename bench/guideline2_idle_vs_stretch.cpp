@@ -18,7 +18,7 @@
 // the experiment engine: infeasible fractions (sprint above fmax) are
 // filtered out of the axis up front, and each job prices one fraction
 // on its own battery instance — so the bench speaks the shared campaign
-// interface (--jobs/--csv/--shard).
+// interface (--jobs/--csv/--cache).
 
 #include <cstdio>
 #include <string>

@@ -6,8 +6,8 @@
 // generalizes that into a catalogue of worlds — media pipelines, sensor
 // duty cycles, bursty arrivals, overload, ... — and this driver sweeps
 // the full (scenario x scheme) cross product on the campaign runner, so
-// the sweep shards across threads/processes and resumes from a cache
-// like any other bench (--jobs/--shard/--cache/--merge/--progress).
+// the sweep spreads across threads and resumes from a cache like any
+// other bench (--jobs/--cache/--merge/--progress).
 //
 //   ./scenario_gallery --list-scenarios     # the catalogue
 //   ./scenario_gallery --sets 5 --jobs auto # the table

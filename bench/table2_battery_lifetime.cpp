@@ -22,7 +22,7 @@
 //
 // Results are averaged over `--sets` random task-graph sets (the paper
 // uses 100; default here is smaller for a quick run — pass --full). The
-// (scheme x set) sweep runs on the experiment engine: --jobs N shards it
+// (scheme x set) sweep runs on the experiment engine: --jobs N spreads it
 // across threads with bit-identical results for any N.
 
 #include <cstdio>

@@ -4,7 +4,7 @@
 // whatever is left at the pulse current; the sweep varies the rest
 // duration and reports the total extractable charge per model — the
 // recovery effect the paper's §3 figures build intuition for, priced on
-// the experiment engine (--jobs/--csv/--shard all work).
+// the experiment engine (--jobs/--csv/--cache all work).
 //
 //   $ ./build/examples/battery_explorer
 //   $ ./build/examples/battery_explorer --pulse 2.5 --cycles 20

@@ -6,6 +6,16 @@
 
 namespace bas::dvs {
 
+namespace {
+
+// An infinite supply voltage or capacitance would price every current
+// at 0 A or infinity; finiteness is checked with positivity.
+bool finite_positive(double value) {
+  return std::isfinite(value) && value > 0.0;
+}
+
+}  // namespace
+
 Processor::Processor(std::vector<OperatingPoint> points, double vbat_v,
                      double converter_eta, double ceff_farad,
                      double idle_current_a)
@@ -18,12 +28,14 @@ Processor::Processor(std::vector<OperatingPoint> points, double vbat_v,
     throw std::invalid_argument("Processor: no operating points");
   }
   for (const auto& op : points_) {
-    if (!(op.freq_hz > 0.0) || !(op.voltage_v > 0.0)) {
-      throw std::invalid_argument("Processor: non-positive operating point");
+    if (!finite_positive(op.freq_hz) || !finite_positive(op.voltage_v)) {
+      throw std::invalid_argument(
+          "Processor: non-positive or non-finite operating point");
     }
   }
-  if (!(vbat_v_ > 0.0) || !(eta_ > 0.0) || eta_ > 1.0 || !(ceff_ > 0.0) ||
-      !(idle_current_a_ >= 0.0) || !std::isfinite(idle_current_a_)) {
+  if (!finite_positive(vbat_v_) || !(eta_ > 0.0) || eta_ > 1.0 ||
+      !finite_positive(ceff_) || !(idle_current_a_ >= 0.0) ||
+      !std::isfinite(idle_current_a_)) {
     throw std::invalid_argument("Processor: bad electrical parameters");
   }
   std::sort(points_.begin(), points_.end(),

@@ -27,7 +27,8 @@ class Processor {
  public:
   /// Discrete processor with the given operating points (any order;
   /// stored sorted by frequency). Throws std::invalid_argument on empty
-  /// points, non-positive values, or duplicate frequencies.
+  /// points, non-positive or non-finite values, or duplicate
+  /// frequencies.
   Processor(std::vector<OperatingPoint> points, double vbat_v,
             double converter_eta, double ceff_farad, double idle_current_a);
 

@@ -1,12 +1,10 @@
 #include "exp/plan.hpp"
 
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
-#include "util/text.hpp"
 
 namespace bas::exp {
 
@@ -64,21 +62,6 @@ void feed_string(std::uint64_t& hash, const std::string& text) {
 }
 
 }  // namespace
-
-Shard parse_shard(const std::string& text) {
-  const auto slash = text.find('/');
-  std::optional<long long> index;
-  std::optional<long long> count;
-  if (slash != std::string::npos) {
-    index = util::parse_int(text.substr(0, slash));
-    count = util::parse_int(text.substr(slash + 1));
-  }
-  if (!index || !count || *count < 1 || *index < 0 || *index >= *count) {
-    throw std::runtime_error(
-        "option --shard expects 'i/n' with 0 <= i < n, got '" + text + "'");
-  }
-  return Shard{static_cast<int>(*index), static_cast<int>(*count)};
-}
 
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec) {
   std::uint64_t hash = kFnvOffset;

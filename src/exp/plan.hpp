@@ -8,11 +8,6 @@
 // root seed), so it keys the campaign store (store/store.hpp): change
 // the grid or the seed and previously stored rows are ignored rather
 // than served as wrong results.
-//
-// Cross-process sharding partitions the manifest round-robin: shard i of
-// n owns the jobs whose index ≡ i (mod n). Because replicates of a cell
-// are contiguous in job order, round-robin spreads every cell across
-// shards, which balances load when cells differ in cost.
 
 #include <cstdint>
 #include <string>
@@ -22,20 +17,6 @@
 #include "exp/job.hpp"
 
 namespace bas::exp {
-
-/// One slice of a cross-process partition: shard `index` of `count`.
-struct Shard {
-  int index = 0;
-  int count = 1;
-
-  bool contains(std::size_t job_index) const noexcept {
-    return job_index % static_cast<std::size_t>(count) ==
-           static_cast<std::size_t>(index);
-  }
-};
-
-/// Parses "i/n" with 0 <= i < n; throws std::runtime_error otherwise.
-Shard parse_shard(const std::string& text);
 
 /// Canonical 64-bit fingerprint of a spec: FNV-1a over a
 /// length-prefixed serialization of title, config, seed, replicates,

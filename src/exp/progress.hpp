@@ -23,7 +23,7 @@ namespace bas::exp {
 class Progress {
  public:
   /// `total` is the number of jobs this process will execute (after
-  /// shard selection and cache hits). Disabled reporters never print.
+  /// store hits). Disabled reporters never print.
   /// `interval_s` throttles heartbeat lines (<= 0 prints every tick);
   /// the final line always prints.
   Progress(std::string title, std::size_t total, bool enabled,

@@ -16,7 +16,7 @@ namespace bas::exp {
 /// The engine's canonical double rendering: %.17g, the shortest fixed
 /// precision that round-trips every finite double. The sinks AND the
 /// campaign store (store/store.hpp) must share it — the
-/// shard/merge/resume byte-identity contract breaks if their precisions
+/// merge/resume byte-identity contract breaks if their precisions
 /// ever diverge.
 std::string format_double(double value);
 

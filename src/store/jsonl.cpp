@@ -145,49 +145,36 @@ std::string format_record(const std::string& fp_hex,
 /// later success of whatever shape supersede an error row).
 constexpr std::size_t kAnyArity = static_cast<std::size_t>(-1);
 
-/// load()/load_errors()/compaction share one scan so duplicates
-/// resolve identically everywhere: directory-iteration order, last
-/// record per job index wins, and a later success/error record
-/// replaces an earlier record of the other kind.
-void scan_directory(const std::string& dir, const std::string& fp_hex,
-                    std::size_t metric_count,
-                    std::map<std::size_t, ParsedRecord>* records,
-                    CompactionStats* stats,
-                    std::vector<std::filesystem::path>* files) {
+/// load() and load_errors() share one scan so duplicates resolve
+/// identically: directory-iteration order, last record per job index
+/// wins, and a later success/error record replaces an earlier record of
+/// the other kind.
+std::map<std::size_t, ParsedRecord> scan_directory(const std::string& dir,
+                                                   const std::string& fp_hex,
+                                                   std::size_t metric_count) {
+  std::map<std::size_t, ParsedRecord> records;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file() || entry.path().extension() != ".jsonl") {
       continue;
     }
-    if (stats) {
-      ++stats->files_scanned;
-    }
-    if (files) {
-      files->push_back(entry.path());
-    }
     std::ifstream file(entry.path());
     std::string line;
     while (std::getline(file, line)) {
-      if (line.empty()) {
-        continue;
-      }
-      if (stats) {
-        ++stats->records_seen;
-      }
       ParsedRecord record;
       if (parse_record(line, fp_hex, &record) &&
           (record.is_error || metric_count == kAnyArity ||
            record.metrics.size() == metric_count)) {
-        (*records)[record.job_index] = std::move(record);
+        records[record.job_index] = std::move(record);
       }
     }
   }
+  return records;
 }
 
 }  // namespace
 
-JsonlStore::JsonlStore(std::string dir, std::uint64_t fingerprint,
-                       std::string tag)
+JsonlStore::JsonlStore(std::string dir, std::uint64_t fingerprint)
     : dir_(std::move(dir)), fingerprint_(fingerprint) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -195,19 +182,14 @@ JsonlStore::JsonlStore(std::string dir, std::uint64_t fingerprint,
     throw std::runtime_error("cannot create store directory '" + dir_ +
                              "': " + ec.message());
   }
-  const std::string stem = exp::fingerprint_hex(fingerprint_) +
-                           (tag.empty() ? "" : "-" + tag);
-  write_path_ = dir_ + "/" + stem + ".jsonl";
-  marker_.emplace(dir_, stem);
+  write_path_ = dir_ + "/" + exp::fingerprint_hex(fingerprint_) + ".jsonl";
 }
 
 std::map<std::size_t, std::vector<double>> JsonlStore::load(
     std::size_t metric_count) {
-  std::map<std::size_t, ParsedRecord> records;
-  scan_directory(dir_, exp::fingerprint_hex(fingerprint_), metric_count,
-                 &records, nullptr, nullptr);
   std::map<std::size_t, std::vector<double>> metrics;
-  for (auto& [job_index, record] : records) {
+  for (auto& [job_index, record] :
+       scan_directory(dir_, exp::fingerprint_hex(fingerprint_), metric_count)) {
     if (!record.is_error) {
       metrics[job_index] = std::move(record.metrics);
     }
@@ -216,11 +198,9 @@ std::map<std::size_t, std::vector<double>> JsonlStore::load(
 }
 
 std::map<std::size_t, std::string> JsonlStore::load_errors() {
-  std::map<std::size_t, ParsedRecord> records;
-  scan_directory(dir_, exp::fingerprint_hex(fingerprint_), kAnyArity,
-                 &records, nullptr, nullptr);
   std::map<std::size_t, std::string> errors;
-  for (auto& [job_index, record] : records) {
+  for (auto& [job_index, record] :
+       scan_directory(dir_, exp::fingerprint_hex(fingerprint_), kAnyArity)) {
     if (record.is_error) {
       errors[job_index] = std::move(record.error);
     }
@@ -264,69 +244,6 @@ void JsonlStore::append(const StoreRecord& record) {
     throw std::runtime_error("failed appending to store file '" +
                              write_path_ + "'");
   }
-}
-
-CompactionStats compact_jsonl(const std::string& dir,
-                              std::uint64_t fingerprint,
-                              std::size_t metric_count) {
-  CompactionStats stats;
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    return stats;  // nothing to compact
-  }
-  require_no_live_writers(dir);
-
-  // Scan exactly the way load() does — same iteration order, last
-  // record per job index wins — so the survivors are the records a
-  // load() of the uncompacted directory would have served.
-  const std::string fp_hex = exp::fingerprint_hex(fingerprint);
-  std::map<std::size_t, ParsedRecord> kept;
-  std::vector<std::filesystem::path> old_files;
-  scan_directory(dir, fp_hex, metric_count, &kept, &stats, &old_files);
-  stats.records_kept = kept.size();
-
-  // Write the survivors (in job order — compacted files are canonical,
-  // so two compactions of equivalent directories are byte-identical)
-  // to a temp name, rename it into place, and only then remove the old
-  // files. A crash before the rename leaves the originals untouched
-  // (load() ignores the ".tmp" extension); a crash after it leaves the
-  // compacted file plus some originals, which load() merges to the
-  // same records. At no instant does the directory lack the data.
-  const std::string target = dir + "/" + fp_hex + ".jsonl";
-  const std::string target_name = fp_hex + ".jsonl";
-  if (!kept.empty()) {
-    const std::string tmp = target + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot write compacted store file '" + tmp +
-                               "'");
-    }
-    std::string records;
-    for (const auto& [job_index, record] : kept) {
-      StoreRecord row;
-      row.job_index = job_index;
-      row.metrics = record.metrics;
-      row.error = record.error;
-      records += format_record(fp_hex, row);
-    }
-    out.write(records.data(), static_cast<std::streamsize>(records.size()));
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("failed writing compacted store file '" + tmp +
-                               "'");
-    }
-    out.close();
-    std::filesystem::rename(tmp, target);
-  }
-  for (const auto& path : old_files) {
-    if (!kept.empty() && path.filename().string() == target_name) {
-      continue;  // now holds the compacted records
-    }
-    if (std::filesystem::remove(path, ec)) {
-      ++stats.files_removed;
-    }
-  }
-  return stats;
 }
 
 }  // namespace bas::store

@@ -9,21 +9,18 @@
 // Every append() is one write + one flush, and the runner appends a
 // job's row before its worker claims the next job: a killed campaign
 // loses at most the jobs still executing, and load() simply skips a
-// torn final line. Writers never share a file — each
-// (fingerprint, writer tag) pair appends to its own
-// `<fingerprint>[-<tag>].jsonl` — so concurrent shard processes can
-// point at the same store directory. load() scans every *.jsonl file
-// in the directory and filters records by fingerprint, which is also
-// what makes `--merge` work: shard outputs and resumed runs are just
-// more files in the pool. Files without the .jsonl extension (a
-// compaction's .tmp, a database file an older build left behind) are
-// never read and never removed.
+// torn final line. A run appends to `<fingerprint>.jsonl`. load()
+// scans every *.jsonl file in the directory and filters records by
+// fingerprint, so a store whose rows are spread over several files
+// (stores written by older builds kept one file per writer process,
+// `<fingerprint>-<tag>.jsonl`) still resumes and merges. Files without
+// the .jsonl extension (a database file an older build left behind)
+// are never read and never removed.
 
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,16 +29,16 @@
 namespace bas::store {
 
 /// One writer into a store directory for one spec fingerprint; load()
-/// pools every record of that fingerprint regardless of which writer
-/// appended it. append() is thread-safe (one mutex); load() and
+/// pools every record of that fingerprint regardless of which file
+/// holds it. append() is thread-safe (one mutex); load() and
 /// load_errors() read the files without it, so the runner calls them
 /// before any append.
 class JsonlStore {
  public:
   /// Opens the store in `dir` (created if missing) for one spec
-  /// fingerprint; registers this writer's live marker. Throws
-  /// std::runtime_error when the directory cannot be created.
-  JsonlStore(std::string dir, std::uint64_t fingerprint, std::string tag);
+  /// fingerprint. Throws std::runtime_error when the directory cannot
+  /// be created.
+  JsonlStore(std::string dir, std::uint64_t fingerprint);
 
   /// Metrics of every stored success record whose fingerprint matches
   /// and whose arity is `metric_count`. Malformed, stale-fingerprint
@@ -66,18 +63,6 @@ class JsonlStore {
   std::string write_path_;
   std::mutex mutex_;
   std::ofstream out_;
-  std::optional<WriterMarker> marker_;
 };
-
-/// Rewrites store directory `dir` so it holds exactly one canonical
-/// success/error record per job of `fingerprint` and nothing else:
-/// re-run duplicates are deduped (the survivor is what load() would
-/// have served), stale-fingerprint records and torn tails are dropped.
-/// A missing directory is a no-op. Throws std::runtime_error when
-/// another live writer holds the directory (see store.hpp) or the
-/// rewrite fails.
-CompactionStats compact_jsonl(const std::string& dir,
-                              std::uint64_t fingerprint,
-                              std::size_t metric_count);
 
 }  // namespace bas::store

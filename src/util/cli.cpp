@@ -64,9 +64,7 @@ std::map<std::string, std::string> Cli::with_bench_defaults(
     std::map<std::string, std::string> defaults) {
   defaults.emplace("jobs", "auto");
   defaults.emplace("csv", "");
-  defaults.emplace("shard", "");
   defaults.emplace("cache", "");
-  defaults.emplace("cache-compact", "false");
   defaults.emplace("merge", "false");
   defaults.emplace("progress", "false");
   defaults.emplace("progress-interval", "0.5");
@@ -169,9 +167,9 @@ std::string Cli::config_summary() const {
   // --keep-going belongs here too: tolerating failed jobs must not
   // invalidate a store full of results.
   static const char* const kEngineFlags[] = {
-      "jobs",          "csv",        "shard",    "cache",
-      "cache-compact", "merge",      "progress", "progress-interval",
-      "trace-out",     "keep-going", "list-scenarios"};
+      "jobs",      "csv",        "cache",
+      "merge",     "progress",   "progress-interval",
+      "trace-out", "keep-going", "list-scenarios"};
   std::ostringstream out;
   bool first = true;
   for (const auto& [key, value] : values_) {

@@ -31,17 +31,10 @@ class Cli {
   ///                ("auto" = hardware concurrency; results are
   ///                bit-identical for any value)
   ///   --csv PATH   write aggregated cells as CSV (.json for JSON)
-  ///   --shard i/n  execute only slice i of an n-way deterministic job
-  ///                partition (cluster fan-out; pair with --cache)
   ///   --cache DIR  campaign store: skip jobs already recorded under
   ///                DIR, append fresh results as they finish
-  ///   --cache-compact
-  ///                before loading, rewrite the store in place: dedupe
-  ///                re-run jobs, drop stale-fingerprint records
-  ///                (requires --cache; composes with --merge; refuses
-  ///                while another writer process is live)
-  ///   --merge      fold the complete result from the store alone
-  ///                (combines shard outputs; requires --cache)
+  ///   --merge      fold the complete result from the store alone,
+  ///                executing nothing (requires --cache)
   ///   --progress   report jobs-done/total and ETA to stderr
   ///   --progress-interval S
   ///                seconds between progress heartbeat lines (default
@@ -51,7 +44,7 @@ class Cli {
   ///                (per-job spans per worker, fail markers) — load in
   ///                Perfetto or chrome://tracing; purely observational
   ///   --keep-going record failed jobs as error rows and finish the
-  ///                shard instead of aborting
+  ///                run instead of aborting
   static std::map<std::string, std::string> with_bench_defaults(
       std::map<std::string, std::string> defaults);
 
@@ -81,14 +74,14 @@ class Cli {
   /// keeps the parsed value, so existing caches stay valid.
   void show_effective(const std::string& key, long long value);
 
-  /// summary() minus the engine/campaign flags (--jobs, --csv, --shard,
-  /// --cache, --cache-compact, --merge, --progress, --progress-interval,
-  /// --trace-out, --keep-going, --list-scenarios) and minus options
+  /// summary() minus the engine/campaign flags (--jobs, --csv, --cache,
+  /// --merge, --progress, --progress-interval, --trace-out,
+  /// --keep-going, --list-scenarios) and minus options
   /// whose value is empty (unset optional settings, e.g. unused
   /// --scenario.FIELD overrides) — exactly the options that can alter
   /// job outputs. Feed it to ExperimentSpec::config so the campaign
   /// store is invalidated when any driver parameter changes, while
-  /// sharded, resumed and differently-threaded runs of one sweep still
+  /// resumed, merged and differently-threaded runs of one sweep still
   /// share a fingerprint.
   std::string config_summary() const;
 

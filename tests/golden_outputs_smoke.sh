@@ -18,9 +18,9 @@
 # table2 runs fresh, on paper-table2 (KiBaM) and on idle-heavy (the
 # stochastic cell, the only golden that reaches that kernel; at window
 # 0 most execution slices are shorter than a 10 ms slot, so it pins the
-# partial-slot path too). arrival_stress goes through the full shard +
-# cache + merge campaign path, so shard/merge byte-identity is covered
-# per mode as well.
+# partial-slot path too). arrival_stress goes through the campaign
+# store (a --cache run, then a --merge from the store alone), so the
+# store's byte-identity is covered per mode as well.
 #
 #   fig6_smoke.csv — fig6_ordering_schemes: no battery, laEDF with the
 #                   Random/LTF/pUBS orderings in both scopes against
@@ -73,14 +73,11 @@ for mode in default window0; do
   cmp "$golden/idle_stochastic_smoke$suffix.csv" \
       "$work/idle_stochastic_$mode.csv"
 
-  # 3. arrival_stress smoke cell through the campaign path: two shards
-  #    into one cache dir, then a merge — the merged bytes must equal
+  # 3. arrival_stress smoke cell through the campaign path: a run into
+  #    a cache dir, then a merge from it — the merged bytes must equal
   #    the golden fresh run's.
   flags="--sets 1 --scenario.horizon 600 $mode_flag"
-  "$arrival" $flags --jobs 2 --shard 0/2 --cache "$work/cache_$mode" \
-      > /dev/null
-  "$arrival" $flags --jobs 2 --shard 1/2 --cache "$work/cache_$mode" \
-      > /dev/null
+  "$arrival" $flags --jobs 2 --cache "$work/cache_$mode" > /dev/null
   "$arrival" $flags --merge --cache "$work/cache_$mode" \
       --csv "$work/arrival_$mode.csv" > /dev/null
   cmp "$golden/arrival_stress_smoke$suffix.csv" "$work/arrival_$mode.csv"

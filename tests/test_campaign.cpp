@@ -1,8 +1,8 @@
-// Tests for the campaign layer: plan/fingerprint, shard partition,
-// store-backed resume, per-job store durability, merge collection,
-// keep-going error rows, determinism across worker counts
-// and the coordinate-bearing runner error reports. The store subsystem
-// itself (JSONL store, compaction) is covered by test_store.cpp.
+// Tests for the campaign layer: plan/fingerprint, store-backed resume,
+// per-job store durability, merge collection (including stores written
+// by older builds), keep-going error rows, determinism across worker
+// counts and the coordinate-bearing runner error reports. The JSONL
+// store itself is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
 
@@ -67,37 +67,41 @@ void expect_bitwise_equal(const exp::ExperimentResult& a,
   EXPECT_EQ(exp::to_json(a), exp::to_json(b));
 }
 
-// ---------------------------------------------------------------- shard
-
-TEST(Shard, ParseAcceptsValidSlices) {
-  const auto shard = exp::parse_shard("2/5");
-  EXPECT_EQ(shard.index, 2);
-  EXPECT_EQ(shard.count, 5);
-  EXPECT_EQ(exp::parse_shard("0/1").count, 1);
-}
-
-TEST(Shard, ParseRejectsMalformedSlices) {
-  for (const char* bad :
-       {"", "3", "1/", "/2", "2/2", "3/2", "-1/2", "1/0", "a/b", "1/2x"}) {
-    EXPECT_THROW(exp::parse_shard(bad), std::runtime_error) << bad;
-  }
-}
-
-TEST(Shard, PartitionIsDisjointAndComplete) {
-  const int n = 3;
-  std::vector<int> owners(100, -1);
-  for (int s = 0; s < n; ++s) {
-    const exp::Shard shard{s, n};
-    for (std::size_t j = 0; j < owners.size(); ++j) {
-      if (shard.contains(j)) {
-        EXPECT_EQ(owners[j], -1) << "job " << j << " claimed twice";
-        owners[j] = s;
-      }
+/// Runs `spec` into the store `dir` with one worker, so rows land in
+/// job order, then keeps only the first `keep` lines of the store file:
+/// what a campaign killed after `keep` jobs leaves behind.
+void write_truncated_store(const exp::ExperimentSpec& spec,
+                           const std::string& dir, std::size_t keep) {
+  exp::RunnerOptions options;
+  options.jobs = 1;
+  options.cache_dir = dir;
+  exp::run_experiment(spec, options);
+  const std::string path =
+      dir + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
+      ".jsonl";
+  std::string kept;
+  {
+    std::ifstream in(path);
+    std::string line;
+    for (std::size_t i = 0; i < keep && std::getline(in, line); ++i) {
+      kept += line + "\n";
     }
   }
-  for (std::size_t j = 0; j < owners.size(); ++j) {
-    EXPECT_NE(owners[j], -1) << "job " << j << " unowned";
-  }
+  std::ofstream(path, std::ios::trunc) << kept;
+}
+
+/// The spec with every job at index >= `from` failing: under keep_going
+/// it folds exactly the jobs a store truncated at `from` holds.
+exp::ExperimentSpec failing_from(std::size_t from) {
+  auto spec = awkward_spec();
+  const auto inner = spec.run;
+  spec.run = [from, inner](const exp::Job& job) -> std::vector<double> {
+    if (job.index >= from) {
+      throw std::runtime_error("not stored");
+    }
+    return inner(job);
+  };
+  return spec;
 }
 
 // ----------------------------------------------------------------- plan
@@ -172,25 +176,31 @@ TEST(Plan, RejectsMalformedSpecs) {
   EXPECT_THROW(exp::Plan{spec}, std::invalid_argument);
 }
 
-// --------------------------------------------- sharded + resumed runs
+// ------------------------------------------------ resumed + merged runs
 
-TEST(Campaign, ShardsMergeBitIdenticalToUnsharded) {
-  TempDir dir("merge");
+TEST(Campaign, LegacyShardStoresMergeBitIdentical) {
+  // Older builds split a campaign over `--shard i/2` processes, each
+  // appending to its own `<fp>-s<i>of2.jsonl`. A store they left behind
+  // must still merge: load() pools every *.jsonl file of the directory.
+  TempDir dir("legacy");
   const auto spec = awkward_spec();
   const auto fresh = exp::run_experiment(spec, 4);
-
-  for (int s = 0; s < 2; ++s) {
-    exp::RunnerOptions options;
-    options.jobs = 2;
-    options.shard = exp::Shard{s, 2};
-    options.cache_dir = dir.path;
-    exp::run_experiment(spec, options);
+  const exp::Plan plan(spec);
+  const std::string fp = exp::fingerprint_hex(plan.fingerprint());
+  {
+    std::filesystem::create_directories(dir.path);
+    std::ofstream shard0(dir.path + "/" + fp + "-s0of2.jsonl");
+    std::ofstream shard1(dir.path + "/" + fp + "-s1of2.jsonl");
+    for (std::size_t i = 0; i < plan.job_count(); ++i) {
+      (i % 2 == 0 ? shard0 : shard1)
+          << "{\"fp\":\"" << fp << "\",\"job\":" << i << ",\"metrics\":"
+          << store::format_metrics(spec.run(plan.job(i))) << "}\n";
+    }
   }
   exp::RunnerOptions merge;
   merge.merge_only = true;
   merge.cache_dir = dir.path;
-  const auto merged = exp::run_experiment(spec, merge);
-  expect_bitwise_equal(fresh, merged);
+  expect_bitwise_equal(fresh, exp::run_experiment(spec, merge));
 }
 
 TEST(Campaign, StoreResumeMatchesFreshRunAndSkipsStoredJobs) {
@@ -198,12 +208,10 @@ TEST(Campaign, StoreResumeMatchesFreshRunAndSkipsStoredJobs) {
   auto spec = awkward_spec();
   const auto fresh = exp::run_experiment(spec, 4);
 
-  // Interrupted stand-in: only shard 0/2 reached the store.
-  exp::RunnerOptions first;
-  first.jobs = 2;
-  first.shard = exp::Shard{0, 2};
-  first.cache_dir = dir.path;
-  exp::run_experiment(spec, first);
+  // Interrupted stand-in: only the first half of the rows reached the
+  // store.
+  const std::size_t half = spec.job_count() / 2;
+  write_truncated_store(spec, dir.path, half);
 
   std::atomic<std::size_t> executed{0};
   const auto inner = spec.run;
@@ -216,7 +224,7 @@ TEST(Campaign, StoreResumeMatchesFreshRunAndSkipsStoredJobs) {
   resume.cache_dir = dir.path;
   const auto resumed = exp::run_experiment(spec, resume);
   expect_bitwise_equal(fresh, resumed);
-  EXPECT_EQ(executed.load(), spec.job_count() / 2);
+  EXPECT_EQ(executed.load(), spec.job_count() - half);
 
   // A second resume finds everything stored and executes nothing.
   executed = 0;
@@ -249,10 +257,7 @@ TEST(Campaign, StaleFingerprintInvalidatesTheStore) {
 TEST(Campaign, MergeReportsMissingJobs) {
   TempDir dir("missing");
   const auto spec = awkward_spec();
-  exp::RunnerOptions shard0;
-  shard0.shard = exp::Shard{0, 2};
-  shard0.cache_dir = dir.path;
-  exp::run_experiment(spec, shard0);
+  write_truncated_store(spec, dir.path, 9);
 
   exp::RunnerOptions merge;
   merge.merge_only = true;
@@ -262,41 +267,40 @@ TEST(Campaign, MergeReportsMissingJobs) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string message = e.what();
-    EXPECT_NE(message.find("merge"), std::string::npos);
-    EXPECT_NE(message.find("job 1"), std::string::npos);
+    EXPECT_NE(message.find("merge found only 9 of 18"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("first missing: job 9"), std::string::npos)
+        << message;
   }
 }
 
 TEST(Campaign, MergeWithKeepGoingFoldsThePartialResult) {
   TempDir dir("partial-merge");
   const auto spec = awkward_spec();
-  exp::RunnerOptions shard0;
-  shard0.shard = exp::Shard{0, 2};
-  shard0.cache_dir = dir.path;
-  const auto partial = exp::run_experiment(spec, shard0);
+  write_truncated_store(spec, dir.path, 9);
+  exp::RunnerOptions keep_going;
+  keep_going.keep_going = true;
+  const auto partial = exp::run_experiment(failing_from(9), keep_going);
 
   exp::RunnerOptions merge;
   merge.merge_only = true;
   merge.cache_dir = dir.path;
   merge.keep_going = true;
   const auto merged = exp::run_experiment(spec, merge);
-  // Exactly the shard's half is folded, bit-identically.
+  // Exactly the stored half is folded, bit-identically.
   expect_bitwise_equal(partial, merged);
 }
 
 TEST(Campaign, MergeIsNotFooledByOutOfRangeRecords) {
   TempDir dir("padding");
   const auto spec = awkward_spec();
-  exp::RunnerOptions shard0;
-  shard0.shard = exp::Shard{0, 2};
-  shard0.cache_dir = dir.path;
-  exp::run_experiment(spec, shard0);
+  write_truncated_store(spec, dir.path, 9);
 
   // Pad the store with matching-fingerprint records whose job indices
   // are out of range, so the record count reaches job_count() while
-  // every odd job is still missing.
+  // the second half of the jobs is still missing.
   {
-    store::JsonlStore padding(dir.path, exp::spec_fingerprint(spec), "bogus");
+    store::JsonlStore padding(dir.path, exp::spec_fingerprint(spec));
     for (std::size_t i = 0; i < spec.job_count(); ++i) {
       padding.append({spec.job_count() + i, {1.0, 2.0}, ""});
     }
@@ -308,26 +312,11 @@ TEST(Campaign, MergeIsNotFooledByOutOfRangeRecords) {
   EXPECT_THROW(exp::run_experiment(spec, merge), std::runtime_error);
 }
 
-TEST(Campaign, MergeWithoutStoreOrWithShardIsRejected) {
-  const auto spec = awkward_spec();
+TEST(Campaign, MergeWithoutStoreIsRejected) {
   exp::RunnerOptions merge;
   merge.merge_only = true;
-  EXPECT_THROW(exp::run_experiment(spec, merge), std::invalid_argument);
-  merge.cache_dir = "somewhere";
-  merge.shard = exp::Shard{0, 2};
-  EXPECT_THROW(exp::run_experiment(spec, merge), std::invalid_argument);
-}
-
-TEST(Campaign, ShardRunAloneYieldsPartialCells) {
-  const auto spec = awkward_spec();
-  exp::RunnerOptions options;
-  options.shard = exp::Shard{0, 2};
-  const auto partial = exp::run_experiment(spec, options);
-  std::size_t samples = 0;
-  for (std::size_t c = 0; c < partial.cell_count(); ++c) {
-    samples += partial.at(c, 0).count();
-  }
-  EXPECT_EQ(samples, (spec.job_count() + 1) / 2);
+  EXPECT_THROW(exp::run_experiment(awkward_spec(), merge),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------- multi-worker execution
@@ -366,7 +355,7 @@ TEST(Campaign, EveryJobExecutesExactlyOnceWithManyWorkers) {
 
 // ------------------------------------------------------------ keep-going
 
-TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
+TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheRun) {
   TempDir dir("keep-going");
   auto spec = awkward_spec();
   const auto inner = spec.run;
@@ -388,7 +377,7 @@ TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
 
   // The failure is an error row, visible to merge diagnostics...
   {
-    store::JsonlStore probe(dir.path, exp::spec_fingerprint(spec), "probe");
+    store::JsonlStore probe(dir.path, exp::spec_fingerprint(spec));
     const auto errors = probe.load_errors();
     ASSERT_EQ(errors.size(), 1u);
     ASSERT_TRUE(errors.count(4));
@@ -558,19 +547,14 @@ TEST(Campaign, ArityErrorsCarryCoordinatesToo) {
 // ------------------------------------------------------ CLI threading
 
 TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
-  const char* argv[] = {"bench",   "--jobs",     "3",
-                        "--shard", "1/4",        "--cache",
-                        "/tmp/c",  "--progress", "--cache-compact",
+  const char* argv[] = {"bench",      "--jobs",  "3",
+                        "--cache",    "/tmp/c",  "--progress",
                         "--keep-going"};
-  util::Cli cli(10, argv, util::Cli::with_bench_defaults({}));
+  util::Cli cli(7, argv, util::Cli::with_bench_defaults({}));
   const auto options = exp::options_from_cli(cli);
   EXPECT_EQ(options.jobs, 3);
-  ASSERT_TRUE(options.shard.has_value());
-  EXPECT_EQ(options.shard->index, 1);
-  EXPECT_EQ(options.shard->count, 4);
   EXPECT_EQ(options.cache_dir, "/tmp/c");
   EXPECT_FALSE(options.merge_only);
-  EXPECT_TRUE(options.compact_cache);
   EXPECT_TRUE(options.progress);
   EXPECT_TRUE(options.keep_going);
 }
@@ -579,10 +563,8 @@ TEST(Campaign, OptionsFromCliDefaultsAreInert) {
   const char* argv[] = {"bench"};
   util::Cli cli(1, argv, util::Cli::with_bench_defaults({}));
   const auto options = exp::options_from_cli(cli);
-  EXPECT_FALSE(options.shard.has_value());
   EXPECT_TRUE(options.cache_dir.empty());
   EXPECT_FALSE(options.merge_only);
-  EXPECT_FALSE(options.compact_cache);
   EXPECT_FALSE(options.progress);
   EXPECT_FALSE(options.keep_going);
 }
@@ -619,20 +601,30 @@ TEST(Campaign, RemovedJobFlagsAreUnknown) {
   }
 }
 
+TEST(Campaign, RemovedCampaignFlagsAreUnknown) {
+  // A campaign runs in one process: there is no job partition to select
+  // and no store compaction, so both flags fail at parse time like any
+  // unknown option.
+  const std::vector<std::vector<const char*>> argvs = {
+      {"bench", "--shard", "0/2"}, {"bench", "--cache-compact"}};
+  for (const auto& argv : argvs) {
+    try {
+      util::Cli cli(static_cast<int>(argv.size()), argv.data(),
+                    util::Cli::with_bench_defaults({}));
+      FAIL() << "expected std::runtime_error for " << argv[1];
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("unknown option ") +
+                                           argv[1]),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Campaign, MergeWithoutStoreFromCliIsRejectedByTheRunner) {
   const char* argv[] = {"bench", "--merge"};
   util::Cli cli(2, argv, util::Cli::with_bench_defaults({}));
   EXPECT_THROW(exp::run_experiment(awkward_spec(), exp::options_from_cli(cli)),
-               std::invalid_argument);
-}
-
-TEST(Campaign, OutOfRangeShardIsRejected) {
-  exp::RunnerOptions options;
-  options.shard = exp::Shard{2, 2};
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
-               std::invalid_argument);
-  options.shard = exp::Shard{-1, 2};
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
                std::invalid_argument);
 }
 
@@ -645,11 +637,11 @@ TEST(Campaign, ConfigEntersTheFingerprint) {
 }
 
 TEST(Campaign, ConfigSummaryExcludesEngineFlags) {
-  const char* argv_a[] = {"bench",      "--battery",       "kibam",
-                          "--jobs",     "7",               "--shard",
-                          "0/2",        "--cache",         "dir",
-                          "--progress", "--cache-compact", "--keep-going"};
-  util::Cli a(12, argv_a,
+  const char* argv_a[] = {"bench",   "--battery", "kibam",
+                          "--jobs",  "7",         "--cache",
+                          "dir",     "--merge",   "--progress",
+                          "--keep-going"};
+  util::Cli a(10, argv_a,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   const char* argv_b[] = {"bench", "--battery", "kibam"};
   util::Cli b(3, argv_b,

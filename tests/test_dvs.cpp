@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/scheme.hpp"
@@ -95,6 +96,31 @@ TEST(Processor, RejectsBadConstruction) {
       dvs::Processor({{0.5e9, 5.0}, {1e9, 3.0}}, 1.2, 0.9, 1e-10, 0.0),
       std::invalid_argument);
 }
+
+// An infinite supply voltage would price every current at 0 A (a
+// battery that never drains); each of the four values that must be
+// positive must also be finite.
+class ProcessorRejectsInfinite : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProcessorRejectsInfinite, Value) {
+  const double inf = std::numeric_limits<double>::infinity();
+  double freq = 1e9;
+  double voltage = 5.0;
+  double vbat = 1.2;
+  double ceff = 1e-10;
+  double* const values[] = {&freq, &voltage, &vbat, &ceff};
+  *values[GetParam()] = inf;
+  EXPECT_THROW(dvs::Processor({{freq, voltage}}, vbat, 0.9, ceff, 0.0),
+               std::invalid_argument);
+}
+
+std::string infinite_value_name(const ::testing::TestParamInfo<int>& info) {
+  const char* const names[] = {"freq_hz", "voltage_v", "vbat_v", "ceff"};
+  return names[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(FourValues, ProcessorRejectsInfinite,
+                         ::testing::Range(0, 4), infinite_value_name);
 
 TEST(Processor, RejectsNonFiniteIdleCurrent) {
   EXPECT_THROW(dvs::Processor({{1e9, 5.0}}, 1.2, 0.9, 1e-10, std::nan("")),
