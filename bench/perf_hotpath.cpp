@@ -1,31 +1,23 @@
-// Hot-path performance benchmark and the exact work-counter gate:
-// steps/sec, battery draws/sec and sims/sec per (scheme x scenario x
-// battery) cell, plus a check of every deterministic counter against
-// the tracked baseline (ctest perf_counter_gate).
+// The exact work-counter gate (ctest perf_counter_gate). It runs every
+// (scenario x scheme x battery) cell below for --sets replicates and
+// compares each cell's deterministic sim::PerfCounters totals against
+// the tracked baseline. It reads no clock: time is measured end to end
+// with perfbench pairs (bench/ab_compare.sh), work here.
 //
-// Timing wraps sim::simulate_scheme only — workload generation and
-// result folding stay outside the clock — and every rep flips
-// SimConfig::record_perf_counters so the rates are normalized by the
-// *work actually performed* (scheduling steps, Battery::draw calls),
-// not by wall time alone. Workload seeds depend only on (--seed, rep),
-// so every cell of one rep times the same task-graph sets (CRN for
-// perf: a cell ratio is a code ratio, not a workload ratio).
+// Workload seeds depend only on (--seed, rep), so every cell of one
+// rep simulates the same task-graph sets, and the counters are
+// bit-deterministic for a given (--seed, --sets).
 //
 // One file-local field list, kFields, names the 20 sim::PerfCounters
 // fields this binary reports: the hot-path lanes, then the battery
 // kernel's k_* counters. Each cell sums them over its reps, and the
-// JSON and the gate iterate the list. BENCH_perf.json (schema
-// "bas-perf/7", documented in EXPERIMENTS.md, "Performance") writes
-// each cell flat: sims, the kFields counters in list order, then the
-// wall-clock gauges (elapsed_s and the *_per_sec rates). The gauges
-// are machine-dependent and never gated; the counters are
-// bit-deterministic for a given (--seed, --sets).
+// JSON and the gate iterate the list. The JSON (schema "bas-perf/8",
+// documented in EXPERIMENTS.md, "Performance") writes each cell flat:
+// its three labels, sims, then the kFields counters in list order.
 //
-//   ./perf_hotpath --smoke                  # CI-sized cells, ~seconds
-//   ./perf_hotpath --full                   # all schemes x batteries
-//   ./perf_hotpath --smoke --baseline ../bench/perf_baseline.json
-//   ./perf_hotpath --smoke --write-baseline ../bench/perf_baseline.json
-//   ./perf_hotpath --smoke --trace-out trace.json
+//   ./perf_hotpath --baseline ../bench/perf_baseline.json
+//   ./perf_hotpath --write-baseline ../bench/perf_baseline.json
+//   ./perf_hotpath --trace-out trace.json
 //
 // With --baseline, the run fails (exit 1) unless every run cell exists
 // in the baseline file, sims and every kFields counter of the cell
@@ -33,11 +25,8 @@
 // key this binary does not write. A mismatch means the work changed:
 // if that is intended, regenerate the baseline with --write-baseline
 // in the same change. --trace-out FILE writes a Chrome-trace JSON of
-// one extra, untimed rep of the first cell for Perfetto /
-// chrome://tracing.
+// one extra rep of the first cell for Perfetto / chrome://tracing.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -61,7 +50,7 @@ namespace {
 
 using namespace bas;
 
-constexpr const char* kSchema = "bas-perf/7";
+constexpr const char* kSchema = "bas-perf/8";
 
 struct Cell {
   std::string scenario;
@@ -76,10 +65,9 @@ struct CellResult {
   Cell cell;
   std::uint64_t sims = 0;
   sim::PerfCounters perf;
-  double elapsed_s = 0.0;
 };
 
-/// A reported sim::PerfCounters field: its bas-perf/7 key and the
+/// A reported sim::PerfCounters field: its bas-perf/8 key and the
 /// member it reads (mutable, so the per-rep sums write through it).
 struct Field {
   const char* name;
@@ -93,7 +81,7 @@ struct Field {
   {"k_" #m, [](sim::PerfCounters& p) -> auto& { return p.kernel.m; }}
 
 /// Every counter the JSON writes and the gate checks after `sims`, in
-/// bas-perf/7 cell order.
+/// bas-perf/8 cell order.
 constexpr Field kFields[] = {
     LANE(steps),
     LANE(battery_draws),
@@ -119,30 +107,6 @@ constexpr Field kFields[] = {
 
 #undef LANE
 #undef KERNEL
-
-double per_sec(const CellResult& r, std::uint64_t count) {
-  return r.elapsed_s > 0.0 ? static_cast<double>(count) / r.elapsed_s : 0.0;
-}
-
-/// Integral values (every counter, all far below 2^53) print as plain
-/// integers, everything else %.6g.
-std::string format_value(double value) {
-  char buffer[64];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      value >= -9.0e15 && value <= 9.0e15) {
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  }
-  return buffer;
-}
-
-std::string fmt_rate(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.4g", v);
-  return buffer;
-}
 
 std::size_t scheme_index(const std::string& label) {
   const auto& labels = exp::scheme_labels();
@@ -181,26 +145,23 @@ Rep make_rep(const Cell& cell, std::uint64_t seed, int rep) {
              scenario::make_battery(cell.battery)};
 }
 
-/// Runs `sets` timed reps of `cell`: the clock wraps simulate_scheme
-/// only, and each rep's counters are added into the cell's totals.
-CellResult time_cell(const Cell& cell, int sets, std::uint64_t seed) {
-  CellResult out{cell, 0, {}, 0.0};
+/// Runs `sets` reps of `cell` and adds each rep's counters into the
+/// cell's totals.
+CellResult count_cell(const Cell& cell, int sets, std::uint64_t seed) {
+  CellResult out{cell, 0, {}};
   for (int rep = 0; rep < sets; ++rep) {
     Rep r = make_rep(cell, seed, rep);
     r.config.record_perf_counters = true;
-    const auto t0 = std::chrono::steady_clock::now();
     auto result = r.run();
-    const auto t1 = std::chrono::steady_clock::now();
     ++out.sims;
     for (const auto& field : kFields) {
       field.get(out.perf) += field.get(result.perf);
     }
-    out.elapsed_s += std::chrono::duration<double>(t1 - t0).count();
   }
   return out;
 }
 
-/// One untimed rep 0 of `cell` with the Chrome-trace sink attached:
+/// One extra rep 0 of `cell` with the Chrome-trace sink attached:
 /// execution-slice spans and release / completion instants on the
 /// sim-time tracks. Load the file in Perfetto or chrome://tracing.
 void write_direct_trace(const Cell& cell, std::uint64_t seed,
@@ -215,35 +176,25 @@ void write_direct_trace(const Cell& cell, std::uint64_t seed,
   std::printf("\nwrote trace %s (%zu events)\n", path.c_str(), log.size());
 }
 
-/// One cell as a flat JSON object on one line: the baseline loader
-/// reads the file line by line and bench/ab_compare.sh reads each cell
-/// with one sed line.
+/// One cell as a flat JSON object on one line, which the baseline
+/// loader reads line by line.
 std::string cell_json(const CellResult& r) {
   std::ostringstream out;
   out << "{\"scenario\": \"" << r.cell.scenario << "\", \"scheme\": \""
       << r.cell.scheme << "\", \"battery\": \"" << r.cell.battery
       << "\", \"sims\": " << r.sims;
-  auto put = [&out](const char* key, double value) {
-    out << ", \"" << key << "\": " << format_value(value);
-  };
   auto perf = r.perf;  // the accessors take a mutable PerfCounters
   for (const auto& field : kFields) {
-    put(field.name, static_cast<double>(field.get(perf)));
+    out << ", \"" << field.name << "\": " << field.get(perf);
   }
-  put("elapsed_s", r.elapsed_s);
-  put("steps_per_sec", per_sec(r, perf.steps));
-  put("draws_per_sec", per_sec(r, perf.battery_draws));
-  put("advances_per_sec", per_sec(r, perf.battery_interval_advances));
-  put("sims_per_sec", per_sec(r, r.sims));
   out << "}";
   return out.str();
 }
 
-std::string to_json(const std::vector<CellResult>& results,
-                    const std::string& mode, int sets, std::uint64_t seed) {
+std::string to_json(const std::vector<CellResult>& results, int sets,
+                    std::uint64_t seed) {
   std::ostringstream out;
   out << "{\n  \"schema\": \"" << kSchema << "\",\n";
-  out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"sets\": " << sets << ",\n";
   out << "  \"seed\": " << seed << ",\n";
   out << "  \"cells\": [\n";
@@ -328,8 +279,7 @@ std::map<std::string, Fields> load_baseline(const std::string& path, int sets,
 /// The exact counter gate. Returns the number of failed checks: a run
 /// cell missing from the baseline, a counter (sims or a kFields entry)
 /// whose value differs from (or is absent in) the baseline, or a
-/// baseline key the run's cell does not write. Gauge values are not
-/// checked.
+/// baseline key the run's cell does not write.
 int check_against_baseline(const std::vector<CellResult>& results,
                            const std::map<std::string, Fields>& baseline) {
   int failures = 0;
@@ -401,11 +351,8 @@ int main(int argc, char** argv) {
   using namespace bas;
   try {
     util::Cli cli(argc, argv,
-                  {{"smoke", "false"},
-                   {"full", "false"},
-                   {"sets", "3"},
+                  {{"sets", "2"},
                    {"seed", "1234"},
-                   {"json", "BENCH_perf.json"},
                    {"baseline", ""},
                    {"write-baseline", ""},
                    {"trace-out", ""},
@@ -413,73 +360,48 @@ int main(int argc, char** argv) {
                    {"schemes", ""},
                    {"batteries", ""}});
 
-    // Dense cells (paper-table2, ippp-diurnal) stress the decision
-    // loop; the sparse cells (idle-heavy, sporadic-sensor) stress the
-    // battery merge windows.
-    std::vector<std::string> scenarios{"paper-table2", "ippp-diurnal",
-                                       "idle-heavy", "sporadic-sensor"};
+    // The dense cell (paper-table2) stresses the decision loop; the
+    // sparse one (idle-heavy) stresses the battery merge windows.
+    std::vector<std::string> scenarios{"paper-table2", "idle-heavy"};
     std::vector<std::string> schemes{"EDF", "laEDF", "BAS-2"};
     std::vector<std::string> batteries{"kibam", "diffusion", "stochastic"};
-    int sets = static_cast<int>(cli.get_int("sets"));
-    std::string mode = "default";
-    if (cli.get_flag("smoke")) {
-      mode = "smoke";
-      scenarios = {"paper-table2", "idle-heavy"};
-      sets = std::min(sets, 2);
-    } else if (cli.get_flag("full")) {
-      mode = "full";
-      scenarios = {"paper-table2", "ippp-diurnal", "overload", "idle-heavy",
-                   "sporadic-sensor"};
-      schemes = exp::scheme_labels();
-      batteries = scenario::battery_labels();
-    }
     override_axis(cli.get("scenarios"), &scenarios,
                   [](const std::string& s) { scenario::scenario(s); });
     override_axis(cli.get("schemes"), &schemes,
                   [](const std::string& s) { scheme_index(s); });
     override_axis(cli.get("batteries"), &batteries,
                   [](const std::string& s) { scenario::make_battery(s); });
+    const int sets = static_cast<int>(cli.get_int("sets"));
     const std::uint64_t seed = cli.get_u64("seed");
-    cli.show_effective("sets", sets);
 
-    util::print_banner("Hot-path perf: steps/sec, draws/sec, sims/sec");
-    std::printf("config: %s\nmode: %s, %d set(s) per cell\n\n",
-                cli.summary().c_str(), mode.c_str(), sets);
+    util::print_banner("Hot-path work counters");
+    std::printf("config: %s\n%d set(s) per cell\n\n", cli.summary().c_str(),
+                sets);
 
-    std::vector<Cell> cells;
+    std::vector<CellResult> results;
     for (const auto& scenario : scenarios) {
       for (const auto& battery : batteries) {
         for (const auto& scheme : schemes) {
-          cells.push_back({scenario, scheme, battery});
+          results.push_back(
+              count_cell({scenario, scheme, battery}, sets, seed));
         }
       }
     }
-
-    std::vector<CellResult> results;
-    for (const auto& cell : cells) {
-      results.push_back(time_cell(cell, sets, seed));
-    }
-    // --trace-out records one extra UNTIMED rep of the first cell with
-    // the trace sink attached — the timed loop above stays
-    // instrumentation-free.
     if (const auto path = cli.get("trace-out"); !path.empty()) {
-      write_direct_trace(cells.front(), seed, path);
+      write_direct_trace(results.front().cell, seed, path);
     }
 
     auto count = [](std::uint64_t v) {
       return util::Table::num(static_cast<long long>(v));
     };
-    util::Table table({"scenario", "scheme", "battery", "sims",
-                       "steps", "steps/s", "draws/s", "adv/s", "sims/s",
-                       "scored/step", "grows"});
+    util::Table table({"scenario", "scheme", "battery", "sims", "steps",
+                       "draws", "advances", "scored/step", "grows"});
     for (const auto& r : results) {
       const auto& p = r.perf;
       table.add_row(
           {r.cell.scenario, r.cell.scheme, r.cell.battery, count(r.sims),
-           count(p.steps), fmt_rate(per_sec(r, p.steps)),
-           fmt_rate(per_sec(r, p.battery_draws)),
-           fmt_rate(per_sec(r, p.battery_interval_advances)),
-           fmt_rate(per_sec(r, r.sims)),
+           count(p.steps), count(p.battery_draws),
+           count(p.battery_interval_advances),
            util::Table::num(p.steps > 0
                                 ? static_cast<double>(p.candidates_scored) /
                                       static_cast<double>(p.steps)
@@ -510,16 +432,13 @@ int main(int argc, char** argv) {
     }
     ktable.print();
 
-    const std::string json = to_json(results, mode, sets, seed);
-    for (const char* option : {"json", "write-baseline"}) {
-      if (const auto path = cli.get(option); !path.empty()) {
-        std::ofstream out(path);
-        if (!out) {
-          throw std::runtime_error("cannot open '" + path + "' for writing");
-        }
-        out << json;
-        std::printf("\nwrote %s\n", path.c_str());
+    if (const auto path = cli.get("write-baseline"); !path.empty()) {
+      std::ofstream out(path);
+      if (!out) {
+        throw std::runtime_error("cannot open '" + path + "' for writing");
       }
+      out << to_json(results, sets, seed);
+      std::printf("\nwrote %s\n", path.c_str());
     }
 
     if (const auto path = cli.get("baseline"); !path.empty()) {

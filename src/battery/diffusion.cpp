@@ -3,18 +3,11 @@
 #include <cmath>
 #include <stdexcept>
 
-// Element-wise per-term loops (no reductions, no libm calls) are safe to
-// hand to the vectorizer: SIMD add/mul/div are IEEE-identical lane for
-// lane, so the pragma cannot move a bit. Reduction loops (the sigma
-// accumulations) and the exp/strength-reduction fills stay scalar — a
-// simd reduction would reassociate the sum, and an omp-simd'd std::exp
-// loop could bind to a vector libm with different rounding; both would
-// break the byte-identity contract.
-#if defined(BAS_OPENMP_SIMD)
-#define BAS_SIMD _Pragma("omp simd")
-#else
-#define BAS_SIMD
-#endif
+// The sigma accumulations stay scalar, in term order: a vectorized
+// reduction would reassociate the sum and break the byte-identity
+// contract. The element-wise per-term loops are plain loops the
+// compiler may vectorize; SIMD add/mul/div are IEEE-identical lane for
+// lane.
 
 namespace bas::bat {
 
@@ -91,7 +84,6 @@ void DiffusionBattery::fill_terms(double current_a, double t) const {
   const double* r = rates();
   const double* d = decay();
   double* g = gain();
-  BAS_SIMD
   for (std::size_t i = 0; i < terms_; ++i) {
     // The exact forcing subexpression of the original formulas:
     // (current · (1 − decay)) / rate, association preserved.
@@ -119,7 +111,6 @@ void DiffusionBattery::advance(double current_a, double t) {
   const double* d = decay();
   const double* g = gain();
   double* s = s_lane();
-  BAS_SIMD
   for (std::size_t i = 0; i < terms_; ++i) {
     s[i] = s[i] * d[i] + g[i];
   }
@@ -178,7 +169,6 @@ void DiffusionBattery::advance_with_fast_decays(double current_a, double t) {
   const double* r = rates();
   const double* fd = fast_decay();
   double* s = s_lane();
-  BAS_SIMD
   for (std::size_t i = 0; i < terms_; ++i) {
     s[i] = s[i] * fd[i] + current_a * (1.0 - fd[i]) / r[i];
   }

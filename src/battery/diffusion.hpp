@@ -99,7 +99,7 @@ class DiffusionBattery final : public Battery {
   ///
   /// so a probe's term loop walks one cache-line run instead of four
   /// scattered heap vectors, and the element-wise lanes sit where the
-  /// autovectorizer likes them (see the BAS_SIMD loops in the .cpp).
+  /// autovectorizer likes them.
   /// Lane semantics are unchanged from the former separate vectors:
   ///
   ///  - rates: β²m², m = 1..series_terms, precomputed in the

@@ -6,11 +6,10 @@
 //
 //   <title>: 128/1024 jobs (12.5%), elapsed 42.0s, eta 294.1s
 //
-// to stderr, throttled to one line per `interval_s` (default half a
-// second, --progress-interval on the bench CLIs) plus a final line at
-// completion. stdout is untouched, so tables and CSV byte-compare
-// regardless of whether reporting is on. tick() is thread-safe and,
-// when disabled, a single atomic increment.
+// to stderr, throttled to one line per `interval_s` (the runner passes
+// half a second) plus a final line at completion. stdout is untouched,
+// so tables and CSV byte-compare regardless of whether reporting is on.
+// tick() is thread-safe and, when disabled, a single atomic increment.
 
 #include <atomic>
 #include <chrono>
@@ -27,7 +26,7 @@ class Progress {
   /// `interval_s` throttles heartbeat lines (<= 0 prints every tick);
   /// the final line always prints.
   Progress(std::string title, std::size_t total, bool enabled,
-           double interval_s = 0.5);
+           double interval_s);
 
   /// Records one finished job; prints a throttled status line.
   void tick();

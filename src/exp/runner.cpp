@@ -21,6 +21,9 @@ namespace {
 
 using StoredMetrics = std::map<std::size_t, std::vector<double>>;
 
+/// Seconds between --progress heartbeat lines.
+constexpr double kProgressIntervalS = 0.5;
+
 // ---- merge check ------------------------------------------------------
 
 /// Merge mode: counts the jobs missing from the store and throws
@@ -313,7 +316,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
 
   // ---- execute: pool over pending jobs, store + progress as we go ----
   Progress progress(spec.title, pending.size(), options_.progress,
-                    options_.progress_interval_s);
+                    kProgressIntervalS);
   if (!stored.empty()) {
     progress.note(std::to_string(stored.size()) + "/" +
                   std::to_string(n_jobs) + " jobs stored, executing " +
@@ -350,9 +353,6 @@ RunnerOptions options_from_cli(const util::Cli& cli) {
   options.progress = cli.get_flag("progress");
   if (cli.has("keep-going")) {
     options.keep_going = cli.get_flag("keep-going");
-  }
-  if (cli.has("progress-interval")) {
-    options.progress_interval_s = cli.get_double("progress-interval");
   }
   options.trace_out = cli.get("trace-out");
   // Runner::run owns the merge/store consistency rule.

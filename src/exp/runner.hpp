@@ -62,11 +62,9 @@ struct RunnerOptions {
   /// Requires cache_dir; throws when any job is missing (unless
   /// keep_going tolerates jobs recorded as failed).
   bool merge_only = false;
-  /// Report jobs-done/total and ETA to stderr while executing.
+  /// Report jobs-done/total and ETA to stderr while executing, at most
+  /// one heartbeat line per half second.
   bool progress = false;
-  /// Seconds between progress heartbeat lines (--progress-interval);
-  /// <= 0 prints on every finished job.
-  double progress_interval_s = 0.5;
   /// When non-empty, record a whole-campaign Chrome trace (per-job
   /// spans on per-worker tracks, fail markers) and write it to
   /// this path after the pool drains — load it in Perfetto / chrome://tracing. Purely
@@ -103,7 +101,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const RunnerOptions& options);
 
 /// Builds RunnerOptions from the shared bench flags (--jobs, --cache,
-/// --merge, --progress, --progress-interval, --trace-out, --keep-going;
+/// --merge, --progress, --trace-out, --keep-going;
 /// see util::Cli::with_bench_defaults). Runner::run enforces that
 /// --merge comes with --cache.
 RunnerOptions options_from_cli(const util::Cli& cli);

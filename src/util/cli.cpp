@@ -67,7 +67,6 @@ std::map<std::string, std::string> Cli::with_bench_defaults(
   defaults.emplace("cache", "");
   defaults.emplace("merge", "false");
   defaults.emplace("progress", "false");
-  defaults.emplace("progress-interval", "0.5");
   defaults.emplace("trace-out", "");
   defaults.emplace("keep-going", "false");
   return defaults;
@@ -167,9 +166,8 @@ std::string Cli::config_summary() const {
   // --keep-going belongs here too: tolerating failed jobs must not
   // invalidate a store full of results.
   static const char* const kEngineFlags[] = {
-      "jobs",      "csv",        "cache",
-      "merge",     "progress",   "progress-interval",
-      "trace-out", "keep-going", "list-scenarios"};
+      "jobs",     "csv",       "cache",      "merge",
+      "progress", "trace-out", "keep-going", "list-scenarios"};
   std::ostringstream out;
   bool first = true;
   for (const auto& [key, value] : values_) {

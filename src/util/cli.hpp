@@ -35,10 +35,8 @@ class Cli {
   ///                DIR, append fresh results as they finish
   ///   --merge      fold the complete result from the store alone,
   ///                executing nothing (requires --cache)
-  ///   --progress   report jobs-done/total and ETA to stderr
-  ///   --progress-interval S
-  ///                seconds between progress heartbeat lines (default
-  ///                0.5; <= 0 prints on every finished job)
+  ///   --progress   report jobs-done/total and ETA to stderr, at most
+  ///                one line per half second
   ///   --trace-out PATH
   ///                write a Chrome-trace-event JSON of the campaign
   ///                (per-job spans per worker, fail markers) — load in
@@ -75,8 +73,8 @@ class Cli {
   void show_effective(const std::string& key, long long value);
 
   /// summary() minus the engine/campaign flags (--jobs, --csv, --cache,
-  /// --merge, --progress, --progress-interval, --trace-out,
-  /// --keep-going, --list-scenarios) and minus options
+  /// --merge, --progress, --trace-out, --keep-going,
+  /// --list-scenarios) and minus options
   /// whose value is empty (unset optional settings, e.g. unused
   /// --scenario.FIELD overrides) — exactly the options that can alter
   /// job outputs. Feed it to ExperimentSpec::config so the campaign

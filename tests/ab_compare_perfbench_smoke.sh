@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perfbench mode of bench/ab_compare.sh (ctest:
+# The A/B logic of bench/ab_compare.sh (ctest:
 # ab_compare_perfbench_smoke), driven by stand-in binaries that print
 # perfbench's output shape with known numbers:
 #
@@ -50,7 +50,7 @@ fake base 1.0 true
 fake fast 0.8 true
 fake wrong 1.0 false
 
-run() { "$ab" --perfbench "$@" --workload fig6-energy --pairs 4 --seconds 1; }
+run() { "$ab" "$@" --workload fig6-energy --pairs 4 --seconds 1; }
 
 run "$work/base" "$work/fast" > "$work/fast.txt"
 cat "$work/fast.txt"

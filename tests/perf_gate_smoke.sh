@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Exact work-counter gate (ctest: perf_counter_gate).
 #
-#   1. perf_hotpath --smoke passes against the committed baseline:
-#      every run cell is in the file and every counter equals it. In
-#      the JSON it writes, every counter (each key but the labels and
-#      the elapsed_s / *_per_sec gauges) is a plain integer, 21 a cell.
+#   1. perf_hotpath passes against the committed baseline: every run
+#      cell is in the file and every counter equals it. Each cell of
+#      the JSON it writes holds its three labels and 21 counters, each
+#      a plain integer, and nothing else: no timing gauge.
 #   2. The gate fails on each doctored copy of the baseline, run on the
 #      one cell paper-table2 x EDF x kibam so the checks stay fast:
 #        - its `steps` raised by 1: exit 1, and the message names the
@@ -12,9 +12,7 @@
 #        - an extra counter key the binary does not report: exit 1,
 #          naming the cell and the key;
 #        - the cell deleted: exit 1;
-#        - the schema set back to bas-perf/6: the schema message.
-#
-# Wall-clock rates are printed by perf_hotpath but never gated.
+#        - the schema set back to bas-perf/7: the schema message.
 #
 # Usage: perf_gate_smoke.sh /path/to/perf_hotpath /path/to/perf_baseline.json
 
@@ -49,36 +47,43 @@ expect_line() {
 }
 
 # 1. The committed baseline.
-expect_exit 0 "$work/smoke.log" --smoke --json "$work/smoke.json" \
+expect_exit 0 "$work/smoke.log" --write-baseline "$work/smoke.json" \
     --baseline "$baseline"
 expect_line "$work/smoke.log" "baseline gate passed"
 echo "perf gate smoke (committed baseline): OK"
 
-# Counters render as integers: no "1.5e+06", no "2.0".
+# Each cell: the three labels, then 21 integer counters (no "1.5e+06",
+# no "2.0") and no other key.
 grep -F '"scenario": ' "$work/smoke.json" | awk '
   {
-    cell = $0; counters = 0
-    while (match(cell, /"[a-z_]+": [^,}]+/)) {
+    cell = $0; labels = 0; counters = 0
+    while (match(cell, /"[a-z_0-9]+": [^,}]+/)) {
       pair = substr(cell, RSTART, RLENGTH)
       cell = substr(cell, RSTART + RLENGTH)
       key = pair; sub(/": .*/, "", key); sub(/^"/, "", key)
       value = pair; sub(/^[^:]*: /, "", value)
-      if (key ~ /^(scenario|scheme|battery|elapsed_s|.*_per_sec)$/) continue
+      if (key ~ /^(scenario|scheme|battery)$/) {
+        ++labels
+        continue
+      }
       ++counters
       if (value !~ /^[0-9]+$/) {
-        print "non-integer counter " key ": " value; bad = 1
+        print "key " key " is not an integer counter: " value; bad = 1
+      }
+      if (key ~ /(^elapsed|_per_sec$)/) {
+        print "gauge key " key; bad = 1
       }
     }
-    if (counters != 21) {
-      print counters " counters, not 21: " $0; bad = 1
+    if (labels != 3 || counters != 21) {
+      print labels " labels and " counters " counters, not 3 and 21: " $0
+      bad = 1
     }
   }
-  END { exit bad }' || { echo "perf gate smoke: counter rendering" >&2; exit 1; }
-echo "perf gate smoke (counters render as integers): OK"
+  END { exit bad }' || { echo "perf gate smoke: cell keys" >&2; exit 1; }
+echo "perf gate smoke (cells hold labels and integer counters only): OK"
 
 cell='"scenario": "paper-table2", "scheme": "EDF", "battery": "kibam"'
-one=(--smoke --scenarios paper-table2 --schemes EDF --batteries kibam
-     --json /dev/null)
+one=(--scenarios paper-table2 --schemes EDF --batteries kibam)
 expect_exit 0 "$work/one.log" "${one[@]}" --baseline "$baseline"
 
 # 2a. One counter off by one.
@@ -111,8 +116,8 @@ expect_line "$work/deleted.log" \
 echo "perf gate smoke (missing cell fails): OK"
 
 # 2d. An old schema.
-sed 's|"bas-perf/7"|"bas-perf/6"|' "$baseline" > "$work/old.json"
+sed 's|"bas-perf/8"|"bas-perf/7"|' "$baseline" > "$work/old.json"
 expect_exit 2 "$work/old.log" "${one[@]}" --baseline "$work/old.json"
-expect_line "$work/old.log" "has schema 'bas-perf/6'"
+expect_line "$work/old.log" "has schema 'bas-perf/7'"
 expect_line "$work/old.log" "regenerate with --write-baseline"
 echo "perf gate smoke (old schema fails): OK"

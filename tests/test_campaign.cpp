@@ -603,10 +603,12 @@ TEST(Campaign, RemovedJobFlagsAreUnknown) {
 
 TEST(Campaign, RemovedCampaignFlagsAreUnknown) {
   // A campaign runs in one process: there is no job partition to select
-  // and no store compaction, so both flags fail at parse time like any
-  // unknown option.
+  // and no store compaction, and the progress heartbeat has one fixed
+  // interval, so these flags fail at parse time like any unknown option.
   const std::vector<std::vector<const char*>> argvs = {
-      {"bench", "--shard", "0/2"}, {"bench", "--cache-compact"}};
+      {"bench", "--shard", "0/2"},
+      {"bench", "--cache-compact"},
+      {"bench", "--progress-interval", "1"}};
   for (const auto& argv : argvs) {
     try {
       util::Cli cli(static_cast<int>(argv.size()), argv.data(),

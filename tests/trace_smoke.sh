@@ -9,7 +9,8 @@
 #   2. The emitted file is real trace-event JSON: `python3 -m json.tool`
 #      parses both the campaign trace (runner-level: per-job spans on
 #      pid 3) and the direct-mode sim trace (releases, exec slices),
-#      and the documents carry the expected structure.
+#      and the documents carry the expected structure. perf_hotpath's
+#      counter JSON parses too.
 #
 # The in-process format contracts (per-track monotone ts, escaping,
 # release/completion counts) live in tests/test_obs.cpp; this script
@@ -30,7 +31,7 @@ flags="--sets 1 --jobs 2"
 #    its results.
 "$table2" $flags --csv "$work/plain.csv" > /dev/null
 "$table2" $flags --csv "$work/traced.csv" \
-    --trace-out "$work/campaign.json" --progress-interval 0 > /dev/null
+    --trace-out "$work/campaign.json" > /dev/null
 cmp "$work/plain.csv" "$work/traced.csv"
 echo "trace smoke (campaign byte-identity): OK"
 
@@ -41,10 +42,10 @@ grep -q 'process_name' "$work/campaign.json"
 # the trace.
 grep -q '"ph": "X", "pid": 3' "$work/campaign.json"
 
-# 2. Direct-mode sim trace from the perf harness (one untimed rep of a
+# 2. Direct-mode sim trace from the perf harness (one extra rep of a
 #    single small cell: a few MB of trace, thousands of releases).
-"$perf" --smoke --sets 1 --scenarios sporadic-sensor --schemes EDF \
-    --batteries kibam --json "$work/perf.json" \
+"$perf" --sets 1 --scenarios sporadic-sensor --schemes EDF \
+    --batteries kibam --write-baseline "$work/perf.json" \
     --trace-out "$work/direct.json" > /dev/null
 test -s "$work/direct.json"
 grep -q '"traceEvents"' "$work/direct.json"
