@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -14,29 +14,6 @@ namespace {
 // can never collide even for coinciding coordinate values.
 constexpr std::uint64_t kCellDomain = 0x9d8f0c3b5a1e77c1ULL;
 constexpr std::uint64_t kReplicateDomain = 0x6a09e667f3bcc909ULL;
-
-Job make_job(const ExperimentSpec& spec, std::size_t index) {
-  const auto replicates = static_cast<std::size_t>(spec.replicates);
-  Job job;
-  job.index = index;
-  job.cell = index / replicates;
-  job.replicate = static_cast<int>(index % replicates);
-  job.coord = spec.grid.coord(job.cell);
-
-  std::vector<std::uint64_t> tags;
-  tags.reserve(job.coord.size() + 1);
-  tags.push_back(kCellDomain);
-  for (const auto c : job.coord) {
-    tags.push_back(static_cast<std::uint64_t>(c));
-  }
-  job.cell_seed = util::derive_seed(spec.seed, tags.data(), tags.size());
-  job.replicate_seed = util::derive_seed(
-      spec.seed,
-      {kReplicateDomain, static_cast<std::uint64_t>(job.replicate)});
-  job.seed = util::Rng::hash_combine(
-      job.cell_seed, static_cast<std::uint64_t>(job.replicate));
-  return job;
-}
 
 // FNV-1a 64, fed length-prefixed fields so "ab"+"c" and "a"+"bc" can
 // never serialize identically.
@@ -91,33 +68,35 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
   return buffer;
 }
 
-Plan::Plan(const ExperimentSpec& spec) : grid_(spec.grid) {
-  if (!spec.run) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "' has no run function");
+Job make_job(const ExperimentSpec& spec, std::size_t index) {
+  const auto replicates = static_cast<std::size_t>(spec.replicates);
+  Job job;
+  job.index = index;
+  job.cell = index / replicates;
+  job.replicate = static_cast<int>(index % replicates);
+  job.coord = spec.grid.coord(job.cell);
+
+  std::vector<std::uint64_t> tags;
+  tags.reserve(job.coord.size() + 1);
+  tags.push_back(kCellDomain);
+  for (const auto c : job.coord) {
+    tags.push_back(static_cast<std::uint64_t>(c));
   }
-  if (spec.metrics.empty()) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "' declares no metrics");
-  }
-  if (spec.replicates < 1) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "' needs replicates >= 1");
-  }
-  fingerprint_ = spec_fingerprint(spec);
-  const std::size_t n = spec.job_count();
-  jobs_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    jobs_.push_back(make_job(spec, i));
-  }
+  job.cell_seed = util::derive_seed(spec.seed, tags.data(), tags.size());
+  job.replicate_seed = util::derive_seed(
+      spec.seed,
+      {kReplicateDomain, static_cast<std::uint64_t>(job.replicate)});
+  job.seed = util::Rng::hash_combine(
+      job.cell_seed, static_cast<std::uint64_t>(job.replicate));
+  return job;
 }
 
-std::string Plan::describe(const Job& job) const {
+std::string describe(const ExperimentSpec& spec, const Job& job) {
   std::ostringstream out;
   out << "job " << job.index << " [";
-  for (std::size_t a = 0; a < grid_.axis_count(); ++a) {
-    out << (a ? ", " : "") << grid_.axis(a).name << '='
-        << grid_.axis(a).labels.at(job.coord.at(a));
+  for (std::size_t a = 0; a < spec.grid.axis_count(); ++a) {
+    out << (a ? ", " : "") << spec.grid.axis(a).name << '='
+        << spec.grid.axis(a).labels.at(job.coord.at(a));
   }
   out << "] replicate " << job.replicate;
   return out.str();

@@ -31,11 +31,11 @@ constexpr double kProgressIntervalS = 0.5;
 /// partial result. Every index is checked, not the record count: stray
 /// out-of-range records (a hand-edited or corrupted store) must not
 /// mask a genuinely missing job.
-std::size_t check_merge(const ExperimentSpec& spec, const Plan& plan,
+std::size_t check_merge(const ExperimentSpec& spec,
                         const RunnerOptions& options,
                         store::JsonlStore& store,
                         const StoredMetrics& stored) {
-  const std::size_t n_jobs = plan.job_count();
+  const std::size_t n_jobs = spec.job_count();
   std::size_t present = 0;
   std::size_t first_missing = n_jobs;
   for (std::size_t i = 0; i < n_jobs; ++i) {
@@ -52,7 +52,7 @@ std::size_t check_merge(const ExperimentSpec& spec, const Plan& plan,
       "experiment '" + spec.title + "': merge found only " +
       std::to_string(present) + " of " + std::to_string(n_jobs) +
       " jobs in store '" + options.cache_dir + "' (first missing: " +
-      plan.describe(plan.job(first_missing)) + ")";
+      describe(spec, make_job(spec, first_missing)) + ")";
   // Jobs that failed under --keep-going left error rows instead of
   // metrics; say so rather than just "missing".
   std::size_t failed = 0;
@@ -76,21 +76,20 @@ std::size_t check_merge(const ExperimentSpec& spec, const Plan& plan,
 // ---- execute ----------------------------------------------------------
 
 /// The worker pool over the pending jobs. Workers claim positions in
-/// `pending` from one shared cursor; results land in job-indexed slots
-/// and are folded in job order afterwards, so which worker computes a
-/// job never changes the result.
+/// `pending` from one shared cursor and build the claimed Job from its
+/// index; results land in job-indexed slots and are folded in job order
+/// afterwards, so which worker computes a job never changes the result.
 class Pool {
  public:
-  Pool(const ExperimentSpec& spec, const Plan& plan,
-       const RunnerOptions& options, store::JsonlStore* store,
-       const std::vector<std::size_t>& pending, Progress& progress)
+  Pool(const ExperimentSpec& spec, const RunnerOptions& options,
+       store::JsonlStore* store, const std::vector<std::size_t>& pending,
+       Progress& progress)
       : spec_(spec),
-        plan_(plan),
         options_(options),
         store_(store),
         pending_(pending),
         progress_(progress),
-        results_(plan.job_count()) {
+        results_(spec.job_count()) {
     // Campaign trace (--trace-out): per-job spans on per-worker tracks
     // and fail markers. The log is observational only — it never feeds
     // results or the store.
@@ -109,21 +108,12 @@ class Pool {
     if (threads <= 0) {
       threads = static_cast<int>(std::thread::hardware_concurrency());
     }
-    threads = std::max(1, threads);
-    const auto pool_size = std::min<std::size_t>(
-        static_cast<std::size_t>(threads), pending_.size());
-    if (pool_size <= 1) {
-      work(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(pool_size);
-      for (std::size_t t = 0; t < pool_size; ++t) {
-        pool.emplace_back(&Pool::work, this, static_cast<int>(t));
-      }
-      for (auto& thread : pool) {
-        thread.join();
-      }
-    }
+    // The calling thread is worker 0. Each worker starts the next one
+    // before it claims a job, so the first job waits for one thread
+    // start instead of jobs - 1.
+    const int workers = static_cast<int>(std::clamp<std::size_t>(
+        pending_.size(), 1, static_cast<std::size_t>(std::max(1, threads))));
+    work(0, workers);
     // Write the campaign trace even when a job failed — a trace of the
     // run that died is exactly what the post-mortem wants.
     if (trace_) {
@@ -149,14 +139,20 @@ class Pool {
   }
 
  private:
-  void work(int tid) {
+  /// Runs worker `tid` of `workers`, starting worker tid + 1 first
+  /// and joining it when this worker runs out of jobs.
+  void work(int tid, int workers) {
+    std::jthread next;
+    if (tid + 1 < workers) {
+      next = std::jthread(&Pool::work, this, tid + 1, workers);
+    }
     obs::TraceLog* const tlog = trace_ ? &*trace_ : nullptr;
     while (!failed_.load(std::memory_order_relaxed)) {
       const std::size_t k = next_.fetch_add(1);
       if (k >= pending_.size()) {
         return;
       }
-      const Job& job = plan_.job(pending_[k]);
+      const Job job = make_job(spec_, pending_[k]);
       const double job_t0 = tlog != nullptr ? tlog->now_us() : 0.0;
       store::StoreRecord record = compute(job);
       const bool ok = !record.is_error();
@@ -212,7 +208,7 @@ class Pool {
       what = "non-standard exception";
     }
     record.metrics.clear();
-    record.error = plan_.describe(job) + ": " + what;
+    record.error = describe(spec_, job) + ": " + what;
     return record;
   }
 
@@ -224,7 +220,7 @@ class Pool {
       tlog.instant("fail", obs::kCampaignPid, tid, now,
                    "{\"job\": " + id + "}");
     }
-    tlog.span(plan_.describe(job), obs::kCampaignPid, tid, t0, now - t0,
+    tlog.span(describe(spec_, job), obs::kCampaignPid, tid, t0, now - t0,
               "{\"job\": " + id + (ok ? "" : ", \"failed\": true") + "}");
   }
 
@@ -236,7 +232,6 @@ class Pool {
   }
 
   const ExperimentSpec& spec_;
-  const Plan& plan_;
   const RunnerOptions& options_;
   store::JsonlStore* const store_;
   const std::vector<std::size_t>& pending_;
@@ -286,9 +281,20 @@ ExperimentResult fold(const ExperimentSpec& spec,
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {}
 
 ExperimentResult Runner::run(const ExperimentSpec& spec) const {
-  // ---- plan: manifest, fingerprint, option validation ----------------
-  const Plan plan(spec);
-  const std::size_t n_jobs = plan.job_count();
+  // ---- plan: validate the spec and the options -----------------------
+  // Jobs are made from their index when a worker claims them (plan.hpp).
+  if (!spec.run) {
+    throw std::invalid_argument("experiment '" + spec.title +
+                                "' has no run function");
+  }
+  if (spec.metrics.empty()) {
+    throw std::invalid_argument("experiment '" + spec.title +
+                                "' declares no metrics");
+  }
+  if (spec.replicates < 1) {
+    throw std::invalid_argument("experiment '" + spec.title +
+                                "' needs replicates >= 1");
+  }
   if (options_.merge_only && options_.cache_dir.empty()) {
     throw std::invalid_argument("experiment '" + spec.title +
                                 "': merge mode requires a store directory");
@@ -298,13 +304,14 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   std::optional<store::JsonlStore> store;
   StoredMetrics stored;
   if (!options_.cache_dir.empty()) {
-    store.emplace(options_.cache_dir, plan.fingerprint());
+    store.emplace(options_.cache_dir, spec_fingerprint(spec));
     stored = store->load(spec.metrics.size());
   }
+  const std::size_t n_jobs = spec.job_count();
   std::vector<std::size_t> pending;
   std::size_t merge_missing = 0;
   if (options_.merge_only) {
-    merge_missing = check_merge(spec, plan, options_, *store, stored);
+    merge_missing = check_merge(spec, options_, *store, stored);
   } else {
     pending.reserve(n_jobs);
     for (std::size_t i = 0; i < n_jobs; ++i) {
@@ -317,8 +324,12 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   // ---- execute: pool over pending jobs, store + progress as we go ----
   Progress progress(spec.title, pending.size(), options_.progress,
                     kProgressIntervalS);
-  if (!stored.empty()) {
-    progress.note(std::to_string(stored.size()) + "/" +
+  // Count stored jobs by index: out-of-range rows (a hand-edited store)
+  // are in `stored` but serve no job.
+  const std::size_t n_stored =
+      n_jobs - (options_.merge_only ? merge_missing : pending.size());
+  if (n_stored > 0) {
+    progress.note(std::to_string(n_stored) + "/" +
                   std::to_string(n_jobs) + " jobs stored, executing " +
                   std::to_string(pending.size()));
   }
@@ -326,8 +337,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
     progress.note(std::to_string(merge_missing) + " job(s) missing from "
                   "the store; folding the partial result (--keep-going)");
   }
-  Pool pool(spec, plan, options_, store ? &*store : nullptr, pending,
-            progress);
+  Pool pool(spec, options_, store ? &*store : nullptr, pending, progress);
   const auto fresh = pool.run();
 
   // ---- fold: job-order fold over stored + fresh metrics --------------

@@ -1,20 +1,23 @@
 #pragma once
 // The campaign runner: plan -> open the store -> execute -> fold.
 //
-//  plan     A Plan (plan.hpp) materializes the job manifest — indices,
-//           coordinates, seeds — and the spec fingerprint that keys the
-//           campaign store.
+//  plan     Validate the spec (run function, metrics, replicates >= 1)
+//           and the options. No job list is built: every job is a pure
+//           function of its index (plan.hpp). spec_fingerprint keys
+//           the campaign store.
 //  store    With a store directory, the runner loads every stored row
 //           of the fingerprint (store/jsonl.hpp). A resumed run
 //           executes only the jobs missing from it; a merge executes
 //           nothing and requires every job to be stored.
-//  execute  Workers claim the pending jobs from one shared atomic
-//           cursor, so uneven cell costs never leave a thread idle
-//           while work remains. Each worker appends its finished row
-//           to the JSONL store itself (one write + flush) before it
-//           claims the next job, so every row of a finished job is on
-//           disk. A Progress reporter (progress.hpp) heartbeats
-//           jobs/ETA to stderr.
+//  execute  Workers — the calling thread and up to jobs - 1 more, each
+//           started by the one before — claim the pending job indices
+//           from one shared atomic cursor and derive each Job with
+//           make_job when they claim it, so uneven cell costs never
+//           leave a thread idle while work remains. Each worker
+//           appends its finished row to the JSONL store itself (one
+//           write + flush) before it claims the next job, so every row
+//           of a finished job is on disk. A Progress reporter
+//           (progress.hpp) heartbeats jobs/ETA to stderr.
 //  fold     The job-order fold merges stored and freshly computed
 //           metrics into an ExperimentResult. Because %.17g round-trips
 //           doubles exactly (the store keeps that rendering), a result

@@ -12,7 +12,8 @@ TaskGraph::TaskGraph(double period_s, std::string name)
 NodeId TaskGraph::add_node(double wcet_cycles, std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (name.empty()) {
-    name = "n" + std::to_string(id);
+    name.push_back('n');
+    name += std::to_string(id);
   }
   nodes_.push_back(Node{wcet_cycles, std::move(name)});
   succ_.emplace_back();

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace bas::tgff {
@@ -45,7 +47,9 @@ tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng) {
     const double log_hi = std::log(params.period_hi_s);
     const double period = std::exp(rng.uniform(log_lo, log_hi));
     g.set_period(period);
-    g.set_name("G" + std::to_string(i));
+    std::string name = "G";
+    name += std::to_string(i);
+    g.set_name(std::move(name));
 
     // Rescale wcets so this graph contributes exactly its share:
     //   u_i = target * w_i / sum(w)  =  (WC_i / fmax) / period_i

@@ -144,36 +144,21 @@ TEST(Plan, FieldBoundariesChangeTheFingerprint) {
   EXPECT_NE(exp::spec_fingerprint(a), exp::spec_fingerprint(b));
 }
 
-TEST(Plan, MaterializesTheFullManifest) {
+TEST(Plan, MakeJobDerivesEveryJobFromItsIndex) {
   const auto spec = awkward_spec();
-  const exp::Plan plan(spec);
-  ASSERT_EQ(plan.job_count(), spec.job_count());
-  for (std::size_t i = 0; i < plan.job_count(); ++i) {
-    const auto& job = plan.job(i);
+  for (std::size_t i = 0; i < spec.job_count(); ++i) {
+    const auto job = exp::make_job(spec, i);
     EXPECT_EQ(job.index, i);
     EXPECT_EQ(job.cell, i / 3);
     EXPECT_EQ(job.replicate, static_cast<int>(i % 3));
     EXPECT_EQ(job.coord, spec.grid.coord(job.cell));
   }
-  EXPECT_EQ(plan.fingerprint(), exp::spec_fingerprint(spec));
 }
 
 TEST(Plan, DescribeNamesCoordinatesAndReplicate) {
   const auto spec = awkward_spec();
-  const exp::Plan plan(spec);
-  EXPECT_EQ(plan.describe(plan.job(10)), "job 10 [a=a1, b=b1] replicate 1");
-}
-
-TEST(Plan, RejectsMalformedSpecs) {
-  auto spec = awkward_spec();
-  spec.run = nullptr;
-  EXPECT_THROW(exp::Plan{spec}, std::invalid_argument);
-  spec = awkward_spec();
-  spec.metrics.clear();
-  EXPECT_THROW(exp::Plan{spec}, std::invalid_argument);
-  spec = awkward_spec();
-  spec.replicates = 0;
-  EXPECT_THROW(exp::Plan{spec}, std::invalid_argument);
+  EXPECT_EQ(exp::describe(spec, exp::make_job(spec, 10)),
+            "job 10 [a=a1, b=b1] replicate 1");
 }
 
 // ------------------------------------------------ resumed + merged runs
@@ -185,16 +170,15 @@ TEST(Campaign, LegacyShardStoresMergeBitIdentical) {
   TempDir dir("legacy");
   const auto spec = awkward_spec();
   const auto fresh = exp::run_experiment(spec, 4);
-  const exp::Plan plan(spec);
-  const std::string fp = exp::fingerprint_hex(plan.fingerprint());
+  const std::string fp = exp::fingerprint_hex(exp::spec_fingerprint(spec));
   {
     std::filesystem::create_directories(dir.path);
     std::ofstream shard0(dir.path + "/" + fp + "-s0of2.jsonl");
     std::ofstream shard1(dir.path + "/" + fp + "-s1of2.jsonl");
-    for (std::size_t i = 0; i < plan.job_count(); ++i) {
+    for (std::size_t i = 0; i < spec.job_count(); ++i) {
       (i % 2 == 0 ? shard0 : shard1)
           << "{\"fp\":\"" << fp << "\",\"job\":" << i << ",\"metrics\":"
-          << store::format_metrics(spec.run(plan.job(i))) << "}\n";
+          << store::format_metrics(spec.run(exp::make_job(spec, i))) << "}\n";
     }
   }
   exp::RunnerOptions merge;
@@ -310,6 +294,34 @@ TEST(Campaign, MergeIsNotFooledByOutOfRangeRecords) {
   merge.merge_only = true;
   merge.cache_dir = dir.path;
   EXPECT_THROW(exp::run_experiment(spec, merge), std::runtime_error);
+}
+
+TEST(Campaign, ResumeNoteCountsOnlyInRangeStoredJobs) {
+  // A stray out-of-range row is loaded with the store but serves no
+  // job: the note must count the 9 stored jobs, not the 10 rows.
+  TempDir dir("note");
+  const auto spec = awkward_spec();
+  write_truncated_store(spec, dir.path, 9);
+  store::JsonlStore(dir.path, exp::spec_fingerprint(spec))
+      .append({spec.job_count(), {1.0, 2.0}, ""});
+
+  exp::RunnerOptions resume;
+  resume.cache_dir = dir.path;
+  resume.progress = true;
+  testing::internal::CaptureStderr();
+  exp::run_experiment(spec, resume);
+  std::string note = testing::internal::GetCapturedStderr();
+  EXPECT_NE(note.find("9/18 jobs stored, executing 9"), std::string::npos)
+      << note;
+
+  // Merge mode counts the same way.
+  exp::RunnerOptions merge = resume;
+  merge.merge_only = true;
+  testing::internal::CaptureStderr();
+  exp::run_experiment(spec, merge);
+  note = testing::internal::GetCapturedStderr();
+  EXPECT_NE(note.find("18/18 jobs stored, executing 0"), std::string::npos)
+      << note;
 }
 
 TEST(Campaign, MergeWithoutStoreIsRejected) {

@@ -114,6 +114,16 @@ TEST(Runner, JobSeedsFollowTheContract) {
   }
   std::sort(seeds.begin(), seeds.end());
   EXPECT_EQ(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  // The derivation itself is pinned: stored rows and CRN pairings of
+  // earlier builds stay valid only while these values hold.
+  EXPECT_EQ(jobs[0].seed, 0x971d489f4a63746cULL);
+  EXPECT_EQ(jobs[3].seed, 0x73b0434ddb6b8f0eULL);
+  EXPECT_EQ(jobs[5].seed, 0x878e9c9b37539a00ULL);
+  EXPECT_EQ(jobs[0].cell_seed, 0xdce42328da512b68ULL);
+  EXPECT_EQ(jobs[2].cell_seed, 0x9e777da3fc65af54ULL);
+  EXPECT_EQ(jobs[4].cell_seed, 0x74e6130ea5c82a15ULL);
+  EXPECT_EQ(jobs[0].replicate_seed, 0x6cac2479da9ba080ULL);
+  EXPECT_EQ(jobs[1].replicate_seed, 0xa90f49ed9df59c19ULL);
 }
 
 // ----------------------------------------------------------- the runner
