@@ -8,10 +8,10 @@
 // rep simulates the same task-graph sets, and the counters are
 // bit-deterministic for a given (--seed, --sets).
 //
-// One file-local field list, kFields, names the 20 sim::PerfCounters
+// One file-local field list, kFields, names the 11 sim::PerfCounters
 // fields this binary reports: the hot-path lanes, then the battery
 // kernel's k_* counters. Each cell sums them over its reps, and the
-// JSON and the gate iterate the list. The JSON (schema "bas-perf/8",
+// JSON and the gate iterate the list. The JSON (schema "bas-perf/9",
 // documented in EXPERIMENTS.md, "Performance") writes each cell flat:
 // its three labels, sims, then the kFields counters in list order.
 //
@@ -50,7 +50,7 @@ namespace {
 
 using namespace bas;
 
-constexpr const char* kSchema = "bas-perf/8";
+constexpr const char* kSchema = "bas-perf/9";
 
 struct Cell {
   std::string scenario;
@@ -67,7 +67,7 @@ struct CellResult {
   sim::PerfCounters perf;
 };
 
-/// A reported sim::PerfCounters field: its bas-perf/8 key and the
+/// A reported sim::PerfCounters field: its bas-perf/9 key and the
 /// member it reads (mutable, so the per-rep sums write through it).
 struct Field {
   const char* name;
@@ -81,7 +81,7 @@ struct Field {
   {"k_" #m, [](sim::PerfCounters& p) -> auto& { return p.kernel.m; }}
 
 /// Every counter the JSON writes and the gate checks after `sims`, in
-/// bas-perf/8 cell order.
+/// bas-perf/9 cell order.
 constexpr Field kFields[] = {
     LANE(steps),
     LANE(battery_draws),
@@ -91,16 +91,7 @@ constexpr Field kFields[] = {
     LANE(events_popped),
     LANE(ticks_skipped),
     LANE(edf_incremental_ops),
-    KERNEL(exp_sweeps),
     KERNEL(exp_calls),
-    KERNEL(decay_hits),
-    KERNEL(decay_misses),
-    KERNEL(gain_hits),
-    KERNEL(gain_misses),
-    KERNEL(kibam_shared_exps),
-    KERNEL(pow_hits),
-    KERNEL(pow_misses),
-    KERNEL(fast_advances),
     KERNEL(slots),
     KERNEL(slot_transfers),
 };
@@ -414,21 +405,13 @@ int main(int argc, char** argv) {
     // Per-kernel counter table. slot xfer/slots is the stochastic
     // kernel's share of slots that moved a quantum.
     std::printf("\nper-kernel battery counters:\n");
-    util::Table ktable({"scenario", "scheme", "battery", "exp_sweeps",
-                        "exp_calls", "decay h/m", "gain h/m", "kibam_shx",
-                        "pow h/m", "fast_adv", "slot xfer/slots"});
-    auto hm = [&count](std::uint64_t h, std::uint64_t m) {
-      return count(h) + "/" + count(m);
-    };
+    util::Table ktable({"scenario", "scheme", "battery", "exp_calls",
+                        "slot xfer/slots"});
     for (const auto& r : results) {
       const auto& k = r.perf.kernel;
       ktable.add_row({r.cell.scenario, r.cell.scheme, r.cell.battery,
-                      count(k.exp_sweeps), count(k.exp_calls),
-                      hm(k.decay_hits, k.decay_misses),
-                      hm(k.gain_hits, k.gain_misses),
-                      count(k.kibam_shared_exps),
-                      hm(k.pow_hits, k.pow_misses), count(k.fast_advances),
-                      hm(k.slot_transfers, k.slots)});
+                      count(k.exp_calls),
+                      count(k.slot_transfers) + "/" + count(k.slots)});
     }
     ktable.print();
 

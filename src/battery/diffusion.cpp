@@ -3,11 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
-// The sigma accumulations stay scalar, in term order: a vectorized
+// The sigma accumulation stays scalar, in term order: a vectorized
 // reduction would reassociate the sum and break the byte-identity
-// contract. The element-wise per-term loops are plain loops the
-// compiler may vectorize; SIMD add/mul/div are IEEE-identical lane for
-// lane.
+// contract. The element-wise commit loop is a plain loop the compiler
+// may vectorize; SIMD add/mul/div are IEEE-identical lane for lane.
 
 namespace bas::bat {
 
@@ -25,7 +24,7 @@ DiffusionBattery::DiffusionBattery(DiffusionParams params) : params_(params) {
     throw std::invalid_argument("DiffusionBattery: bad parameters");
   }
   terms_ = static_cast<std::size_t>(params_.series_terms);
-  soa_.assign(5 * terms_, 0.0);
+  soa_.assign(3 * terms_, 0.0);
   double* r = soa_.data();
   for (int m = 1; m <= params_.series_terms; ++m) {
     // Same expression the per-call formulas evaluated, so the table
@@ -58,61 +57,37 @@ std::unique_ptr<Battery> DiffusionBattery::fresh_clone() const {
   return std::make_unique<DiffusionBattery>(params_);
 }
 
-void DiffusionBattery::fill_decay(double t) const {
-  if (t == decay_t_) {
-    ++kc_.decay_hits;
-    return;
-  }
-  ++kc_.decay_misses;
-  ++kc_.exp_sweeps;
-  kc_.exp_calls += static_cast<std::uint64_t>(terms_);
-  const double* r = rates();
-  double* d = decay();
-  for (std::size_t i = 0; i < terms_; ++i) {
-    d[i] = std::exp(-r[i] * t);
-  }
-  decay_t_ = t;
-}
-
-void DiffusionBattery::fill_terms(double current_a, double t) const {
-  fill_decay(t);
-  if (t == gain_t_ && current_a == gain_current_a_) {
-    ++kc_.gain_hits;
-    return;
-  }
-  ++kc_.gain_misses;
-  const double* r = rates();
-  const double* d = decay();
-  double* g = gain();
-  for (std::size_t i = 0; i < terms_; ++i) {
-    // The exact forcing subexpression of the original formulas:
-    // (current · (1 − decay)) / rate, association preserved.
-    g[i] = current_a * (1.0 - d[i]) / r[i];
-  }
-  gain_t_ = t;
-  gain_current_a_ = current_a;
-}
-
 double DiffusionBattery::sigma_after_c(double current_a, double t) const {
-  fill_terms(current_a, t);
-  const double* d = decay();
-  const double* g = gain();
+  // Strength-reduced decays: x = e^{-β²t}; x^{m²} = x^{(m-1)²}·x^{2m-1}
+  // — one exp for the whole series. The recurrence itself is a serial
+  // dependence chain, so it stays scalar by construction.
+  ++kc_.exp_calls;
+  const double x = std::exp(-params_.beta_squared * t);
+  const double x_sq = x * x;
+  double* d = decay();
+  double odd = x;  // x^{2m-1}
+  double dm = x;   // x^{m²}
+  for (std::size_t i = 0; i < terms_; ++i) {
+    d[i] = dm;
+    odd *= x_sq;
+    dm *= odd;
+  }
+  const double* r = rates();
   const double* s = s_lane();
   double sigma = drawn_c_ + current_a * t;
   for (std::size_t i = 0; i < terms_; ++i) {
-    sigma += 2.0 * (s[i] * d[i] + g[i]);
+    sigma += 2.0 * (s[i] * d[i] + current_a * (1.0 - d[i]) / r[i]);
   }
   return sigma;
 }
 
 void DiffusionBattery::advance(double current_a, double t) {
-  fill_terms(current_a, t);
   drawn_c_ += current_a * t;
+  const double* r = rates();
   const double* d = decay();
-  const double* g = gain();
   double* s = s_lane();
   for (std::size_t i = 0; i < terms_; ++i) {
-    s[i] = s[i] * d[i] + g[i];
+    s[i] = s[i] * d[i] + current_a * (1.0 - d[i]) / r[i];
   }
 }
 
@@ -122,8 +97,7 @@ double DiffusionBattery::do_draw(double current_a, double dt_s) {
     return dt_s;
   }
   // Cutoff inside the segment. While current flows, sigma is strictly
-  // increasing in t, so bisection finds the crossing. Every probe at a
-  // repeated t rides the t-keyed decay memo (fill_decay).
+  // increasing in t, so bisection finds the crossing.
   double lo = 0.0;
   double hi = dt_s;
   for (int iter = 0; iter < 80; ++iter) {
@@ -134,66 +108,10 @@ double DiffusionBattery::do_draw(double current_a, double dt_s) {
       hi = mid;
     }
   }
-  advance(current_a, lo);
-  dead_ = true;
-  return lo;
-}
-
-double DiffusionBattery::sigma_after_c_fast(double current_a,
-                                            double t) const {
-  // Strength-reduced decays: x = e^{-β²t}; x^{m²} = x^{(m-1)²}·x^{2m-1}
-  // — one exp for the whole series. The recurrence itself is a serial
-  // dependence chain, so it stays scalar by construction.
-  ++kc_.exp_calls;
-  const double x = std::exp(-params_.beta_squared * t);
-  const double x_sq = x * x;
-  double* fd = fast_decay();
-  double odd = x;  // x^{2m-1}
-  double dm = x;   // x^{m²}
-  for (std::size_t i = 0; i < terms_; ++i) {
-    fd[i] = dm;
-    odd *= x_sq;
-    dm *= odd;
-  }
-  const double* r = rates();
-  const double* s = s_lane();
-  double sigma = drawn_c_ + current_a * t;
-  for (std::size_t i = 0; i < terms_; ++i) {
-    sigma += 2.0 * (s[i] * fd[i] + current_a * (1.0 - fd[i]) / r[i]);
-  }
-  return sigma;
-}
-
-void DiffusionBattery::advance_with_fast_decays(double current_a, double t) {
-  drawn_c_ += current_a * t;
-  const double* r = rates();
-  const double* fd = fast_decay();
-  double* s = s_lane();
-  for (std::size_t i = 0; i < terms_; ++i) {
-    s[i] = s[i] * fd[i] + current_a * (1.0 - fd[i]) / r[i];
-  }
-}
-
-double DiffusionBattery::do_advance_interval(double current_a, double dt_s) {
-  ++kc_.fast_advances;
-  if (sigma_after_c_fast(current_a, dt_s) < params_.alpha_c) {
-    advance_with_fast_decays(current_a, dt_s);
-    return dt_s;
-  }
-  double lo = 0.0;
-  double hi = dt_s;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (sigma_after_c_fast(current_a, mid) < params_.alpha_c) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // Refill the fast lane at the committed crossing (the last probe may
+  // Refill the decay lane at the committed crossing (the last probe may
   // have evaluated hi) before advancing the state to it.
-  sigma_after_c_fast(current_a, lo);
-  advance_with_fast_decays(current_a, lo);
+  sigma_after_c(current_a, lo);
+  advance(current_a, lo);
   dead_ = true;
   return lo;
 }

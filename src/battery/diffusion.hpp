@@ -15,7 +15,12 @@
 //
 // For piecewise-constant loads each series term has an exact recurrence,
 // so stepping is O(M) per segment with no integration error. The series
-// is truncated at `series_terms` (error falls off as e^{-β² M²}).
+// is truncated at `series_terms` (error falls off as e^{-β² M²}). The
+// per-term decays e^{-β²m²t} come from one exp by strength reduction:
+// x = e^{-β²t}, x^{m²} = x^{(m-1)²} · x^{2m-1}. That is the only series;
+// draw, advance_interval and sigma_after all evaluate it. Against a
+// per-term std::exp sweep it drifts by at most ~1.5e-11 relative on
+// sigma (EXPERIMENTS.md, "Kernel instrumentation").
 
 #include "battery/model.hpp"
 
@@ -54,80 +59,36 @@ class DiffusionBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  /// Merged-window fast path (battery merge-window flushes only): the
-  /// same exact recurrence, but with the per-term decays produced by
-  /// strength reduction — x = e^{-β²t}, decay_m = x^{m²} via
-  /// x^{m²} = x^{(m-1)²} · x^{2m-1} — so each probe costs 1 exp and
-  /// ~2 multiplies per term instead of one exp per term. Not bitwise
-  /// equal to the std::exp sweep (~1e-13 relative on the decays), which
-  /// is why it lives behind the interval-advance hook the per-slice
-  /// draw path never takes; covered by the written waiver in
-  /// EXPERIMENTS.md ("Kernel instrumentation").
-  double do_advance_interval(double current_a, double dt_s) override;
   double do_sigma_after(double current_a, double t_s) const override;
   void do_reset() override;
 
  private:
   /// sigma after continuing the present current for `t` more seconds.
+  /// Fills the decay lane for t; advance() commits the lane last filled.
   double sigma_after_c(double current_a, double t) const;
   void advance(double current_a, double t);
-  /// Fast-series probe: fills the fast-decay lane for t and returns
-  /// sigma; advance_with_fast_decays commits the lane last filled.
-  double sigma_after_c_fast(double current_a, double t) const;
-  void advance_with_fast_decays(double current_a, double t);
-
-  /// Fills decay_[m-1] = e^{-β²m²t} for the given t, reusing the buffer
-  /// when t matches the previous call. The factors depend on t alone —
-  /// not on the cell state or current — so the cache stays valid across
-  /// advance() and reset(). This is what lets the common draw path
-  /// (sigma_after + advance at the same t) and the repeated-t probes of
-  /// the cutoff bisection evaluate the series with one exp sweep
-  /// instead of two.
-  void fill_decay(double t) const;
-
-  /// fill_decay(t) plus gain_[m-1] = I·(1−e^{-rate·t})/rate — the
-  /// forcing term both sigma_after and advance evaluate. Keyed on
-  /// (t, current): the common draw path computes it once and the
-  /// advance() that commits the same interval reads it back.
-  void fill_terms(double current_a, double t) const;
 
   DiffusionParams params_;
   /// Structure-of-arrays term table: one contiguous block holding the
-  /// five per-term lanes the kernels sweep, in sweep order —
+  /// three per-term lanes the kernels sweep, in sweep order —
   ///
-  ///   [ rates | decay | gain | s | fast_decay ],  each `terms_` wide
-  ///
-  /// so a probe's term loop walks one cache-line run instead of four
-  /// scattered heap vectors, and the element-wise lanes sit where the
-  /// autovectorizer likes them.
-  /// Lane semantics are unchanged from the former separate vectors:
+  ///   [ rates | decay | s ],  each `terms_` wide
   ///
   ///  - rates: β²m², m = 1..series_terms, precomputed in the
-  ///    constructor with the same expression the per-call formula used
-  ///    (bit-identical values; see tests/test_battery.cpp). A 1/rate
-  ///    table was considered and rejected: multiplying by a precomputed
-  ///    reciprocal is not an exact transformation of the `/ rate` the
-  ///    formulas specify, and the byte-identity contract forbids it.
-  ///  - decay: e^{-rate·t} for decay_t_ (t-keyed memo).
-  ///  - gain: I·(1−decay)/rate for (gain_t_, gain_current_a_).
+  ///    constructor with the same expression the per-call formula used.
+  ///    A 1/rate table was considered and rejected: multiplying by a
+  ///    precomputed reciprocal is not an exact transformation of the
+  ///    `/ rate` the formulas specify.
+  ///  - decay: scratch e^{-rate·t} for the t of the last probe.
   ///  - s: per-term transient state.
-  ///  - fast_decay: scratch for the strength-reduced series — kept
-  ///    separate from the exact decay memo so fast probes can never
-  ///    pollute the bit-frozen scalar path.
   ///
-  /// The whole block is mutable because the decay/gain/fast lanes are
-  /// const-path memo caches; the s lane is only written by the
-  /// non-const advance paths.
+  /// Mutable because the const probe fills the decay lane; the s lane
+  /// is only written by the non-const advance path.
   mutable std::vector<double> soa_;
   std::size_t terms_ = 0;
   const double* rates() const noexcept { return soa_.data(); }
   double* decay() const noexcept { return soa_.data() + terms_; }
-  double* gain() const noexcept { return soa_.data() + 2 * terms_; }
-  double* s_lane() const noexcept { return soa_.data() + 3 * terms_; }
-  double* fast_decay() const noexcept { return soa_.data() + 4 * terms_; }
-  mutable double decay_t_ = -1.0;  // t the decay lane is valid for
-  mutable double gain_t_ = -1.0;   // (t, I) the gain lane is valid for
-  mutable double gain_current_a_ = 0.0;
+  double* s_lane() const noexcept { return soa_.data() + 2 * terms_; }
   double drawn_c_ = 0.0;  // ∫ i dτ
   bool dead_ = false;
 };

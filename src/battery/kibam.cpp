@@ -31,73 +31,50 @@ std::unique_ptr<Battery> KibamBattery::fresh_clone() const {
   return std::make_unique<KibamBattery>(params_);
 }
 
-double KibamBattery::y1_after(double current_a, double t) const {
-  const double k = params_.k_rate;
-  const double c = params_.c_fraction;
-  const double y0 = y1_ + y2_;
-  ++kc_.exp_calls;
+Wells wells_after(const KibamParams& p, double y1, double y2,
+                  double current_a, double t, KernelCounters& kc) {
+  const double k = p.k_rate;
+  const double c = p.c_fraction;
+  const double y0 = y1 + y2;
+  ++kc.exp_calls;
   const double e = std::exp(-k * t);
   // Manwell-McGowan closed form for constant current I over [0, t].
-  return y1_ * e + (y0 * k * c - current_a) * (1.0 - e) / k -
-         current_a * c * (k * t - 1.0 + e) / k;
-}
-
-double KibamBattery::y2_after(double current_a, double t) const {
-  const double k = params_.k_rate;
-  const double c = params_.c_fraction;
-  const double y0 = y1_ + y2_;
-  ++kc_.exp_calls;
-  const double e = std::exp(-k * t);
-  return y2_ * e + y0 * (1.0 - c) * (1.0 - e) -
-         current_a * (1.0 - c) * (k * t - 1.0 + e) / k;
-}
-
-void KibamBattery::wells_after(double current_a, double t, double* y1_out,
-                               double* y2_out) const {
-  const double k = params_.k_rate;
-  const double c = params_.c_fraction;
-  const double y0 = y1_ + y2_;
-  ++kc_.kibam_shared_exps;
-  ++kc_.exp_calls;
-  const double e = std::exp(-k * t);
-  *y1_out = y1_ * e + (y0 * k * c - current_a) * (1.0 - e) / k -
-            current_a * c * (k * t - 1.0 + e) / k;
-  *y2_out = y2_ * e + y0 * (1.0 - c) * (1.0 - e) -
-            current_a * (1.0 - c) * (k * t - 1.0 + e) / k;
+  return {y1 * e + (y0 * k * c - current_a) * (1.0 - e) / k -
+              current_a * c * (k * t - 1.0 + e) / k,
+          y2 * e + y0 * (1.0 - c) * (1.0 - e) -
+              current_a * (1.0 - c) * (k * t - 1.0 + e) / k};
 }
 
 double KibamBattery::do_sigma_after(double current_a, double t_s) const {
   // Empty when the available well drains: depletion 1 at y1 == 0.
-  return 1.0 - y1_after(current_a, t_s) /
+  return 1.0 - wells_after(params_, y1_, y2_, current_a, t_s, kc_).y1 /
                    (params_.c_fraction * params_.capacity_c);
 }
 
 double KibamBattery::do_draw(double current_a, double dt_s) {
-  double y1_end = 0.0;
-  double y2_end = 0.0;
-  wells_after(current_a, dt_s, &y1_end, &y2_end);
-  if (y1_end > 0.0) {
-    y1_ = y1_end;
-    y2_ = std::max(0.0, y2_end);
+  Wells end = wells_after(params_, y1_, y2_, current_a, dt_s, kc_);
+  if (end.y1 > 0.0) {
+    y1_ = end.y1;
+    y2_ = std::max(0.0, end.y2);
     return dt_s;
   }
   // The available well empties inside this segment: bisect for the
-  // cutoff instant. y1_after is continuous with y1_after(0) = y1_ > 0.
+  // cutoff instant. y1 after t is continuous, with y1_ > 0 at t = 0.
   double lo = 0.0;
   double hi = dt_s;
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (y1_after(current_a, mid) > 0.0) {
+    if (wells_after(params_, y1_, y2_, current_a, mid, kc_).y1 > 0.0) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
-  const double sustained = lo;
-  y2_ = std::max(0.0, y2_after(current_a, sustained));
+  end = wells_after(params_, y1_, y2_, current_a, lo, kc_);
+  y2_ = std::max(0.0, end.y2);
   y1_ = 0.0;
   dead_ = true;
-  return sustained;
+  return lo;
 }
 
 void KibamBattery::do_reset() {

@@ -12,7 +12,9 @@
 // Stepping uses the exact closed-form solution of the two coupled ODEs
 // for a constant current over the interval, so accuracy is independent
 // of segment length; cutoff inside a segment is located by bisection on
-// the closed form.
+// the closed form. One function, wells_after, evaluates that closed form
+// with one exp per call; the draw, its bisection, the depletion probe
+// and the stochastic cell's expectation probe all call it.
 
 #include "battery/model.hpp"
 
@@ -31,6 +33,18 @@ struct KibamParams {
   /// at the simulated full-speed load of ~1.8 A. See EXPERIMENTS.md.
   static KibamParams paper_aaa_nimh();
 };
+
+/// Charge in the available (y1) and bound (y2) wells (C).
+struct Wells {
+  double y1;
+  double y2;
+};
+
+/// Both wells after drawing `current_a` for `t` seconds from (y1, y2):
+/// the Manwell-McGowan closed form, with one shared e^{-kt}, counted
+/// in `kc`.
+Wells wells_after(const KibamParams& p, double y1, double y2,
+                  double current_a, double t, KernelCounters& kc);
 
 class KibamBattery final : public Battery {
  public:
@@ -53,16 +67,6 @@ class KibamBattery final : public Battery {
   void do_reset() override;
 
  private:
-  /// y1 after drawing `current_a` for `t` seconds from state (y1_, y2_).
-  double y1_after(double current_a, double t) const;
-  double y2_after(double current_a, double t) const;
-  /// Both wells after the same interval, evaluating the shared
-  /// e^{-kt} once. The per-well expressions are identical to
-  /// y1_after/y2_after — this is the main-path fast lane that halves
-  /// the exp count without changing a bit.
-  void wells_after(double current_a, double t, double* y1_out,
-                   double* y2_out) const;
-
   KibamParams params_;
   double y1_ = 0.0;
   double y2_ = 0.0;

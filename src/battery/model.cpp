@@ -49,7 +49,7 @@ double Battery::advance_interval(double charge_c, double dt_s) {
     return 0.0;
   }
   // Same accounting as draw(), dispatched through the interval-advance
-  // hook so a kernel can substitute its merged-window fast path.
+  // hook (see model.hpp).
   const double current_a = charge_c / dt_s;
   const double sustained = do_advance_interval(current_a, dt_s);
   delivered_c_ += current_a * sustained;

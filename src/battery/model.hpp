@@ -46,7 +46,7 @@ class Battery {
   /// `charge_c` coulombs spread over `dt_s` seconds as one
   /// charge-equivalent constant-current draw (charge_c / dt_s for
   /// dt_s). Every kernel's do_draw already advances state in closed
-  /// form over an arbitrary dt — diffusion sweeps its rate table once,
+  /// form over an arbitrary dt — diffusion evaluates its series once,
   /// KiBaM applies its single-exponential step, Peukert and the ideal
   /// cell are O(1) — so one merged call replaces a draw per executed
   /// slice. (The stochastic model still steps internal slots of fixed
@@ -64,13 +64,13 @@ class Battery {
   /// would hit cutoff within the interval. The normalization makes one
   /// contract fit every model: ideal and Peukert report consumed/rated
   /// capacity, diffusion reports sigma(T)/alpha, the kinetic models
-  /// report 1 - y1_after/(c * capacity) (available-well depletion). The
-  /// probe never changes observable cell state — at most it warms the
-  /// same memo buffers the draw path keys on t. Arguments are checked
-  /// as in draw().
+  /// report 1 - y1/(c * capacity) with y1 from wells_after
+  /// (available-well depletion). The probe never changes observable
+  /// cell state — at most it fills diffusion's scratch decay lane.
+  /// Arguments are checked as in draw().
   double sigma_after(double current_a, double t_s) const;
 
-  /// Per-kernel cache/work counters (cleared by reset()).
+  /// Per-kernel work counters (cleared by reset()).
   const KernelCounters& kernel_counters() const noexcept { return kc_; }
 
   virtual bool empty() const = 0;
@@ -97,14 +97,9 @@ class Battery {
  protected:
   /// Model-specific state update; returns the sustained duration.
   virtual double do_draw(double current_a, double dt_s) = 0;
-  /// Model-specific interval advance behind advance_interval(). The
-  /// default is exactly do_draw; a kernel may override it with a faster
-  /// evaluation of the same closed form when the merged-window caller
-  /// tolerates documented non-bitwise arithmetic (diffusion's
-  /// strength-reduced series — see EXPERIMENTS.md, "Kernel
-  /// instrumentation"). The per-slice draw() path never routes
-  /// through here, so window-0 runs stay bit-frozen regardless of
-  /// overrides.
+  /// Model-specific interval advance behind advance_interval(): exactly
+  /// do_draw. No kernel overrides it; it stays a hook only because
+  /// perfbench's timing proxy (TimedBattery) overrides it.
   virtual double do_advance_interval(double current_a, double dt_s) {
     return do_draw(current_a, dt_s);
   }
@@ -112,8 +107,8 @@ class Battery {
   virtual double do_sigma_after(double current_a, double t_s) const = 0;
   virtual void do_reset() = 0;
 
-  /// Incremented by the kernels; mutable so const probe paths
-  /// (sigma_after, memo fills) can count their hits.
+  /// Incremented by the kernels; mutable so the const probe path
+  /// (sigma_after) can count its work.
   mutable KernelCounters kc_;
 
  private:

@@ -26,20 +26,11 @@ std::unique_ptr<Battery> PeukertBattery::fresh_clone() const {
 }
 
 double PeukertBattery::effective_rate(double current_a) const {
-  if (current_a == last_current_a_) {
-    ++kc_.pow_hits;
-    return last_rate_;
-  }
-  ++kc_.pow_misses;
   const double ratio = std::max(1.0, current_a / params_.reference_current_a);
   // pow(1, y) is exactly 1 (IEC 60559), so sub-reference currents can
   // skip the call without perturbing a bit.
-  const double rate = ratio == 1.0
-                          ? current_a
-                          : current_a * std::pow(ratio, exponent_minus_one_);
-  last_current_a_ = current_a;
-  last_rate_ = rate;
-  return rate;
+  return ratio == 1.0 ? current_a
+                      : current_a * std::pow(ratio, exponent_minus_one_);
 }
 
 double PeukertBattery::do_sigma_after(double current_a, double t_s) const {

@@ -40,19 +40,11 @@ class PeukertBattery final : public Battery {
 
  private:
   /// Effective drain rate (C/s) for a current, >= the physical current
-  /// for I > Iref — the memoized pow shared by draw and the probes.
+  /// for I > Iref — the pow shared by draw and the probe.
   double effective_rate(double current_a) const;
 
   PeukertParams params_;
   double exponent_minus_one_ = 0.0;  // hoisted from the per-draw pow
-  /// Memo of the last (current -> effective drain rate) pair: the
-  /// simulator's piecewise-constant profiles repeat the same few
-  /// operating-point currents, so most draws skip the pow entirely.
-  /// The rate is a pure function of the current and the (fixed)
-  /// params, so the memo stays exact across draws, probes and resets
-  /// (mutable: the const probe paths may warm it).
-  mutable double last_current_a_ = -1.0;
-  mutable double last_rate_ = 0.0;
   double consumed_c_ = 0.0;  // Peukert-weighted charge
 };
 

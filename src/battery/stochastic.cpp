@@ -41,16 +41,11 @@ std::unique_ptr<Battery> StochasticBattery::fresh_clone() const {
 }
 
 double StochasticBattery::do_sigma_after(double current_a, double t_s) const {
-  const double k = params_.kinetics.k_rate;
-  const double c = params_.kinetics.c_fraction;
-  const double y0 = y1_ + y2_;
-  ++kc_.exp_calls;
-  const double e = std::exp(-k * t_s);
-  // Manwell-McGowan closed form from (y1_, y2_) — the expectation of
-  // the Bernoulli-quantized drift the slots realize.
-  const double y1_end = y1_ * e + (y0 * k * c - current_a) * (1.0 - e) / k -
-                        current_a * c * (k * t_s - 1.0 + e) / k;
-  return 1.0 - y1_end / (c * params_.kinetics.capacity_c);
+  // The KiBaM closed form from (y1_, y2_): the expectation of the
+  // Bernoulli-quantized drift the slots realize.
+  const KibamParams& p = params_.kinetics;
+  return 1.0 - wells_after(p, y1_, y2_, current_a, t_s, kc_).y1 /
+                   (p.c_fraction * p.capacity_c);
 }
 
 double StochasticBattery::do_draw(double current_a, double dt_s) {

@@ -161,7 +161,7 @@ struct PerfCounters {
   /// counter makes the sparse/dense mix of a scenario visible in perf
   /// reports).
   double idle_time_jumped_s = 0.0;
-  /// Per-kernel battery cache/work counters, copied from the attached
+  /// Per-kernel battery work counters, copied from the attached
   /// battery at the end of the run (all zero when no battery is
   /// attached). See battery/kernel_counters.hpp for field semantics.
   bat::KernelCounters kernel;

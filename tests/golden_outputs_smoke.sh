@@ -15,10 +15,11 @@
 #                   "Event-driven core". Within one mode the outputs are
 #                   bit-deterministic, which is what this file pins.
 #
-# table2 runs fresh, on paper-table2 (KiBaM) and on idle-heavy (the
+# table2 runs fresh, on paper-table2 (KiBaM), on idle-heavy (the
 # stochastic cell, the only golden that reaches that kernel; at window
 # 0 most execution slices are shorter than a 10 ms slot, so it pins the
-# partial-slot path too). arrival_stress goes through the campaign
+# partial-slot path too) and on sensor-node (the diffusion cell, the
+# only golden that reaches that kernel). arrival_stress goes through the campaign
 # store (a --cache run, then a --merge from the store alone), so the
 # store's byte-identity is covered per mode as well.
 #
@@ -36,6 +37,8 @@
 #   table2_battery_lifetime --sets 2 --jobs 2 --csv tests/golden/table2_smoke.csv
 #   table2_battery_lifetime --scenario idle-heavy --sets 1 --jobs 2 \
 #       --csv tests/golden/idle_stochastic_smoke.csv
+#   table2_battery_lifetime --scenario sensor-node --sets 1 --jobs 2 \
+#       --csv tests/golden/sensor_node_smoke.csv
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
 #   (append --scenario.battery-window=0 for the *_window0.csv variants)
@@ -73,7 +76,12 @@ for mode in default window0; do
   cmp "$golden/idle_stochastic_smoke$suffix.csv" \
       "$work/idle_stochastic_$mode.csv"
 
-  # 3. arrival_stress smoke cell through the campaign path: a run into
+  # 3. Table 2 on sensor-node: the diffusion battery kernel.
+  "$table2" --scenario sensor-node --sets 1 --jobs 2 $mode_flag \
+      --csv "$work/sensor_node_$mode.csv" > /dev/null
+  cmp "$golden/sensor_node_smoke$suffix.csv" "$work/sensor_node_$mode.csv"
+
+  # 4. arrival_stress smoke cell through the campaign path: a run into
   #    a cache dir, then a merge from it — the merged bytes must equal
   #    the golden fresh run's.
   flags="--sets 1 --scenario.horizon 600 $mode_flag"

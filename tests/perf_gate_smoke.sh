@@ -3,7 +3,7 @@
 #
 #   1. perf_hotpath passes against the committed baseline: every run
 #      cell is in the file and every counter equals it. Each cell of
-#      the JSON it writes holds its three labels and 21 counters, each
+#      the JSON it writes holds its three labels and 12 counters, each
 #      a plain integer, and nothing else: no timing gauge.
 #   2. The gate fails on each doctored copy of the baseline, run on the
 #      one cell paper-table2 x EDF x kibam so the checks stay fast:
@@ -12,7 +12,7 @@
 #        - an extra counter key the binary does not report: exit 1,
 #          naming the cell and the key;
 #        - the cell deleted: exit 1;
-#        - the schema set back to bas-perf/7: the schema message.
+#        - the schema set back to bas-perf/8: the schema message.
 #
 # Usage: perf_gate_smoke.sh /path/to/perf_hotpath /path/to/perf_baseline.json
 
@@ -52,7 +52,7 @@ expect_exit 0 "$work/smoke.log" --write-baseline "$work/smoke.json" \
 expect_line "$work/smoke.log" "baseline gate passed"
 echo "perf gate smoke (committed baseline): OK"
 
-# Each cell: the three labels, then 21 integer counters (no "1.5e+06",
+# Each cell: the three labels, then 12 integer counters (no "1.5e+06",
 # no "2.0") and no other key.
 grep -F '"scenario": ' "$work/smoke.json" | awk '
   {
@@ -74,8 +74,8 @@ grep -F '"scenario": ' "$work/smoke.json" | awk '
         print "gauge key " key; bad = 1
       }
     }
-    if (labels != 3 || counters != 21) {
-      print labels " labels and " counters " counters, not 3 and 21: " $0
+    if (labels != 3 || counters != 12) {
+      print labels " labels and " counters " counters, not 3 and 12: " $0
       bad = 1
     }
   }
@@ -116,8 +116,8 @@ expect_line "$work/deleted.log" \
 echo "perf gate smoke (missing cell fails): OK"
 
 # 2d. An old schema.
-sed 's|"bas-perf/8"|"bas-perf/7"|' "$baseline" > "$work/old.json"
+sed 's|"bas-perf/9"|"bas-perf/8"|' "$baseline" > "$work/old.json"
 expect_exit 2 "$work/old.log" "${one[@]}" --baseline "$work/old.json"
-expect_line "$work/old.log" "has schema 'bas-perf/7'"
+expect_line "$work/old.log" "has schema 'bas-perf/8'"
 expect_line "$work/old.log" "regenerate with --write-baseline"
 echo "perf gate smoke (old schema fails): OK"

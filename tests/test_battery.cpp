@@ -175,6 +175,53 @@ TEST(AllModels, EmptyBatteryDeliversNothingMore) {
   }
 }
 
+TEST(AllModels, SigmaAfterPredictsCutoff) {
+  // Battery::sigma_after's contract: a probe below 1 means draw sustains
+  // the whole interval, at or above 1 that the cell hits cutoff inside
+  // it. Checked with a margin on both sides, from fresh and part-drained
+  // states, over light to heavy loads and short to long intervals. The
+  // stochastic cell is left out: its probe is the KiBaM expectation, not
+  // its own realized slot process, so near cutoff the two may disagree.
+  const double history_a[] = {1.8, 0.0, 0.98415, 1.8};
+  const double history_s[] = {900.0, 300.0, 1200.0, 600.0};
+  const double currents[] = {0.0, 0.3888, 0.98415, 1.8, 3.5};
+  std::vector<double> intervals;  // 1 s to ~6 h, 39 geometric steps
+  for (double t = 1.0; t < 25000.0; t *= 1.3) {
+    intervals.push_back(t);
+  }
+  for (const auto& model : all_models()) {
+    if (model->name() == "stochastic") {
+      continue;
+    }
+    int sustained_checked = 0;
+    int cut_checked = 0;
+    for (int prefix = 0; prefix <= 4; ++prefix) {
+      for (double i : currents) {
+        for (double t : intervals) {
+          const auto cell = model->fresh_clone();
+          for (int h = 0; h < prefix; ++h) {
+            cell->draw(history_a[h], history_s[h]);
+          }
+          ASSERT_FALSE(cell->empty()) << model->name();
+          const double probe = cell->sigma_after(i, t);
+          const double sustained = cell->draw(i, t);
+          if (probe <= 0.9) {
+            EXPECT_EQ(sustained, t) << model->name() << " probe " << probe;
+            EXPECT_FALSE(cell->empty()) << model->name();
+            ++sustained_checked;
+          } else if (probe >= 1.1) {
+            EXPECT_LT(sustained, t) << model->name() << " probe " << probe;
+            EXPECT_TRUE(cell->empty()) << model->name();
+            ++cut_checked;
+          }
+        }
+      }
+    }
+    EXPECT_GT(sustained_checked, 0) << model->name();
+    EXPECT_GT(cut_checked, 0) << model->name();
+  }
+}
+
 // --- rate-capacity effect ------------------------------------------------
 
 class RateCapacity : public ::testing::TestWithParam<int> {};
@@ -526,13 +573,13 @@ TEST(Ideal, ExactBucketSemantics) {
   EXPECT_NEAR(b.charge_delivered_c(), 100.0, 1e-9);
 }
 
-// --- diffusion fast-path bit-exactness ---------------------------------------
+// --- diffusion series against the per-term reference ------------------------
 
 /// The original per-call diffusion stepping, verbatim: rates recomputed
-/// inside every loop, no decay/gain reuse. DiffusionBattery's
-/// precomputed tables and shared buffers are contracted to reproduce
-/// this arithmetic to the last bit — the same exact-transformation rule
-/// the golden CSV smoke enforces end to end.
+/// inside every loop, one std::exp per series term. DiffusionBattery
+/// evaluates the same sum with strength-reduced decays (one exp, then
+/// x^{m²} by recurrence), associated differently, so it tracks this
+/// reference within a stated tolerance rather than bitwise.
 struct ReferenceDiffusion {
   bat::DiffusionParams p;
   std::vector<double> s_m;
@@ -596,55 +643,83 @@ struct ReferenceDiffusion {
   }
 };
 
-TEST(Diffusion, PrecomputedTablesAreBitExact) {
+/// Relative distance, for values that may be 0 on both sides.
+double rel_diff(double got, double want) {
+  return got == want ? 0.0
+                     : std::abs(got - want) /
+                           std::max(std::abs(got), std::abs(want));
+}
+
+// Tolerances of the strength-reduced series against the per-term sweep:
+// sigma and the unavailable charge within 1e-10 relative (the worst
+// measured drift is ~1.5e-11, where sigma is tiny), sustained durations
+// and the cutoff instant within 1e-12.
+constexpr double kSigmaTol = 1e-10;
+constexpr double kTimeTol = 1e-12;
+
+void expect_tracks(const bat::DiffusionBattery& cell,
+                   const ReferenceDiffusion& ref, double got, double want,
+                   int round) {
+  ASSERT_LE(rel_diff(got, want), kTimeTol)
+      << "sustained diverged at round " << round;
+  ASSERT_LE(rel_diff(cell.apparent_charge_c(),
+                     ref.drawn_c + ref.unavailable_c()),
+            kSigmaTol)
+      << "sigma diverged at round " << round;
+  ASSERT_LE(rel_diff(cell.unavailable_c(), ref.unavailable_c()), kSigmaTol)
+      << "transient state diverged at round " << round;
+  ASSERT_EQ(cell.empty(), ref.dead) << "cutoff diverged at round " << round;
+}
+
+TEST(Diffusion, SeriesTracksPerTermReference) {
   const auto params = bat::DiffusionParams::paper_aaa_nimh();
-  bat::DiffusionBattery fast(params);
+  bat::DiffusionBattery cell(params);
   ReferenceDiffusion ref(params);
 
   // Sweep of (current, dt) pairs shaped like simulator traffic: the
   // paper processor's three operating-point currents plus idle, over
-  // durations from sub-millisecond slices to multi-minute stretches,
-  // interleaved so decay-cache hits and misses both occur.
+  // durations from sub-millisecond slices to multi-minute stretches.
   const double currents[] = {0.0, 0.01, 0.3888, 1.8, 0.98415, 1.8,
                              1.8,  0.01, 0.3888, 0.0, 1.8,     0.98415};
   const double dts[] = {1e-4, 0.0123, 0.5,  3.75,  60.0,   0.5,
                         0.5,  17.2,   1e-3, 240.0, 0.0077, 33.3};
   int step = 0;
-  for (int round = 0; round < 220 && !fast.empty(); ++round) {
+  for (int round = 0; round < 220 && !cell.empty(); ++round) {
     const double i = currents[step % 12];
     const double dt = dts[(step * 7 + round) % 12];
     ++step;
-    const double got = fast.draw(i, dt);
+    const double got = cell.draw(i, dt);
     const double want = ref.draw(i, dt);
-    ASSERT_EQ(got, want) << "sustained diverged at round " << round;
-    ASSERT_EQ(fast.apparent_charge_c(), ref.drawn_c + ref.unavailable_c())
-        << "sigma diverged at round " << round;
-    ASSERT_EQ(fast.unavailable_c(), ref.unavailable_c())
-        << "transient state diverged at round " << round;
-    ASSERT_EQ(fast.empty(), ref.dead) << "cutoff diverged at round " << round;
+    ASSERT_NO_FATAL_FAILURE(expect_tracks(cell, ref, got, want, round));
   }
 
   // Push both through the cutoff bisection with a heavy draw and check
-  // the located crossing to the last bit.
-  if (!fast.empty()) {
-    const double got = fast.draw(5.0, 1e7);
+  // the located crossing.
+  if (!cell.empty()) {
+    const double got = cell.draw(5.0, 1e7);
     const double want = ref.draw(5.0, 1e7);
-    ASSERT_EQ(got, want);
-    ASSERT_TRUE(fast.empty());
-    ASSERT_TRUE(ref.dead);
-    ASSERT_EQ(fast.unavailable_c(), ref.unavailable_c());
+    ASSERT_NO_FATAL_FAILURE(expect_tracks(cell, ref, got, want, -1));
+    ASSERT_TRUE(cell.empty());
   }
 
-  // reset() must restore the fresh state without perturbing the
-  // (state-independent) decay cache's correctness.
-  fast.reset();
+  // Merged-window traffic: charge-equivalent interval advances of 2-10 s
+  // over the operating points, then death through the same bisection.
+  cell.reset();
   ReferenceDiffusion ref2(params);
-  for (int round = 0; round < 40; ++round) {
-    const double i = currents[round % 12];
-    const double dt = dts[round % 12];
-    ASSERT_EQ(fast.draw(i, dt), ref2.draw(i, dt));
-    ASSERT_EQ(fast.unavailable_c(), ref2.unavailable_c());
+  const double window_currents[] = {1.8, 0.0, 0.98415, 0.3888};
+  for (int round = 0; round < 400; ++round) {
+    const double i = window_currents[round % 4];
+    const double dt = 2.0 + (round % 9);
+    // advance_interval draws charge / dt; hand the reference the same.
+    const double charge = i * dt;
+    const double got = cell.advance_interval(charge, dt);
+    const double want = ref2.draw(charge / dt, dt);
+    ASSERT_NO_FATAL_FAILURE(expect_tracks(cell, ref2, got, want, round));
   }
+  const double got = cell.advance_interval(5.0 * 1e6, 1e6);
+  const double want = ref2.draw(5.0, 1e6);
+  ASSERT_NO_FATAL_FAILURE(expect_tracks(cell, ref2, got, want, -2));
+  EXPECT_TRUE(cell.empty());
 }
 
 // --- stochastic fused slot loop bit-exactness --------------------------------

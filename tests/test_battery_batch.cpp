@@ -1,8 +1,7 @@
-// Battery kernel fast-path and instrumentation suite: the merged-window
-// interval advance (bitwise equal to a draw for every model except
-// diffusion, whose strength-reduced series tracks the exact one) and the
-// per-kernel work counters, both on bare cells and as routed by the
-// simulator.
+// Battery kernel interval-advance and instrumentation suite: the
+// merged-window interval advance (bitwise equal to a draw for every
+// model) and the per-kernel work counters, both on bare cells and as
+// routed by the simulator.
 
 #include <gtest/gtest.h>
 
@@ -40,16 +39,12 @@ std::vector<std::unique_ptr<bat::Battery>> all_models() {
   return models;
 }
 
-TEST(FastAdvance, NonDiffusionIntervalAdvanceIsBitwiseDraw) {
-  // Every kernel except diffusion leaves do_advance_interval at its
-  // default — exactly do_draw — so a merged-window advance must equal
-  // the equivalent draw to the last bit.
+TEST(IntervalAdvance, IsBitwiseDrawOnAllModels) {
+  // No kernel overrides do_advance_interval, so a merged-window advance
+  // must equal the equivalent draw to the last bit on all five cells.
   auto draws = all_models();
   auto advances = all_models();
   for (std::size_t m = 0; m < draws.size(); ++m) {
-    if (draws[m]->name() == "diffusion") {
-      continue;  // overrides do_advance_interval; covered below
-    }
     for (int round = 0; round < 50; ++round) {
       const double i = (round % 3 == 0) ? 0.0 : 0.45 * (1 + round % 4);
       const double dt = 0.5 + (round % 7);
@@ -65,77 +60,58 @@ TEST(FastAdvance, NonDiffusionIntervalAdvanceIsBitwiseDraw) {
       ASSERT_EQ(advances[m]->state_of_charge(), draws[m]->state_of_charge())
           << draws[m]->name() << " round " << round;
     }
+    // Through the cutoff: the bisection and the committed crossing.
+    const double got = advances[m]->advance_interval(5.0 * 1e6, 1e6);
+    const double want = draws[m]->draw(5.0, 1e6);
+    ASSERT_EQ(got, want) << draws[m]->name() << " cutoff";
+    ASSERT_TRUE(advances[m]->empty()) << draws[m]->name();
+    ASSERT_EQ(advances[m]->state_of_charge(), draws[m]->state_of_charge())
+        << draws[m]->name() << " cutoff";
   }
 }
 
-TEST(FastAdvance, DiffusionFastSeriesTracksExactSeries) {
-  // The strength-reduced series (x = e^{-β²t}, x^{m²} by recurrence) is
-  // the same mathematical sum as the per-term exp sweep, associated
-  // differently — so it is NOT bitwise, but must agree to far below any
-  // output precision. One cell advances through the fast path, the twin
-  // through the exact per-slice path.
-  bat::DiffusionBattery fast(bat::DiffusionParams::paper_aaa_nimh());
-  bat::DiffusionBattery exact(bat::DiffusionParams::paper_aaa_nimh());
-  const double currents[] = {1.8, 0.0, 0.98415, 0.3888};
-  for (int round = 0; round < 400 && !exact.empty(); ++round) {
-    const double i = currents[round % 4];
-    const double dt = 2.0 + (round % 9);
-    fast.advance_interval(i * dt, dt);
-    exact.draw(i, dt);
-    const double rel =
-        std::abs(fast.apparent_charge_c() - exact.apparent_charge_c()) /
-        exact.apparent_charge_c();
-    ASSERT_LT(rel, 1e-12) << "round " << round;
-  }
-  // Death through the fast bisection lands within the same tolerance.
-  const double fast_cut = fast.advance_interval(5.0 * 1e6, 1e6);
-  const double exact_cut = exact.draw(5.0, 1e6);
-  EXPECT_TRUE(fast.empty());
-  EXPECT_TRUE(exact.empty());
-  EXPECT_NEAR(fast_cut, exact_cut, 1e-6 * std::max(1.0, exact_cut));
-}
-
-TEST(Counters, DiffusionMemoAndFastPathAttribution) {
+TEST(Counters, DiffusionOneExpPerProbe) {
   bat::DiffusionBattery cell(bat::DiffusionParams::paper_aaa_nimh());
-  const auto terms = static_cast<std::uint64_t>(
-      bat::DiffusionParams::paper_aaa_nimh().series_terms);
-  // Three draws at one (current, dt): one decay sweep, then memo hits.
+  // The strength-reduced series takes one exp per probe, whatever the
+  // term count: a surviving draw or interval advance is one probe, and
+  // so is a sigma_after.
   for (int i = 0; i < 3; ++i) {
     cell.draw(1.8, 0.5);
   }
-  EXPECT_EQ(cell.kernel_counters().exp_sweeps, 1u);
-  EXPECT_EQ(cell.kernel_counters().exp_calls, terms);
-  EXPECT_EQ(cell.kernel_counters().decay_misses, 1u);
-  EXPECT_GE(cell.kernel_counters().decay_hits, 2u);
-  EXPECT_EQ(cell.kernel_counters().gain_misses, 1u);
-  // A changed current at the same t refills only the gain lane.
-  cell.draw(0.3888, 0.5);
-  EXPECT_EQ(cell.kernel_counters().exp_sweeps, 1u);
-  EXPECT_EQ(cell.kernel_counters().gain_misses, 2u);
-  // The merged-window fast path: one scalar exp per advance, no sweep.
-  const auto exps_before = cell.kernel_counters().exp_calls;
+  EXPECT_EQ(cell.kernel_counters().exp_calls, 3u);
   cell.advance_interval(1.8 * 4.0, 4.0);
-  EXPECT_EQ(cell.kernel_counters().fast_advances, 1u);
-  EXPECT_EQ(cell.kernel_counters().exp_calls, exps_before + 1);
-  EXPECT_EQ(cell.kernel_counters().exp_sweeps, 1u);
+  EXPECT_EQ(cell.kernel_counters().exp_calls, 4u);
+  (void)cell.sigma_after(0.3888, 60.0);
+  EXPECT_EQ(cell.kernel_counters().exp_calls, 5u);
+  // A draw through the cutoff: the first probe, 80 bisection probes
+  // and the refill at the committed crossing.
+  cell.draw(5.0, 1e6);
+  ASSERT_TRUE(cell.empty());
+  EXPECT_EQ(cell.kernel_counters().exp_calls, 5u + 82u);
   cell.reset();
   EXPECT_EQ(cell.kernel_counters().exp_calls, 0u);
-  EXPECT_EQ(cell.kernel_counters().fast_advances, 0u);
 }
 
-TEST(Counters, KibamAndPeukertAttribution) {
+TEST(Counters, KibamOneExpPerClosedFormStep) {
+  // Every KiBaM closed-form step, draw, bisection or probe, evaluates
+  // both wells from one shared e^{-kt}.
   bat::KibamBattery kibam(bat::KibamParams::paper_aaa_nimh());
   kibam.draw(0.9, 10.0);
   kibam.draw(0.0, 5.0);
-  EXPECT_GE(kibam.kernel_counters().kibam_shared_exps, 2u);
+  EXPECT_EQ(kibam.kernel_counters().exp_calls, 2u);
+  (void)kibam.sigma_after(1.8, 60.0);
+  EXPECT_EQ(kibam.kernel_counters().exp_calls, 3u);
+  kibam.draw(5.0, 1e6);
+  ASSERT_TRUE(kibam.empty());
+  EXPECT_EQ(kibam.kernel_counters().exp_calls, 3u + 82u);
 
-  bat::PeukertBattery peukert{bat::PeukertParams{}};
-  for (int i = 0; i < 4; ++i) {
-    peukert.draw(0.9, 10.0);
-  }
-  peukert.draw(1.8, 10.0);
-  EXPECT_EQ(peukert.kernel_counters().pow_misses, 2u);  // two distinct rates
-  EXPECT_GE(peukert.kernel_counters().pow_hits, 3u);
+  // The stochastic cell's probe is the same closed form; its slots
+  // take no exp.
+  bat::StochasticBattery stochastic(bat::StochasticParams{});
+  stochastic.draw(1.8, 60.0);
+  EXPECT_EQ(stochastic.kernel_counters().exp_calls, 0u);
+  (void)stochastic.sigma_after(1.8, 60.0);
+  EXPECT_EQ(stochastic.kernel_counters().exp_calls, 1u);
 }
 
 TEST(Counters, StochasticSlotAttribution) {
@@ -169,7 +145,7 @@ TEST(Counters, StochasticSlotAttribution) {
   EXPECT_EQ(cell.kernel_counters().slot_transfers, 0u);
 }
 
-TEST(Counters, SimulatorRoutesMergedWindowsThroughFastPath) {
+TEST(Counters, SimulatorCountsOneExpPerDiffusionAdvance) {
   const auto& spec = scenario::scenario("paper-table2");
   util::Rng rng(7);
   const auto set = spec.make_workload(rng);
@@ -178,26 +154,25 @@ TEST(Counters, SimulatorRoutesMergedWindowsThroughFastPath) {
   config.record_perf_counters = true;
   config.horizon_s = 3600.0;
 
+  // Merged windows and per-slice draws evaluate the same series, one
+  // exp per kernel call while the cell survives.
   bat::DiffusionBattery merged(bat::DiffusionParams::paper_aaa_nimh());
   const auto with_window = sim::simulate_scheme(
       set, proc, core::SchemeKind::kBas2, config, &merged);
-  // Merged windows all route through the strength-reduced advance: no
-  // per-term sweeps, one exp per advance probe.
+  ASSERT_FALSE(with_window.battery_died);
   EXPECT_GT(with_window.perf.battery_interval_advances, 0u);
-  EXPECT_GE(with_window.perf.kernel.fast_advances,
-            with_window.perf.battery_interval_advances);
-  EXPECT_EQ(with_window.perf.kernel.exp_sweeps, 0u);
-  EXPECT_GT(with_window.perf.kernel.exp_calls, 0u);
+  EXPECT_EQ(with_window.perf.kernel.exp_calls,
+            with_window.perf.battery_draws);
 
-  // Window 0 disables merging: every slice takes the exact per-term
-  // path (bit-frozen by the window-0 goldens), no fast advances at all.
   config.battery_window_s = 0.0;
-  bat::DiffusionBattery exact(bat::DiffusionParams::paper_aaa_nimh());
+  bat::DiffusionBattery per_slice(bat::DiffusionParams::paper_aaa_nimh());
   const auto no_window = sim::simulate_scheme(
-      set, proc, core::SchemeKind::kBas2, config, &exact);
-  EXPECT_EQ(no_window.perf.kernel.fast_advances, 0u);
-  EXPECT_GT(no_window.perf.kernel.exp_sweeps, 0u);
-  EXPECT_GT(no_window.perf.kernel.decay_hits, 0u);
+      set, proc, core::SchemeKind::kBas2, config, &per_slice);
+  ASSERT_FALSE(no_window.battery_died);
+  EXPECT_EQ(no_window.perf.battery_interval_advances, 0u);
+  EXPECT_GT(no_window.perf.battery_draws,
+            with_window.perf.battery_draws);
+  EXPECT_EQ(no_window.perf.kernel.exp_calls, no_window.perf.battery_draws);
 }
 
 }  // namespace

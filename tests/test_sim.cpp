@@ -461,16 +461,7 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b,
   EXPECT_EQ(bits(p.idle_time_jumped_s), bits(q.idle_time_jumped_s)) << label;
   const auto& k = p.kernel;
   const auto& l = q.kernel;
-  EXPECT_EQ(k.exp_sweeps, l.exp_sweeps) << label;
   EXPECT_EQ(k.exp_calls, l.exp_calls) << label;
-  EXPECT_EQ(k.decay_hits, l.decay_hits) << label;
-  EXPECT_EQ(k.decay_misses, l.decay_misses) << label;
-  EXPECT_EQ(k.gain_hits, l.gain_hits) << label;
-  EXPECT_EQ(k.gain_misses, l.gain_misses) << label;
-  EXPECT_EQ(k.kibam_shared_exps, l.kibam_shared_exps) << label;
-  EXPECT_EQ(k.pow_hits, l.pow_hits) << label;
-  EXPECT_EQ(k.pow_misses, l.pow_misses) << label;
-  EXPECT_EQ(k.fast_advances, l.fast_advances) << label;
   EXPECT_EQ(k.slots, l.slots) << label;
   EXPECT_EQ(k.slot_transfers, l.slot_transfers) << label;
 }
