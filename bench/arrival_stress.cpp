@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,126 +75,113 @@ bas::arrival::Spec with_intensity(bas::arrival::Spec spec,
 
 int main(int argc, char** argv) {
   using namespace bas;
-  util::Cli cli(argc, argv,
-                util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
-                    {{"sets", "3"}, {"seed", "2026"}, {"full", "false"}},
-                    "ippp-diurnal")));
-  if (scenario::handle_list_request(cli)) {
-    return 0;
-  }
-  const int sets =
-      cli.get_flag("full") ? 25 : static_cast<int>(cli.get_int("sets"));
-  cli.show_effective("sets", sets);
-  const auto scn = scenario::from_cli(cli);
-  const auto proc = scn.make_processor();
+  const auto defaults =
+      util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
+          {{"sets", "3"}, {"seed", "2026"}, {"full", "false"}},
+          "ippp-diurnal"));
+  return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
+    const int sets =
+        cli.get_flag("full") ? 25 : static_cast<int>(cli.get_int("sets"));
+    cli.show_effective("sets", sets);
+    const auto scn = scenario::from_cli(cli);
+    const auto proc = scn.make_processor();
 
-  const std::vector<double> intensities{1.0, 2.0, 4.0};
-  const std::vector<std::string> intensity_labels{"x1", "x2", "x4"};
+    const std::vector<double> intensities{1.0, 2.0, 4.0};
+    const std::vector<std::string> intensity_labels{"x1", "x2", "x4"};
 
-  util::print_banner(
-      "Arrival stress: lifetime (min) by scheme x arrival model x burst");
-  std::printf("config: %s\nscenario: %s\n%d set(s) per cell\n\n",
-              cli.summary().c_str(), scn.fingerprint().c_str(), sets);
+    util::print_banner(
+        "Arrival stress: lifetime (min) by scheme x arrival model x burst");
+    std::printf("config: %s\nscenario: %s\n%d set(s) per cell\n\n",
+                cli.summary().c_str(), scn.fingerprint().c_str(), sets);
 
-  exp::ExperimentSpec spec;
-  spec.title = "arrival_stress";
-  spec.config = cli.config_summary() + " | " + scn.fingerprint();
-  spec.grid = exp::Grid{std::vector<exp::Axis>{
-      exp::arrival_axis(), exp::Axis{"burst", intensity_labels},
-      exp::scheme_axis()}};
-  spec.metrics = {"lifetime_min", "delivered_mah", "misses", "released"};
-  spec.replicates = sets;
-  spec.seed = cli.get_u64("seed");
-  spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    // CRN: workload and sim seed depend only on the replicate, so every
-    // cell of one replicate faces the same task-graph sets and (where
-    // the models coincide) the same arrival randomness.
-    util::Rng rng(job.replicate_seed);
-    const auto set = scn.make_workload(rng);
-    auto config =
-        scn.sim_config(util::Rng::hash_combine(job.replicate_seed, 1000u));
-    config.arrival =
-        with_intensity(scn.sim.arrival, arrival::labels()[job.at(0)],
-                       intensities[job.at(1)]);
-    const auto battery = scn.make_battery();
-    const auto r = sim::simulate_scheme(
-        set, proc, exp::scheme_kind_at(job.at(2)), config, battery.get());
-    return {r.battery_lifetime_s / 60.0, r.battery_delivered_mah,
-            static_cast<double>(r.deadline_misses),
-            static_cast<double>(r.instances_released)};
-  };
+    exp::ExperimentSpec spec;
+    spec.title = "arrival_stress";
+    spec.config = cli.config_summary() + " | " + scn.fingerprint();
+    spec.grid = exp::Grid{std::vector<exp::Axis>{
+        exp::arrival_axis(), exp::Axis{"burst", intensity_labels},
+        exp::scheme_axis()}};
+    spec.metrics = {"lifetime_min", "delivered_mah", "misses", "released"};
+    spec.replicates = sets;
+    spec.seed = cli.get_u64("seed");
+    spec.run = [&](const exp::Job& job) -> std::vector<double> {
+      // CRN: workload and sim seed depend only on the replicate, so every
+      // cell of one replicate faces the same task-graph sets and (where
+      // the models coincide) the same arrival randomness.
+      util::Rng rng(job.replicate_seed);
+      const auto set = scn.make_workload(rng);
+      auto config =
+          scn.sim_config(util::Rng::hash_combine(job.replicate_seed, 1000u));
+      config.arrival =
+          with_intensity(scn.sim.arrival, arrival::labels()[job.at(0)],
+                         intensities[job.at(1)]);
+      const auto battery = scn.make_battery();
+      const auto r = sim::simulate_scheme(
+          set, proc, exp::scheme_kind_at(job.at(2)), config, battery.get());
+      return {r.battery_lifetime_s / 60.0, r.battery_delivered_mah,
+              static_cast<double>(r.deadline_misses),
+              static_cast<double>(r.instances_released)};
+    };
 
-  const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
-  const std::size_t kLife = result.metric_index("lifetime_min");
-  const std::size_t kMisses = result.metric_index("misses");
-  const std::size_t kReleased = result.metric_index("released");
+    const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
+    const std::size_t kLife = result.metric_index("lifetime_min");
+    const std::size_t kMisses = result.metric_index("misses");
+    const std::size_t kReleased = result.metric_index("released");
 
-  const auto scheme_index = [](const std::string& label) {
-    const auto& labels = exp::scheme_labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (labels[i] == label) {
-        return i;
-      }
+    const std::size_t kLaEdf = exp::scheme_index("laEDF");
+    const std::size_t kBas2 = exp::scheme_index("BAS-2");
+    const std::size_t n_schemes = exp::scheme_labels().size();
+
+    std::vector<std::string> headers{"arrival", "burst"};
+    for (const auto& scheme : exp::scheme_labels()) {
+      headers.push_back(scheme);
     }
-    throw std::logic_error("scheme label '" + label + "' not on the axis");
-  };
-  const std::size_t kLaEdf = scheme_index("laEDF");
-  const std::size_t kBas2 = scheme_index("BAS-2");
-  const std::size_t n_schemes = exp::scheme_labels().size();
+    headers.push_back("BAS-2/laEDF");
+    headers.push_back("ordered?");
+    headers.push_back("misses");
+    headers.push_back("released");
+    util::Table table(headers);
 
-  std::vector<std::string> headers{"arrival", "burst"};
-  for (const auto& scheme : exp::scheme_labels()) {
-    headers.push_back(scheme);
-  }
-  headers.push_back("BAS-2/laEDF");
-  headers.push_back("ordered?");
-  headers.push_back("misses");
-  headers.push_back("released");
-  util::Table table(headers);
-
-  int ordered_cells = 0;
-  int total_cells = 0;
-  for (std::size_t a = 0; a < arrival::labels().size(); ++a) {
-    for (std::size_t b = 0; b < intensities.size(); ++b) {
-      std::vector<std::string> row{arrival::labels()[a], intensity_labels[b]};
-      bool ordered = true;
-      double misses = 0.0;
-      double released = 0.0;
-      for (std::size_t k = 0; k < n_schemes; ++k) {
-        const double life = result.mean({a, b, k}, kLife);
-        row.push_back(util::Table::num(life, 0));
-        // 0.1% slack keeps saturated ties from reading as violations.
-        if (k > 0 && life < 0.999 * result.mean({a, b, k - 1}, kLife)) {
-          ordered = false;
+    int ordered_cells = 0;
+    int total_cells = 0;
+    for (std::size_t a = 0; a < arrival::labels().size(); ++a) {
+      for (std::size_t b = 0; b < intensities.size(); ++b) {
+        std::vector<std::string> row{arrival::labels()[a], intensity_labels[b]};
+        bool ordered = true;
+        double misses = 0.0;
+        double released = 0.0;
+        for (std::size_t k = 0; k < n_schemes; ++k) {
+          const double life = result.mean({a, b, k}, kLife);
+          row.push_back(util::Table::num(life, 0));
+          // 0.1% slack keeps saturated ties from reading as violations.
+          if (k > 0 && life < 0.999 * result.mean({a, b, k - 1}, kLife)) {
+            ordered = false;
+          }
+          misses += result.sum({a, b, k}, kMisses);
+          released += result.sum({a, b, k}, kReleased);
         }
-        misses += result.sum({a, b, k}, kMisses);
-        released += result.sum({a, b, k}, kReleased);
+        const double laedf = result.mean({a, b, kLaEdf}, kLife);
+        const double bas2 = result.mean({a, b, kBas2}, kLife);
+        const double gain_pct = 100.0 * (bas2 / laedf - 1.0);
+        row.push_back((gain_pct >= 0.0 ? "+" : "") +
+                      util::Table::num(gain_pct, 1) + "%");
+        row.push_back(ordered ? "yes" : "no");
+        row.push_back(util::Table::num(static_cast<long long>(misses)));
+        row.push_back(util::Table::num(static_cast<long long>(released)));
+        ordered_cells += ordered ? 1 : 0;
+        ++total_cells;
+        table.add_row(row);
       }
-      const double laedf = result.mean({a, b, kLaEdf}, kLife);
-      const double bas2 = result.mean({a, b, kBas2}, kLife);
-      const double gain_pct = 100.0 * (bas2 / laedf - 1.0);
-      row.push_back((gain_pct >= 0.0 ? "+" : "") +
-                    util::Table::num(gain_pct, 1) + "%");
-      row.push_back(ordered ? "yes" : "no");
-      row.push_back(util::Table::num(static_cast<long long>(misses)));
-      row.push_back(util::Table::num(static_cast<long long>(released)));
-      ordered_cells += ordered ? 1 : 0;
-      ++total_cells;
-      table.add_row(row);
     }
-  }
-  table.print();
-  std::printf(
-      "\n%d/%d (arrival, burst) cells keep the paper's lifetime ordering "
-      "EDF <= ccEDF <= laEDF <= BAS-1 <= BAS-2.\n"
-      "Shape check: periodic rows match the scenario's baseline exactly; "
-      "misses climb with burst intensity under ippp/jitter while the "
-      "battery-aware gap persists wherever slack survives the bursts.\n",
-      ordered_cells, total_cells);
+    table.print();
+    std::printf(
+        "\n%d/%d (arrival, burst) cells keep the paper's lifetime ordering "
+        "EDF <= ccEDF <= laEDF <= BAS-1 <= BAS-2.\n"
+        "Shape check: periodic rows match the scenario's baseline exactly; "
+        "misses climb with burst intensity under ippp/jitter while the "
+        "battery-aware gap persists wherever slack survives the bursts.\n",
+        ordered_cells, total_cells);
 
-  if (const auto csv = cli.get("csv"); !csv.empty()) {
-    exp::write(result, csv);
-    std::printf("wrote %s\n", csv.c_str());
-  }
-  return 0;
+    exp::write_csv_option(cli, result);
+    return 0;
+  });
 }

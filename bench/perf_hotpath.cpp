@@ -26,6 +26,9 @@
 // if that is intended, regenerate the baseline with --write-baseline
 // in the same change. --trace-out FILE writes a Chrome-trace JSON of
 // one extra rep of the first cell for Perfetto / chrome://tracing.
+// A baseline of another schema or another (--sets, --seed), an
+// unreadable baseline file or an unknown axis label exits 2, like any
+// rejected input (exp::run_main).
 
 #include <cstdint>
 #include <cstdio>
@@ -33,12 +36,14 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/scheme.hpp"
 #include "exp/experiment.hpp"
 #include "exp/factories.hpp"
+#include "exp/runner.hpp"
 #include "obs/trace_log.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -99,16 +104,6 @@ constexpr Field kFields[] = {
 #undef LANE
 #undef KERNEL
 
-std::size_t scheme_index(const std::string& label) {
-  const auto& labels = exp::scheme_labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == label) {
-      return i;
-    }
-  }
-  throw std::runtime_error("unknown scheme label '" + label + "'");
-}
-
 /// Everything one replicate of one cell simulates. Same seeding
 /// contract as the campaign drivers: the workload and sim seeds depend
 /// only on the replicate, never on the cell.
@@ -131,7 +126,7 @@ Rep make_rep(const Cell& cell, std::uint64_t seed, int rep) {
   util::Rng rng(rep_seed);
   auto set = scn.make_workload(rng);
   return Rep{std::move(set), scn.make_processor(),
-             exp::scheme_kind_at(scheme_index(cell.scheme)),
+             exp::scheme_kind_at(exp::scheme_index(cell.scheme)),
              scn.sim_config(util::Rng::hash_combine(rep_seed, 1000u)),
              scenario::make_battery(cell.battery)};
 }
@@ -236,7 +231,7 @@ std::map<std::string, Fields> load_baseline(const std::string& path, int sets,
                                             std::uint64_t seed) {
   std::ifstream file(path);
   if (!file) {
-    throw std::runtime_error("cannot open baseline file '" + path + "'");
+    throw std::invalid_argument("cannot open baseline file '" + path + "'");
   }
   Fields header;
   std::map<std::string, Fields> cells;
@@ -252,14 +247,14 @@ std::map<std::string, Fields> load_baseline(const std::string& path, int sets,
 
   const std::string schema = header["schema"];
   if (schema != kSchema) {
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "baseline file '" + path + "' has schema '" +
         (schema.empty() ? "<missing>" : schema) + "' but this binary reads '" +
         kSchema + "' — regenerate with --write-baseline");
   }
   if (header["sets"] != std::to_string(sets) ||
       header["seed"] != std::to_string(seed)) {
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "baseline file '" + path + "' was not recorded at --sets " +
         std::to_string(sets) + " --seed " + std::to_string(seed) +
         " — rerun with its settings or regenerate with --write-baseline");
@@ -340,17 +335,11 @@ void override_axis(const std::string& value, std::vector<std::string>* axis,
 
 int main(int argc, char** argv) {
   using namespace bas;
-  try {
-    util::Cli cli(argc, argv,
-                  {{"sets", "2"},
-                   {"seed", "1234"},
-                   {"baseline", ""},
-                   {"write-baseline", ""},
-                   {"trace-out", ""},
-                   {"scenarios", ""},
-                   {"schemes", ""},
-                   {"batteries", ""}});
-
+  const std::map<std::string, std::string> defaults{
+      {"sets", "2"}, {"seed", "1234"}, {"baseline", ""},
+      {"write-baseline", ""}, {"trace-out", ""}, {"scenarios", ""},
+      {"schemes", ""}, {"batteries", ""}};
+  return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
     // The dense cell (paper-table2) stresses the decision loop; the
     // sparse one (idle-heavy) stresses the battery merge windows.
     std::vector<std::string> scenarios{"paper-table2", "idle-heavy"};
@@ -359,7 +348,7 @@ int main(int argc, char** argv) {
     override_axis(cli.get("scenarios"), &scenarios,
                   [](const std::string& s) { scenario::scenario(s); });
     override_axis(cli.get("schemes"), &schemes,
-                  [](const std::string& s) { scheme_index(s); });
+                  [](const std::string& s) { exp::scheme_index(s); });
     override_axis(cli.get("batteries"), &batteries,
                   [](const std::string& s) { scenario::make_battery(s); });
     const int sets = static_cast<int>(cli.get_int("sets"));
@@ -418,7 +407,8 @@ int main(int argc, char** argv) {
     if (const auto path = cli.get("write-baseline"); !path.empty()) {
       std::ofstream out(path);
       if (!out) {
-        throw std::runtime_error("cannot open '" + path + "' for writing");
+        throw std::invalid_argument("cannot open '" + path +
+                                    "' for writing");
       }
       out << to_json(results, sets, seed);
       std::printf("\nwrote %s\n", path.c_str());
@@ -435,8 +425,5 @@ int main(int argc, char** argv) {
       std::printf("baseline gate passed (every counter equal)\n");
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "perf_hotpath: %s\n", e.what());
-    return 2;
-  }
+  });
 }

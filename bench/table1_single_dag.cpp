@@ -45,99 +45,99 @@ std::vector<double> draw_actuals(const bas::tg::TaskGraph& g,
 
 int main(int argc, char** argv) {
   using namespace bas;
-  util::Cli cli(argc, argv,
-                util::Cli::with_bench_defaults({{"dags", "40"},
-                                                {"seed", "1"},
-                                                {"min-tasks", "5"},
-                                                {"max-tasks", "15"},
-                                                {"full", "false"}}));
-  const int dags = cli.get_flag("full") ? 200 : static_cast<int>(cli.get_int("dags"));
-  cli.show_effective("dags", dags);
-  const int min_tasks = static_cast<int>(cli.get_int("min-tasks"));
-  const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
+  const auto defaults =
+      util::Cli::with_bench_defaults({{"dags", "40"},
+                                      {"seed", "1"},
+                                      {"min-tasks", "5"},
+                                      {"max-tasks", "15"},
+                                      {"full", "false"}});
+  return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
+    const int dags =
+        cli.get_flag("full") ? 200 : static_cast<int>(cli.get_int("dags"));
+    cli.show_effective("dags", dags);
+    const int min_tasks = static_cast<int>(cli.get_int("min-tasks"));
+    const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
 
-  // Energy comparisons run on the continuous-frequency idealization so
-  // the optimal search has a smooth objective (see DESIGN.md).
-  const auto proc = scenario::make_processor("continuous");
+    // Energy comparisons run on the continuous-frequency idealization so
+    // the optimal search has a smooth objective (see DESIGN.md).
+    const auto proc = scenario::make_processor("continuous");
 
-  util::print_banner(
-      "Table 1: energy normalized w.r.t. optimal schedule (single DAGs)");
-  std::printf("config: %s\n\n", cli.summary().c_str());
+    util::print_banner(
+        "Table 1: energy normalized w.r.t. optimal schedule (single DAGs)");
+    std::printf("config: %s\n\n", cli.summary().c_str());
 
-  std::vector<std::string> sizes;
-  for (int n = min_tasks; n <= max_tasks; ++n) {
-    sizes.push_back(std::to_string(n));
-  }
-
-  exp::ExperimentSpec spec;
-  spec.title = "table1_single_dag";
-  spec.config = cli.config_summary();
-  spec.grid.add("tasks", sizes);
-  spec.metrics = {"random", "ltf", "stf", "pubs", "pubs_oracle", "exact"};
-  spec.replicates = dags;
-  spec.seed = cli.get_u64("seed");
-  spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    const int n = min_tasks + static_cast<int>(job.at(0));
-    util::Rng rng(job.seed);
-    tgff::GeneratorParams gp;
-    gp.node_count = n;
-    gp.method = tgff::Method::kFanInFanOut;
-    auto graph = tgff::generate(gp, rng);
-    // Deadline leaves 25% static slack so even all-worst-case fits.
-    graph.set_period(graph.total_wcet_cycles() / (0.8 * proc.fmax_hz()));
-    const auto actuals = draw_actuals(graph, rng);
-
-    const auto opt = sched::optimal_schedule(graph, actuals, proc);
-
-    auto run = [&](std::unique_ptr<sched::PriorityPolicy> prio,
-                   std::unique_ptr<sched::Estimator> est) {
-      return sched::greedy_schedule(graph, actuals, proc, *prio, *est)
-                 .energy_j /
-             opt.energy_j;
-    };
-    // Average the random baseline over several draws per DAG.
-    util::Accumulator rnd;
-    for (int r = 0; r < 5; ++r) {
-      rnd.add(run(sched::make_random_priority(
-                      util::Rng::hash_combine(job.seed, 999u + r)),
-                  sched::make_history_estimator()));
+    std::vector<std::string> sizes;
+    for (int n = min_tasks; n <= max_tasks; ++n) {
+      sizes.push_back(std::to_string(n));
     }
-    // The paper's pUBS assumes per-task-informative estimates; we use
-    // a noisy oracle (actual +/- 25%) as the "accurate estimate"
-    // regime, with flat-mean pUBS degenerating to LTF as the paper
-    // warns ("if the estimate is bad ... more like a random
-    // schedule").
-    return {rnd.mean(),
-            run(sched::make_ltf_priority(), sched::make_history_estimator()),
-            run(sched::make_stf_priority(), sched::make_history_estimator()),
-            run(sched::make_pubs_priority(),
-                sched::make_noisy_oracle_estimator(
-                    0.25, util::Rng::hash_combine(job.seed, 77))),
-            run(sched::make_pubs_priority(), sched::make_oracle_estimator()),
-            opt.exact ? 1.0 : 0.0};
-  };
 
-  const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
+    exp::ExperimentSpec spec;
+    spec.title = "table1_single_dag";
+    spec.config = cli.config_summary();
+    spec.grid.add("tasks", sizes);
+    spec.metrics = {"random", "ltf", "stf", "pubs", "pubs_oracle", "exact"};
+    spec.replicates = dags;
+    spec.seed = cli.get_u64("seed");
+    spec.run = [&](const exp::Job& job) -> std::vector<double> {
+      const int n = min_tasks + static_cast<int>(job.at(0));
+      util::Rng rng(job.seed);
+      tgff::GeneratorParams gp;
+      gp.node_count = n;
+      gp.method = tgff::Method::kFanInFanOut;
+      auto graph = tgff::generate(gp, rng);
+      // Deadline leaves 25% static slack so even all-worst-case fits.
+      graph.set_period(graph.total_wcet_cycles() / (0.8 * proc.fmax_hz()));
+      const auto actuals = draw_actuals(graph, rng);
 
-  util::Table table({"# of tasks", "Random", "LTF", "STF", "pUBS",
-                     "pUBS(oracle)", "exact%"});
-  for (std::size_t c = 0; c < result.cell_count(); ++c) {
-    table.add_row({result.grid().labels(c)[0],
-                   util::Table::num(result.mean(c, 0), 2),
-                   util::Table::num(result.mean(c, 1), 2),
-                   util::Table::num(result.mean(c, 2), 2),
-                   util::Table::num(result.mean(c, 3), 2),
-                   util::Table::num(result.mean(c, 4), 2),
-                   util::Table::num(100.0 * result.mean(c, 5), 0)});
-  }
-  table.print();
-  std::printf(
-      "\nShape check vs paper: pUBS with oracle estimates approaches "
-      "1.00.\n");
+      const auto opt = sched::optimal_schedule(graph, actuals, proc);
 
-  if (const auto csv = cli.get("csv"); !csv.empty()) {
-    exp::write(result, csv);
-    std::printf("wrote %s\n", csv.c_str());
-  }
-  return 0;
+      auto run = [&](std::unique_ptr<sched::PriorityPolicy> prio,
+                     std::unique_ptr<sched::Estimator> est) {
+        return sched::greedy_schedule(graph, actuals, proc, *prio, *est)
+                   .energy_j /
+               opt.energy_j;
+      };
+      // Average the random baseline over several draws per DAG.
+      util::Accumulator rnd;
+      for (int r = 0; r < 5; ++r) {
+        rnd.add(run(sched::make_random_priority(
+                        util::Rng::hash_combine(job.seed, 999u + r)),
+                    sched::make_history_estimator()));
+      }
+      // The paper's pUBS assumes per-task-informative estimates; we use
+      // a noisy oracle (actual +/- 25%) as the "accurate estimate"
+      // regime, with flat-mean pUBS degenerating to LTF as the paper
+      // warns ("if the estimate is bad ... more like a random
+      // schedule").
+      return {rnd.mean(),
+              run(sched::make_ltf_priority(), sched::make_history_estimator()),
+              run(sched::make_stf_priority(), sched::make_history_estimator()),
+              run(sched::make_pubs_priority(),
+                  sched::make_noisy_oracle_estimator(
+                      0.25, util::Rng::hash_combine(job.seed, 77))),
+              run(sched::make_pubs_priority(), sched::make_oracle_estimator()),
+              opt.exact ? 1.0 : 0.0};
+    };
+
+    const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
+
+    util::Table table({"# of tasks", "Random", "LTF", "STF", "pUBS",
+                       "pUBS(oracle)", "exact%"});
+    for (std::size_t c = 0; c < result.cell_count(); ++c) {
+      table.add_row({result.grid().labels(c)[0],
+                     util::Table::num(result.mean(c, 0), 2),
+                     util::Table::num(result.mean(c, 1), 2),
+                     util::Table::num(result.mean(c, 2), 2),
+                     util::Table::num(result.mean(c, 3), 2),
+                     util::Table::num(result.mean(c, 4), 2),
+                     util::Table::num(100.0 * result.mean(c, 5), 0)});
+    }
+    table.print();
+    std::printf(
+        "\nShape check vs paper: pUBS with oracle estimates approaches "
+        "1.00.\n");
+
+    exp::write_csv_option(cli, result);
+    return 0;
+  });
 }

@@ -38,82 +38,78 @@
 
 int main(int argc, char** argv) {
   using namespace bas;
-  util::Cli cli(argc, argv,
-                util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
-                    {{"sets", "12"}, {"seed", "2006"}, {"full", "false"}},
-                    "paper-table2")));
-  if (scenario::handle_list_request(cli)) {
+  const auto defaults =
+      util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
+          {{"sets", "12"}, {"seed", "2006"}, {"full", "false"}},
+          "paper-table2"));
+  return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
+    const int sets =
+        cli.get_flag("full") ? 100 : static_cast<int>(cli.get_int("sets"));
+    cli.show_effective("sets", sets);
+    const auto scn = scenario::from_cli(cli);
+    const auto proc = scn.make_processor();
+
+    util::print_banner("Table 2: battery lifetime by scheduling scheme");
+    std::printf("config: %s\nscenario: %s\n\n", cli.summary().c_str(),
+                scn.fingerprint().c_str());
+
+    exp::ExperimentSpec spec;
+    spec.title = "table2_battery_lifetime";
+    spec.config = cli.config_summary() + " | " + scn.fingerprint();
+    spec.grid.add("scheme", exp::scheme_labels());
+    spec.metrics = {"delivered_mah", "lifetime_min", "energy_j", "misses"};
+    spec.replicates = sets;
+    spec.seed = cli.get_u64("seed");
+    spec.run = [&](const exp::Job& job) -> std::vector<double> {
+      // Workload and actual-computation draws key off the replicate seed
+      // only, so every scheme sees the same random task-graph sets (CRN).
+      util::Rng rng(job.replicate_seed);
+      const auto set = scn.make_workload(rng);
+      const auto config =
+          scn.sim_config(util::Rng::hash_combine(job.replicate_seed, 1000u));
+      const auto cell = scn.make_battery();
+      const auto r = sim::simulate_scheme(
+          set, proc, exp::scheme_kind_at(job.at(0)), config, cell.get());
+      return {r.battery_delivered_mah, r.battery_lifetime_s / 60.0, r.energy_j,
+              static_cast<double>(r.deadline_misses)};
+    };
+
+    const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
+    const std::size_t kLife = result.metric_index("lifetime_min");
+    const std::size_t kDelivered = result.metric_index("delivered_mah");
+    const std::size_t kMisses = result.metric_index("misses");
+
+    util::Table table({"Scheme", "DVS Algo.", "Priority fct", "Ready list",
+                       "Charge Delivered (mAh)", "Battery Life (min)",
+                       "vs EDF", "misses"});
+    const char* dvs_names[] = {"None", "ccEDF", "laEDF", "laEDF", "laEDF"};
+    const char* prio_names[] = {"Random", "Random", "Random", "pUBS", "pUBS"};
+    const char* ready_names[] = {"most imminent", "most imminent",
+                                 "most imminent", "most imminent",
+                                 "all released"};
+    const double edf_life = result.mean(0, kLife);
+    for (std::size_t k = 0; k < result.cell_count(); ++k) {
+      table.add_row(
+          {result.grid().labels(k)[0], dvs_names[k], prio_names[k],
+           ready_names[k], util::Table::num(result.mean(k, kDelivered), 0),
+           util::Table::num(result.mean(k, kLife), 0),
+           util::Table::num(result.mean(k, kLife) / edf_life, 2) + "x",
+           util::Table::num(
+               static_cast<long long>(result.sum(k, kMisses)))});
+    }
+    table.print();
+
+    const double laedf_life = result.mean(2, kLife);
+    const double bas2_life = result.mean(4, kLife);
+    std::printf(
+        "\nBAS-2 vs laEDF: %+.1f%% lifetime (paper: up to +23.3%%)\n"
+        "BAS-2 vs ccEDF: %+.1f%% lifetime (paper: up to +47%%)\n"
+        "BAS-2 vs EDF-noDVS: %+.1f%% lifetime (paper: up to +100%%)\n",
+        100.0 * (bas2_life / laedf_life - 1.0),
+        100.0 * (bas2_life / result.mean(1, kLife) - 1.0),
+        100.0 * (bas2_life / edf_life - 1.0));
+
+    exp::write_csv_option(cli, result);
     return 0;
-  }
-  const int sets =
-      cli.get_flag("full") ? 100 : static_cast<int>(cli.get_int("sets"));
-  cli.show_effective("sets", sets);
-  const auto scn = scenario::from_cli(cli);
-  const auto proc = scn.make_processor();
-
-  util::print_banner("Table 2: battery lifetime by scheduling scheme");
-  std::printf("config: %s\nscenario: %s\n\n", cli.summary().c_str(),
-              scn.fingerprint().c_str());
-
-  exp::ExperimentSpec spec;
-  spec.title = "table2_battery_lifetime";
-  spec.config = cli.config_summary() + " | " + scn.fingerprint();
-  spec.grid.add("scheme", exp::scheme_labels());
-  spec.metrics = {"delivered_mah", "lifetime_min", "energy_j", "misses"};
-  spec.replicates = sets;
-  spec.seed = cli.get_u64("seed");
-  spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    // Workload and actual-computation draws key off the replicate seed
-    // only, so every scheme sees the same random task-graph sets (CRN).
-    util::Rng rng(job.replicate_seed);
-    const auto set = scn.make_workload(rng);
-    const auto config =
-        scn.sim_config(util::Rng::hash_combine(job.replicate_seed, 1000u));
-    const auto cell = scn.make_battery();
-    const auto r = sim::simulate_scheme(
-        set, proc, exp::scheme_kind_at(job.at(0)), config, cell.get());
-    return {r.battery_delivered_mah, r.battery_lifetime_s / 60.0, r.energy_j,
-            static_cast<double>(r.deadline_misses)};
-  };
-
-  const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
-  const std::size_t kLife = result.metric_index("lifetime_min");
-  const std::size_t kDelivered = result.metric_index("delivered_mah");
-  const std::size_t kMisses = result.metric_index("misses");
-
-  util::Table table({"Scheme", "DVS Algo.", "Priority fct", "Ready list",
-                     "Charge Delivered (mAh)", "Battery Life (min)",
-                     "vs EDF", "misses"});
-  const char* dvs_names[] = {"None", "ccEDF", "laEDF", "laEDF", "laEDF"};
-  const char* prio_names[] = {"Random", "Random", "Random", "pUBS", "pUBS"};
-  const char* ready_names[] = {"most imminent", "most imminent",
-                               "most imminent", "most imminent",
-                               "all released"};
-  const double edf_life = result.mean(0, kLife);
-  for (std::size_t k = 0; k < result.cell_count(); ++k) {
-    table.add_row(
-        {result.grid().labels(k)[0], dvs_names[k], prio_names[k],
-         ready_names[k], util::Table::num(result.mean(k, kDelivered), 0),
-         util::Table::num(result.mean(k, kLife), 0),
-         util::Table::num(result.mean(k, kLife) / edf_life, 2) + "x",
-         util::Table::num(
-             static_cast<long long>(result.sum(k, kMisses)))});
-  }
-  table.print();
-
-  const double laedf_life = result.mean(2, kLife);
-  const double bas2_life = result.mean(4, kLife);
-  std::printf(
-      "\nBAS-2 vs laEDF: +%.1f%% lifetime (paper: up to +23.3%%)\n"
-      "BAS-2 vs ccEDF: +%.1f%% lifetime (paper: up to +47%%)\n"
-      "BAS-2 vs EDF-noDVS: +%.1f%% lifetime (paper: up to +100%%)\n",
-      100.0 * (bas2_life / laedf_life - 1.0),
-      100.0 * (bas2_life / result.mean(1, kLife) - 1.0),
-      100.0 * (bas2_life / edf_life - 1.0));
-
-  if (const auto csv = cli.get("csv"); !csv.empty()) {
-    exp::write(result, csv);
-    std::printf("wrote %s\n", csv.c_str());
-  }
-  return 0;
+  });
 }

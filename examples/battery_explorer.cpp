@@ -101,65 +101,64 @@ void print_trace(double pulse_a, double on_s, double off_s, int cycles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                util::Cli::with_bench_defaults({{"pulse", "1.8"},
-                                                {"on", "120"},
-                                                {"off", "120"},
-                                                {"cycles", "12"},
-                                                {"trace", "false"}}));
-  const double pulse_a = cli.get_double("pulse");
-  const double on_s = cli.get_double("on");
-  const int cycles = static_cast<int>(cli.get_int("cycles"));
+  const auto defaults =
+      util::Cli::with_bench_defaults({{"pulse", "1.8"},
+                                      {"on", "120"},
+                                      {"off", "120"},
+                                      {"cycles", "12"},
+                                      {"trace", "false"}});
+  return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
+    const double pulse_a = cli.get_double("pulse");
+    const double on_s = cli.get_double("on");
+    const int cycles = static_cast<int>(cli.get_int("cycles"));
 
-  const std::vector<double> rests{0.0, 30.0, 60.0, 120.0, 240.0, 480.0};
-  std::vector<std::string> rest_labels;
-  for (const double rest : rests) {
-    rest_labels.push_back(util::Table::num(rest, 0));
-  }
-
-  util::print_banner(
-      "Battery explorer: rest duration vs total extractable charge");
-
-  exp::ExperimentSpec spec;
-  spec.title = "battery_explorer";
-  spec.config = cli.config_summary();
-  spec.grid.add("rest_s", rest_labels);
-  spec.metrics = {"kibam_mah", "diffusion_mah"};
-  spec.run = [&](const exp::Job& job) -> std::vector<double> {
-    const double off_s = rests[job.at(0)];
-    const auto kibam = scenario::make_battery("kibam");
-    const auto diffusion = scenario::make_battery("diffusion");
-    return {train_and_drain_mah(*kibam, pulse_a, on_s, off_s, cycles),
-            train_and_drain_mah(*diffusion, pulse_a, on_s, off_s, cycles)};
-  };
-  const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
-
-  util::Table table({"rest (s)", "kibam (mAh)", "diffusion (mAh)",
-                     "kibam gain vs no rest"});
-  const double base = result.mean(0, 0);
-  for (std::size_t c = 0; c < result.cell_count(); ++c) {
-    std::string gain = "n/a";  // a zero-pulse sweep delivers nothing
-    if (base > 0.0) {
-      const double gain_pct = 100.0 * (result.mean(c, 0) / base - 1.0);
-      gain = std::string(gain_pct >= 0.0 ? "+" : "") +
-             util::Table::num(gain_pct, 2) + "%";
+    const std::vector<double> rests{0.0, 30.0, 60.0, 120.0, 240.0, 480.0};
+    std::vector<std::string> rest_labels;
+    for (const double rest : rests) {
+      rest_labels.push_back(util::Table::num(rest, 0));
     }
-    table.add_row(
-        {result.grid().labels(c)[0], util::Table::num(result.mean(c, 0), 1),
-         util::Table::num(result.mean(c, 1), 1), gain});
-  }
-  table.print();
-  std::printf(
-      "\nLonger rests let the two-well models equalize, so the same cell "
-      "delivers more of its charge — the headroom battery-aware "
-      "scheduling plays for.\n");
 
-  if (const auto csv = cli.get("csv"); !csv.empty()) {
-    exp::write(result, csv);
-    std::printf("wrote %s\n", csv.c_str());
-  }
-  if (cli.get_flag("trace")) {
-    print_trace(pulse_a, on_s, cli.get_double("off"), cycles);
-  }
-  return 0;
+    util::print_banner(
+        "Battery explorer: rest duration vs total extractable charge");
+
+    exp::ExperimentSpec spec;
+    spec.title = "battery_explorer";
+    spec.config = cli.config_summary();
+    spec.grid.add("rest_s", rest_labels);
+    spec.metrics = {"kibam_mah", "diffusion_mah"};
+    spec.run = [&](const exp::Job& job) -> std::vector<double> {
+      const double off_s = rests[job.at(0)];
+      const auto kibam = scenario::make_battery("kibam");
+      const auto diffusion = scenario::make_battery("diffusion");
+      return {train_and_drain_mah(*kibam, pulse_a, on_s, off_s, cycles),
+              train_and_drain_mah(*diffusion, pulse_a, on_s, off_s, cycles)};
+    };
+    const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
+
+    util::Table table({"rest (s)", "kibam (mAh)", "diffusion (mAh)",
+                       "kibam gain vs no rest"});
+    const double base = result.mean(0, 0);
+    for (std::size_t c = 0; c < result.cell_count(); ++c) {
+      std::string gain = "n/a";  // a zero-pulse sweep delivers nothing
+      if (base > 0.0) {
+        const double gain_pct = 100.0 * (result.mean(c, 0) / base - 1.0);
+        gain = std::string(gain_pct >= 0.0 ? "+" : "") +
+               util::Table::num(gain_pct, 2) + "%";
+      }
+      table.add_row(
+          {result.grid().labels(c)[0], util::Table::num(result.mean(c, 0), 1),
+           util::Table::num(result.mean(c, 1), 1), gain});
+    }
+    table.print();
+    std::printf(
+        "\nLonger rests let the two-well models equalize, so the same cell "
+        "delivers more of its charge — the headroom battery-aware "
+        "scheduling plays for.\n");
+
+    exp::write_csv_option(cli, result);
+    if (cli.get_flag("trace")) {
+      print_trace(pulse_a, on_s, cli.get_double("off"), cycles);
+    }
+    return 0;
+  });
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dvs/processor.hpp"
+#include "exp/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/optimal.hpp"
 #include "taskgraph/graph.hpp"
@@ -43,41 +44,43 @@ void print_trace(const std::string& label, const bas::tg::TaskGraph& g,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bas;
-  const auto proc = scenario::make_processor("continuous");
+  return exp::run_main(argc, argv, {}, [](util::Cli&) {
+    const auto proc = scenario::make_processor("continuous");
 
-  tg::TaskGraph g(10.0, "fig4");
-  g.add_node(4e9, "task1");  // wc = 4 s at 1 GHz
-  g.add_node(6e9, "task2");  // wc = 6 s at 1 GHz
+    tg::TaskGraph g(10.0, "fig4");
+    g.add_node(4e9, "task1");  // wc = 4 s at 1 GHz
+    g.add_node(6e9, "task2");  // wc = 6 s at 1 GHz
 
-  std::printf(
-      "Figure 4: two tasks, deadline 10 s, wc = {4, 6} s at 1 GHz\n\n");
+    std::printf(
+        "Figure 4: two tasks, deadline 10 s, wc = {4, 6} s at 1 GHz\n\n");
 
-  {
-    std::printf("case 1: actuals 40%% and 60%% of wc\n");
-    const std::vector<double> ac{0.4 * 4e9, 0.6 * 6e9};
-    print_trace("A: LTF (task2 first)", g, ac, {1, 0}, proc);
-    print_trace("B: STF (task1 first)", g, ac, {0, 1}, proc);
-    const auto ltf = sched::evaluate_order(g, ac, proc, {1, 0});
-    const auto stf = sched::evaluate_order(g, ac, proc, {0, 1});
-    std::printf("  => %s wins (%.1f%% less energy)\n\n",
-                stf.energy_j < ltf.energy_j ? "STF" : "LTF",
-                100.0 * std::abs(1.0 - stf.energy_j / ltf.energy_j));
-  }
-  {
-    std::printf("case 2: actuals 60%% and 40%% of wc\n");
-    const std::vector<double> ac{0.6 * 4e9, 0.4 * 6e9};
-    print_trace("A: LTF (task2 first)", g, ac, {1, 0}, proc);
-    print_trace("B: STF (task1 first)", g, ac, {0, 1}, proc);
-    const auto ltf = sched::evaluate_order(g, ac, proc, {1, 0});
-    const auto stf = sched::evaluate_order(g, ac, proc, {0, 1});
-    std::printf("  => %s wins (%.1f%% less energy)\n\n",
-                stf.energy_j < ltf.energy_j ? "STF" : "LTF",
-                100.0 * std::abs(1.0 - stf.energy_j / ltf.energy_j));
-  }
-  std::printf(
-      "No fixed rule wins both cases; pUBS with per-task estimates picks "
-      "the right task each time (Table 1 bench).\n");
-  return 0;
+    {
+      std::printf("case 1: actuals 40%% and 60%% of wc\n");
+      const std::vector<double> ac{0.4 * 4e9, 0.6 * 6e9};
+      print_trace("A: LTF (task2 first)", g, ac, {1, 0}, proc);
+      print_trace("B: STF (task1 first)", g, ac, {0, 1}, proc);
+      const auto ltf = sched::evaluate_order(g, ac, proc, {1, 0});
+      const auto stf = sched::evaluate_order(g, ac, proc, {0, 1});
+      std::printf("  => %s wins (%.1f%% less energy)\n\n",
+                  stf.energy_j < ltf.energy_j ? "STF" : "LTF",
+                  100.0 * std::abs(1.0 - stf.energy_j / ltf.energy_j));
+    }
+    {
+      std::printf("case 2: actuals 60%% and 40%% of wc\n");
+      const std::vector<double> ac{0.6 * 4e9, 0.4 * 6e9};
+      print_trace("A: LTF (task2 first)", g, ac, {1, 0}, proc);
+      print_trace("B: STF (task1 first)", g, ac, {0, 1}, proc);
+      const auto ltf = sched::evaluate_order(g, ac, proc, {1, 0});
+      const auto stf = sched::evaluate_order(g, ac, proc, {0, 1});
+      std::printf("  => %s wins (%.1f%% less energy)\n\n",
+                  stf.energy_j < ltf.energy_j ? "STF" : "LTF",
+                  100.0 * std::abs(1.0 - stf.energy_j / ltf.energy_j));
+    }
+    std::printf(
+        "No fixed rule wins both cases; pUBS with per-task estimates picks "
+        "the right task each time (Table 1 bench).\n");
+    return 0;
+  });
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/scheme.hpp"
+#include "exp/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "taskgraph/set.hpp"
@@ -55,48 +56,50 @@ void run_and_print(const char* label, bas::core::Scheme& scheme,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace bas;
-  const auto proc = scenario::make_processor("paper");
-  const double fmax = proc.fmax_hz();
+  return exp::run_main(argc, argv, {}, [](util::Cli&) {
+    const auto proc = scenario::make_processor("paper");
+    const double fmax = proc.fmax_hz();
 
-  tg::TaskGraphSet set;
-  {
-    tg::TaskGraph t1(20.0, "T1");
-    t1.add_node(5.0 * fmax);
-    set.add(std::move(t1));
-    tg::TaskGraph t2(50.0, "T2");
-    t2.add_node(5.0 * fmax);
-    set.add(std::move(t2));
-    tg::TaskGraph t3(100.0, "T3");
-    t3.add_node(5.0 * fmax);
-    t3.add_node(5.0 * fmax);
-    t3.add_node(5.0 * fmax);
-    set.add(std::move(t3));
-  }
-  std::printf(
-      "Figure 5: T1(wc=5, D=20), T2(wc=5, D=50), T3(3x wc=5, D=100); "
-      "U=0.5 so fref = 0.5 fmax\n\n");
+    tg::TaskGraphSet set;
+    {
+      tg::TaskGraph t1(20.0, "T1");
+      t1.add_node(5.0 * fmax);
+      set.add(std::move(t1));
+      tg::TaskGraph t2(50.0, "T2");
+      t2.add_node(5.0 * fmax);
+      set.add(std::move(t2));
+      tg::TaskGraph t3(100.0, "T3");
+      t3.add_node(5.0 * fmax);
+      t3.add_node(5.0 * fmax);
+      t3.add_node(5.0 * fmax);
+      set.add(std::move(t3));
+    }
+    std::printf(
+        "Figure 5: T1(wc=5, D=20), T2(wc=5, D=50), T3(3x wc=5, D=100); "
+        "U=0.5 so fref = 0.5 fmax\n\n");
 
-  // (a) canonical EDF: most-imminent scope forces T1, T2, T3 order.
-  core::Scheme edf = core::make_custom_scheme(
-      "canonical-EDF", dvs::make_cc_edf(fmax), sched::make_fifo_priority(),
-      sched::make_worst_case_estimator(), core::ReadyScope::kMostImminent);
-  run_and_print("(a) canonical EDF ordering:", edf, set, proc);
+    // (a) canonical EDF: most-imminent scope forces T1, T2, T3 order.
+    core::Scheme edf = core::make_custom_scheme(
+        "canonical-EDF", dvs::make_cc_edf(fmax), sched::make_fifo_priority(),
+        sched::make_worst_case_estimator(), core::ReadyScope::kMostImminent);
+    run_and_print("(a) canonical EDF ordering:", edf, set, proc);
 
-  // (b) priority ordering over all released graphs + feasibility check.
-  core::Scheme bas = core::make_custom_scheme(
-      "pUBS+feasibility", dvs::make_cc_edf(fmax),
-      std::make_unique<PaperFigure5Priority>(),
-      sched::make_worst_case_estimator(), core::ReadyScope::kAllReleased);
-  run_and_print(
-      "(b) priority-function ordering (T3 > T2 > T1) with feasibility "
-      "check:",
-      bas, set, proc);
+    // (b) priority ordering over all released graphs + feasibility check.
+    core::Scheme bas = core::make_custom_scheme(
+        "pUBS+feasibility", dvs::make_cc_edf(fmax),
+        std::make_unique<PaperFigure5Priority>(),
+        sched::make_worst_case_estimator(), core::ReadyScope::kAllReleased);
+    run_and_print(
+        "(b) priority-function ordering (T3 > T2 > T1) with feasibility "
+        "check:",
+        bas, set, proc);
 
-  std::printf(
-      "In (b) the scheduler runs T3's tasks first because the feasibility\n"
-      "check proves T1/T2 stay safe at fref; it switches to T1 just in\n"
-      "time. Deadlines hold in both traces without exceeding fref.\n");
-  return 0;
+    std::printf(
+        "In (b) the scheduler runs T3's tasks first because the feasibility\n"
+        "check proves T1/T2 stay safe at fref; it switches to T1 just in\n"
+        "time. Deadlines hold in both traces without exceeding fref.\n");
+    return 0;
+  });
 }

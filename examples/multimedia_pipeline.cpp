@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "analysis/compare.hpp"
+#include "exp/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "taskgraph/set.hpp"
 #include "util/cli.hpp"
@@ -72,66 +73,67 @@ bas::tg::TaskGraphSet media_player_workload() {
 
 int main(int argc, char** argv) {
   using namespace bas;
-  const util::Cli cli(argc, argv, {{"smoke", "false"}});
-  const auto set = media_player_workload();
-  const auto& world = scenario::scenario("multimedia-pipeline");
-  const auto proc = world.make_processor();
-  std::printf("media player: %zu graphs, %zu tasks, worst-case utilization "
-              "%.1f%%\n\n",
-              set.size(), set.total_nodes(),
-              100.0 * set.utilization(proc.fmax_hz()));
+  return exp::run_main(argc, argv, {{"smoke", "false"}}, [](util::Cli& cli) {
+    const auto set = media_player_workload();
+    const auto& world = scenario::scenario("multimedia-pipeline");
+    const auto proc = world.make_processor();
+    std::printf("media player: %zu graphs, %zu tasks, worst-case utilization "
+                "%.1f%%\n\n",
+                set.size(), set.total_nodes(),
+                100.0 * set.utilization(proc.fmax_hz()));
 
-  const auto battery = world.make_battery();
-  auto config = world.sim_config(11);  // per-node-mean: frames have texture
-  config.horizon_s = cli.get_flag("smoke") ? 600.0 : 48.0 * 3600.0;
+    const auto battery = world.make_battery();
+    auto config = world.sim_config(11);  // per-node-mean: frames have texture
+    config.horizon_s = cli.get_flag("smoke") ? 600.0 : 48.0 * 3600.0;
 
-  const auto outcomes = analysis::compare_schemes(
-      set, proc, core::table2_schemes(), config, battery.get());
+    const auto outcomes = analysis::compare_schemes(
+        set, proc, core::table2_schemes(), config, battery.get());
 
-  util::Table table({"scheme", "playback (min)", "delivered (mAh)",
-                     "avg current (A)", "frames decoded", "misses"});
-  for (const auto& o : outcomes) {
-    table.add_row(
-        {o.scheme, util::Table::num(o.result.battery_lifetime_s / 60.0, 0),
-         util::Table::num(o.result.battery_delivered_mah, 0),
-         util::Table::num(o.result.average_current_a(), 3),
-         util::Table::num(static_cast<long long>(
-             o.result.battery_lifetime_s / 0.040)),
-         util::Table::num(static_cast<long long>(
-             o.result.deadline_misses))});
-  }
-  table.print();
-  std::printf(
-      "\nEvery frame deadline holds under all schemes; the scheduler "
-      "choice alone decides how much of the same battery the player "
-      "gets to use.\n");
+    util::Table table({"scheme", "playback (min)", "delivered (mAh)",
+                       "avg current (A)", "frames decoded", "misses"});
+    for (const auto& o : outcomes) {
+      table.add_row(
+          {o.scheme, util::Table::num(o.result.battery_lifetime_s / 60.0, 0),
+           util::Table::num(o.result.battery_delivered_mah, 0),
+           util::Table::num(o.result.average_current_a(), 3),
+           util::Table::num(static_cast<long long>(
+               o.result.battery_lifetime_s / 0.040)),
+           util::Table::num(static_cast<long long>(
+               o.result.deadline_misses))});
+    }
+    table.print();
+    std::printf(
+        "\nEvery frame deadline holds under all schemes; the scheduler "
+        "choice alone decides how much of the same battery the player "
+        "gets to use.\n");
 
-  // Real players never see a perfect frame clock: network and decoder
-  // queues jitter every release. Re-run the comparison with bounded
-  // release jitter (20% of each stream's period) — deadlines stay
-  // release-relative, and the battery-aware ordering keeps its edge on
-  // the rougher traffic.
-  config.arrival.model = "periodic-jitter";
-  config.arrival.params.jitter_frac = 0.2;
-  const auto jittered = analysis::compare_schemes(
-      set, proc, core::table2_schemes(), config, battery.get());
+    // Real players never see a perfect frame clock: network and decoder
+    // queues jitter every release. Re-run the comparison with bounded
+    // release jitter (20% of each stream's period) — deadlines stay
+    // release-relative, and the battery-aware ordering keeps its edge on
+    // the rougher traffic.
+    config.arrival.model = "periodic-jitter";
+    config.arrival.params.jitter_frac = 0.2;
+    const auto jittered = analysis::compare_schemes(
+        set, proc, core::table2_schemes(), config, battery.get());
 
-  util::print_banner("Same pipelines, 20% release jitter per stream");
-  util::Table jtable({"scheme", "playback (min)", "delivered (mAh)",
-                      "misses"});
-  for (const auto& o : jittered) {
-    jtable.add_row(
-        {o.scheme, util::Table::num(o.result.battery_lifetime_s / 60.0, 0),
-         util::Table::num(o.result.battery_delivered_mah, 0),
-         util::Table::num(static_cast<long long>(
-             o.result.deadline_misses))});
-  }
-  jtable.print();
-  std::printf(
-      "\nJitter squeezes the window between releases: a frame that is "
-      "still decoding when its jittered successor arrives is dropped "
-      "(single-buffered pipelines) and counted as a miss. BAS-2 defers "
-      "imminent work the longest, so it alone grazes that edge — a few "
-      "frames per thousand — while keeping the laEDF-level lifetime.\n");
-  return 0;
+    util::print_banner("Same pipelines, 20% release jitter per stream");
+    util::Table jtable({"scheme", "playback (min)", "delivered (mAh)",
+                        "misses"});
+    for (const auto& o : jittered) {
+      jtable.add_row(
+          {o.scheme, util::Table::num(o.result.battery_lifetime_s / 60.0, 0),
+           util::Table::num(o.result.battery_delivered_mah, 0),
+           util::Table::num(static_cast<long long>(
+               o.result.deadline_misses))});
+    }
+    jtable.print();
+    std::printf(
+        "\nJitter squeezes the window between releases: a frame that is "
+        "still decoding when its jittered successor arrives is dropped "
+        "(single-buffered pipelines) and counted as a miss. BAS-2 defers "
+        "imminent work the longest, so it alone grazes that edge — a few "
+        "frames per thousand — while keeping the laEDF-level lifetime.\n");
+    return 0;
+  });
 }

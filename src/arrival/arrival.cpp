@@ -76,9 +76,8 @@ std::vector<double> parse_trace_text(const std::string& text,
   return times;
 }
 
-/// Resolves the `trace` param: "@path" loads the file (memoized per
-/// path within the process — campaign jobs re-make processes per run),
-/// anything else is parsed inline.
+}  // namespace
+
 std::vector<double> load_trace(const std::string& trace) {
   require(!trace.empty(),
           "trace-replay needs --scenario.arrival.trace (inline "
@@ -104,6 +103,8 @@ std::vector<double> load_trace(const std::string& trace) {
   memo.emplace(path, times);
   return times;
 }
+
+namespace {
 
 // ---- models ----------------------------------------------------------
 

@@ -109,6 +109,13 @@ const std::vector<std::string>& labels();
 /// with the valid labels / the offending value on violation.
 std::unique_ptr<ArrivalProcess> make(const Spec& spec, double period_s);
 
+/// Resolves a trace-replay `trace` param to its sorted, de-duplicated
+/// release times: "@path" loads the file (memoized per path within the
+/// process — campaign jobs re-make processes per run), anything else is
+/// parsed inline. Throws std::invalid_argument on an empty param, an
+/// unreadable file or a malformed entry.
+std::vector<double> load_trace(const std::string& trace);
+
 /// Eager validation without building: make(spec, 1.0), result dropped.
 /// Call from CLI override paths so a bad label or parameter fails at
 /// parse time, not inside a worker thread mid-campaign.

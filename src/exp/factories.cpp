@@ -1,7 +1,11 @@
 #include "exp/factories.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "arrival/arrival.hpp"
 #include "scenario/scenario.hpp"
+#include "util/text.hpp"
 
 namespace bas::exp {
 
@@ -16,6 +20,16 @@ const std::vector<std::string>& scheme_labels() {
     return out;
   }();
   return labels;
+}
+
+std::size_t scheme_index(const std::string& label) {
+  const auto& labels = scheme_labels();
+  const auto it = std::find(labels.begin(), labels.end(), label);
+  if (it == labels.end()) {
+    throw std::invalid_argument("unknown scheme '" + label + "' (known: " +
+                                util::join(labels) + ")");
+  }
+  return static_cast<std::size_t>(it - labels.begin());
 }
 
 core::SchemeKind scheme_kind_at(std::size_t i) {

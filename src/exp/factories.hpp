@@ -23,6 +23,10 @@ Axis battery_axis();
 /// Table-2 scheme labels in the paper's order (EDF .. BAS-2).
 const std::vector<std::string>& scheme_labels();
 
+/// The index of `label` in scheme_labels(); throws
+/// std::invalid_argument naming the valid labels otherwise.
+std::size_t scheme_index(const std::string& label);
+
 /// The SchemeKind behind scheme_labels()[i].
 core::SchemeKind scheme_kind_at(std::size_t i);
 

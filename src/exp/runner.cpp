@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "exp/plan.hpp"
 #include "exp/progress.hpp"
 #include "obs/trace_log.hpp"
+#include "scenario/scenario.hpp"
 #include "store/jsonl.hpp"
 #include "util/cli.hpp"
 
@@ -367,6 +369,32 @@ RunnerOptions options_from_cli(const util::Cli& cli) {
   options.trace_out = cli.get("trace-out");
   // Runner::run owns the merge/store consistency rule.
   return options;
+}
+
+int run_main(int argc, char** argv, std::map<std::string, std::string> defaults,
+             const std::function<int(util::Cli&)>& body) {
+  const std::string usage = util::Cli::usage(defaults);
+  const std::string known = util::Cli::known_options(defaults);
+  try {
+    util::Cli cli(argc, argv, std::move(defaults));
+    if (cli.help_requested()) {
+      std::printf("usage: %s [--OPTION VALUE | --FLAG]...\n%s",
+                  argc > 0 ? argv[0] : "bas", usage.c_str());
+      return 0;
+    }
+    if (scenario::handle_list_request(cli)) {
+      return 0;
+    }
+    return body(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fflush(stdout);
+    const std::string message = e.what();
+    // The unknown-option message already lists the known options.
+    const bool listed = message.find(known) != std::string::npos;
+    std::fprintf(stderr, "error: %s\n%s", message.c_str(),
+                 listed ? "" : usage.c_str());
+    return 2;
+  }
 }
 
 }  // namespace bas::exp

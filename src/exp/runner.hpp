@@ -44,6 +44,8 @@
 // failure. A store that cannot be written is not a job failure: it
 // aborts the campaign once, naming the store file.
 
+#include <functional>
+#include <map>
 #include <string>
 
 #include "exp/experiment.hpp"
@@ -108,5 +110,18 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 /// see util::Cli::with_bench_defaults). Runner::run enforces that
 /// --merge comes with --cache.
 RunnerOptions options_from_cli(const util::Cli& cli);
+
+/// The entry point of every bench and example `main`: parses argv
+/// against `defaults` and runs `body`, with one exit-code contract.
+///   --help            prints util::Cli::usage(defaults) to stdout, exit 0
+///   --list-scenarios  (when declared, see scenario::with_scenario_defaults)
+///                     prints the catalogue, exit 0
+///   a rejected input  any std::invalid_argument — from parsing or from
+///                     the body — prints "error: <message>" and the
+///                     known options to stderr, exit 2
+/// Otherwise it returns body's result. Every other exception propagates,
+/// so a real bug still aborts.
+int run_main(int argc, char** argv, std::map<std::string, std::string> defaults,
+             const std::function<int(util::Cli&)>& body);
 
 }  // namespace bas::exp

@@ -1,5 +1,6 @@
 #include "exp/sink.hpp"
 
+#include "util/cli.hpp"
 #include "util/text.hpp"
 
 #include <cstdio>
@@ -137,6 +138,13 @@ void write(const ExperimentResult& result, const std::string& path) {
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   file << (json ? to_json(result) : to_csv(result));
+}
+
+void write_csv_option(const util::Cli& cli, const ExperimentResult& result) {
+  if (const auto path = cli.get("csv"); !path.empty()) {
+    write(result, path);
+    std::printf("wrote %s\n", path.c_str());
+  }
 }
 
 }  // namespace bas::exp

@@ -11,6 +11,10 @@
 
 #include "exp/experiment.hpp"
 
+namespace bas::util {
+class Cli;
+}
+
 namespace bas::exp {
 
 /// The engine's canonical double rendering: %.17g, the shortest fixed
@@ -29,5 +33,9 @@ std::string to_json(const ExperimentResult& result);
 /// Writes CSV — or JSON when `path` ends in ".json". Throws
 /// std::runtime_error when the file cannot be opened.
 void write(const ExperimentResult& result, const std::string& path);
+
+/// The drivers' --csv tail: when --csv PATH is set, write(result, PATH)
+/// and print "wrote PATH" to stdout.
+void write_csv_option(const util::Cli& cli, const ExperimentResult& result);
 
 }  // namespace bas::exp

@@ -1,11 +1,11 @@
 #include "scenario/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "arrival/arrival.hpp"
 #include "battery/diffusion.hpp"
@@ -49,11 +49,12 @@ std::string method_to_string(tgff::Method method) {
 }
 
 double parse_double(const std::string& key, const std::string& text) {
-  if (const auto value = util::parse_double(text)) {
+  if (const auto value = util::parse_double(text);
+      value && std::isfinite(*value)) {
     return *value;
   }
-  throw std::invalid_argument("--scenario." + key + " expects a number, got '" +
-                              text + "'");
+  throw std::invalid_argument("--scenario." + key +
+                              " expects a finite number, got '" + text + "'");
 }
 
 int parse_int(const std::string& key, const std::string& text) {
@@ -350,10 +351,14 @@ double ScenarioSpec::worst_case_utilization() const {
   return utilization / mean_frac;
 }
 
-tg::TaskGraphSet ScenarioSpec::make_workload(util::Rng& rng) const {
+tgff::WorkloadParams ScenarioSpec::workload_params() const {
   tgff::WorkloadParams params = workload;
   params.target_utilization = worst_case_utilization();
-  return tgff::make_workload(params, rng);
+  return params;
+}
+
+tg::TaskGraphSet ScenarioSpec::make_workload(util::Rng& rng) const {
+  return tgff::make_workload(workload_params(), rng);
 }
 
 dvs::Processor ScenarioSpec::make_processor() const {
@@ -464,9 +469,8 @@ namespace {
 /// One `--scenario.FIELD` override: the field name (without the
 /// "scenario." prefix) and how a non-empty value lands in the spec.
 /// The one list behind the CLI defaults, apply_cli_overrides and the
-/// --list-scenarios help; overrides apply in table order. Fields named
-/// "arrival*" belong to the arrival process, which is validated as a
-/// whole once any of them is set.
+/// --list-scenarios help; overrides apply in table order, and the
+/// effective spec is validated as a whole once they all landed.
 struct OverrideField {
   const char* name;
   void (*apply)(ScenarioSpec& spec, const std::string& name,
@@ -545,6 +549,9 @@ const OverrideField kOverrideFields[] = {
        s.sim.arrival.params.burst_duty = parse_double(f, v);
      }},
     {"arrival.trace", [](ScenarioSpec& s, Value, Value v) {
+       // Load it now even when the preset's model does not replay it: a
+       // driver's trace-replay cells (arrival_stress) will.
+       arrival::load_trace(v);
        s.sim.arrival.params.trace = v;
      }},
     {"arrival.trace-repeat", [](ScenarioSpec& s, Value, Value v) {
@@ -571,21 +578,17 @@ std::map<std::string, std::string> with_scenario_defaults(
 }
 
 void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
-  bool arrival_touched = false;
   for (const auto& field : kOverrideFields) {
     const std::string key = std::string("scenario.") + field.name;
     const std::string value = cli.has(key) ? cli.get(key) : std::string();
-    if (value.empty()) {
-      continue;
+    if (!value.empty()) {
+      field.apply(spec, field.name, value);
     }
-    field.apply(spec, field.name, value);
-    arrival_touched |= std::string_view(field.name).rfind("arrival", 0) == 0;
   }
-  if (arrival_touched) {
-    // Reject bad labels/params (and unreadable trace files) at parse
-    // time instead of inside a campaign worker thread.
-    arrival::validate(spec.sim.arrival);
-  }
+  // Run the job path's own checks on the effective spec, so a value a
+  // job would reject fails at parse time instead of inside a worker.
+  tgff::validate(spec.workload_params());
+  sim::validate(spec.sim);
 }
 
 ScenarioSpec from_cli(const util::Cli& cli) {

@@ -80,6 +80,10 @@ struct ScenarioSpec {
   /// basis.
   double worst_case_utilization() const;
 
+  /// The tgff parameters make_workload builds from: `workload` with the
+  /// target utilization set to worst_case_utilization().
+  tgff::WorkloadParams workload_params() const;
+
   /// Builds one random task-graph set of this scenario.
   tg::TaskGraphSet make_workload(util::Rng& rng) const;
 
@@ -142,8 +146,11 @@ std::map<std::string, std::string> with_scenario_defaults(
 /// Applies the non-empty `--scenario.FIELD` overrides to `spec`. The
 /// fields are listed once, in kOverrideFields (scenario.cpp), which
 /// also feeds with_scenario_defaults and the --list-scenarios help.
-/// Throws std::invalid_argument on an unparsable value or an unknown
-/// battery/processor/basis/AC-model/arrival label.
+/// Throws std::invalid_argument on an unparsable or non-finite value,
+/// an unknown battery/processor/basis/AC-model/arrival label, an
+/// unloadable --scenario.arrival.trace (whatever the arrival model),
+/// or an effective spec that a job would reject: tgff::validate on
+/// workload_params() and sim::validate on `sim`.
 void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli);
 
 /// scenario(--scenario) with the --scenario.FIELD overrides applied.

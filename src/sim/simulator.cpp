@@ -279,6 +279,17 @@ double min_next_release(const Scratch& s) {
 
 using namespace detail;
 
+void validate(const SimConfig& config) {
+  if (!(config.horizon_s > 0.0)) {
+    throw std::invalid_argument("Simulator: horizon must be positive");
+  }
+  if (!(config.ac_lo_frac > 0.0) || config.ac_hi_frac > 1.0 ||
+      config.ac_hi_frac < config.ac_lo_frac) {
+    throw std::invalid_argument("Simulator: bad actual-computation range");
+  }
+  arrival::validate(config.arrival);
+}
+
 Simulator::Simulator(const tg::TaskGraphSet& set, const dvs::Processor& proc,
                      core::Scheme& scheme, SimConfig config)
     : set_(set),
@@ -287,19 +298,10 @@ Simulator::Simulator(const tg::TaskGraphSet& set, const dvs::Processor& proc,
       config_(config),
       scratch_(std::make_unique<detail::Scratch>()) {
   set_.validate();
-  if (!(config_.horizon_s > 0.0)) {
-    throw std::invalid_argument("Simulator: horizon must be positive");
-  }
-  if (!(config_.ac_lo_frac > 0.0) || config_.ac_hi_frac > 1.0 ||
-      config_.ac_hi_frac < config_.ac_lo_frac) {
-    throw std::invalid_argument("Simulator: bad actual-computation range");
-  }
+  sim::validate(config_);
   if (!scheme_.dvs || !scheme_.priority || !scheme_.estimator) {
     throw std::invalid_argument("Simulator: scheme has null components");
   }
-  // Fail on a bad arrival model/params at construction, not mid-run
-  // inside a worker thread.
-  arrival::validate(config_.arrival);
 
   // Gather the immutable per-graph/per-node facts once. The values are
   // computed with exactly the expressions the scheduling loop used to

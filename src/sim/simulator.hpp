@@ -125,6 +125,13 @@ struct SimConfig {
   obs::TraceLog* trace_log = nullptr;
 };
 
+/// The configuration checks: horizon_s > 0, 0 < ac_lo_frac <=
+/// ac_hi_frac <= 1 and a valid arrival spec (arrival::validate). Throws
+/// std::invalid_argument. The Simulator constructor runs it; parse-time
+/// callers (scenario::apply_cli_overrides) run it on the effective
+/// config so a bad override fails before any job, not inside a worker.
+void validate(const SimConfig& config);
+
 /// Hot-path work counters, counted on every run and reported under
 /// SimConfig::record_perf_counters.
 struct PerfCounters {

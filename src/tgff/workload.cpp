@@ -8,7 +8,7 @@
 
 namespace bas::tgff {
 
-tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng) {
+void validate(const WorkloadParams& params) {
   if (params.graph_count < 1) {
     throw std::invalid_argument("make_workload: graph_count must be >= 1");
   }
@@ -27,6 +27,10 @@ tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng) {
   if (!(params.period_lo_s > 0.0) || params.period_hi_s < params.period_lo_s) {
     throw std::invalid_argument("make_workload: bad period range");
   }
+}
+
+tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng) {
+  validate(params);
 
   // Random utilization shares.
   std::vector<double> weights(static_cast<std::size_t>(params.graph_count));

@@ -33,8 +33,16 @@ struct WorkloadParams {
   GeneratorParams shape;
 };
 
+/// The parameter range checks: graph_count >= 1, target_utilization in
+/// (0, 2], 1 <= min_nodes <= max_nodes, 0 < period_lo_s <= period_hi_s.
+/// Throws std::invalid_argument naming the violated range. make_workload
+/// runs it first; parse-time callers (scenario::apply_cli_overrides) run
+/// it on the effective parameters so a bad override fails before any job.
+void validate(const WorkloadParams& params);
+
 /// Builds a validated periodic task-graph set hitting the target
-/// utilization exactly (up to floating-point rounding).
+/// utilization exactly (up to floating-point rounding). Throws like
+/// validate(params).
 tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng);
 
 /// Convenience: the paper's evaluation workload — `graph_count` graphs of

@@ -23,8 +23,12 @@ Cli::Cli(int argc, const char* const* argv,
   }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    if (arg == "--help") {
+      help_ = true;
+      continue;
+    }
     if (arg.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument '" + arg + "'");
+      throw std::invalid_argument("unexpected argument '" + arg + "'");
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -37,13 +41,9 @@ Cli::Cli(int argc, const char* const* argv,
     }
     const auto it = values_.find(name);
     if (it == values_.end()) {
-      std::ostringstream msg;
-      msg << "unknown option --" << name << " (known options:";
-      for (const auto& [key, unused] : values_) {
-        msg << " --" << key;
-      }
-      msg << ")";
-      throw std::runtime_error(msg.str());
+      throw std::invalid_argument("unknown option --" + name +
+                                  " (known options: " + known_options(values_) +
+                                  ")");
     }
     const bool is_flag =
         std::find(flags_.begin(), flags_.end(), name) != flags_.end();
@@ -53,11 +53,40 @@ Cli::Cli(int argc, const char* const* argv,
       } else if (i + 1 < argc) {
         value = argv[++i];
       } else {
-        throw std::runtime_error("option --" + name + " expects a value");
+        throw std::invalid_argument("option --" + name + " expects a value");
       }
     }
     it->second = value;
   }
+}
+
+std::string Cli::known_options(
+    const std::map<std::string, std::string>& options) {
+  std::string out;
+  for (const auto& [key, unused] : options) {
+    out += (out.empty() ? "--" : " --") + key;
+  }
+  return out;
+}
+
+std::string Cli::usage(const std::map<std::string, std::string>& defaults) {
+  if (defaults.empty()) {
+    return "options: none\n";
+  }
+  std::size_t width = 0;
+  for (const auto& [key, unused] : defaults) {
+    width = std::max(width, key.size());
+  }
+  std::ostringstream out;
+  out << "options (with their defaults):\n";
+  for (const auto& [key, value] : defaults) {
+    out << "  --" << key;
+    if (!value.empty()) {
+      out << std::string(width - key.size() + 2, ' ') << value;
+    }
+    out << '\n';
+  }
+  return out.str();
 }
 
 std::map<std::string, std::string> Cli::with_bench_defaults(
@@ -81,7 +110,7 @@ int Cli::jobs() const {
   // silently truncating.
   const auto parsed = parse_int(value);
   if (!parsed || *parsed < 1 || *parsed > 4096) {
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "option --jobs expects a thread count in [1, 4096] or 'auto', got '" +
         value + "'");
   }
@@ -95,7 +124,9 @@ bool Cli::has(const std::string& name) const {
 std::string Cli::get(const std::string& name) const {
   const auto it = values_.find(name);
   if (it == values_.end()) {
-    throw std::runtime_error("undeclared option --" + name);
+    // A driver reading an option it never declared is a bug, not a
+    // rejected input.
+    throw std::logic_error("undeclared option --" + name);
   }
   return it->second;
 }
@@ -107,8 +138,8 @@ template <typename T>
 T expect(const std::optional<T>& parsed, const std::string& name,
          const char* what, const std::string& text) {
   if (!parsed) {
-    throw std::runtime_error("option --" + name + " expects " + what +
-                             ", got '" + text + "'");
+    throw std::invalid_argument("option --" + name + " expects " + what +
+                                ", got '" + text + "'");
   }
   return *parsed;
 }

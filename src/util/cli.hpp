@@ -1,9 +1,10 @@
 #pragma once
 // Minimal command-line option parsing for bench/example binaries.
 //
-// Supported syntax:  --name value | --name=value | --flag
-// Unknown options, stray arguments and malformed numbers throw, so typos
-// in sweep scripts fail loudly.
+// Supported syntax:  --name value | --name=value | --flag | --help
+// Unknown options, stray arguments and malformed numbers throw
+// std::invalid_argument, so typos in sweep scripts fail loudly; the
+// drivers' shared entry point (exp::run_main) turns that into exit 2.
 
 #include <cstdint>
 #include <map>
@@ -19,11 +20,24 @@ class Cli {
   /// "true" is a boolean flag: bare `--name` sets it to "true" and it
   /// never consumes the following argument (use `--name=false` to
   /// override explicitly). Every other option requires a value.
-  /// Unknown options throw std::runtime_error naming the known options;
-  /// an argument that is neither an option nor an option's value throws
-  /// "unexpected argument".
+  /// `--help` is recognised anywhere and only sets help_requested(); it
+  /// never enters the option values, so summary() ignores it.
+  /// Unknown options throw std::invalid_argument naming the known
+  /// options; an argument that is neither an option nor an option's
+  /// value throws "unexpected argument".
   Cli(int argc, const char* const* argv,
       std::map<std::string, std::string> defaults);
+
+  /// True when `--help` was passed.
+  bool help_requested() const { return help_; }
+
+  /// "--a --b ...": the declared option names, as the unknown-option
+  /// error lists them.
+  static std::string known_options(
+      const std::map<std::string, std::string>& options);
+
+  /// One line per declared option with its default — the `--help` text.
+  static std::string usage(const std::map<std::string, std::string>& defaults);
 
   /// Merges the options every sweep-style bench shares into `defaults`
   /// (without overriding caller-provided entries):
@@ -48,13 +62,15 @@ class Cli {
 
   /// Resolved worker-thread count from --jobs: "auto" (or "0") maps to
   /// the hardware concurrency; anything else must be an integer in
-  /// [1, 4096] or std::runtime_error is thrown.
+  /// [1, 4096] or std::invalid_argument is thrown.
   int jobs() const;
 
   bool has(const std::string& name) const;
+  /// The option's value; an undeclared name is a driver bug and throws
+  /// std::logic_error.
   std::string get(const std::string& name) const;
   /// Numeric getters parse the whole value strictly (util::parse_int,
-  /// parse_u64, parse_double) and throw std::runtime_error
+  /// parse_u64, parse_double) and throw std::invalid_argument
   /// "option --NAME expects ..., got '...'" otherwise.
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
@@ -87,6 +103,7 @@ class Cli {
   std::map<std::string, std::string> values_;
   std::map<std::string, std::string> shown_;  ///< show_effective overrides
   std::vector<std::string> flags_;
+  bool help_ = false;
 };
 
 }  // namespace bas::util

@@ -587,8 +587,8 @@ TEST(Campaign, StoreOptionIsUnknown) {
   const char* argv[] = {"bench", "--store", "jsonl"};
   try {
     util::Cli cli(3, argv, util::Cli::with_bench_defaults({}));
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("unknown option --store"),
               std::string::npos)
         << e.what();
@@ -603,8 +603,8 @@ TEST(Campaign, RemovedJobFlagsAreUnknown) {
     const char* argv[] = {"bench", flag, "2"};
     try {
       util::Cli cli(3, argv, util::Cli::with_bench_defaults({}));
-      FAIL() << "expected std::runtime_error for " << flag;
-    } catch (const std::runtime_error& e) {
+      FAIL() << "expected std::invalid_argument for " << flag;
+    } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("unknown option ") +
                                            flag),
                 std::string::npos)
@@ -625,8 +625,8 @@ TEST(Campaign, RemovedCampaignFlagsAreUnknown) {
     try {
       util::Cli cli(static_cast<int>(argv.size()), argv.data(),
                     util::Cli::with_bench_defaults({}));
-      FAIL() << "expected std::runtime_error for " << argv[1];
-    } catch (const std::runtime_error& e) {
+      FAIL() << "expected std::invalid_argument for " << argv[1];
+    } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("unknown option ") +
                                            argv[1]),
                 std::string::npos)

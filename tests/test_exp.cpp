@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -387,13 +389,108 @@ TEST(Cli, UnknownOptionErrorNamesKnownOptions) {
   const char* argv[] = {"bench", "--stes", "5"};
   try {
     util::Cli cli(3, argv, util::Cli::with_bench_defaults({{"sets", "5"}}));
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("unknown option --stes"), std::string::npos);
     EXPECT_NE(message.find("--sets"), std::string::npos);
     EXPECT_NE(message.find("--jobs"), std::string::npos);
   }
+}
+
+// ------------------------------------------------------------ run_main
+
+// exp::run_main's exit code and captured stdout / stderr.
+struct MainRun {
+  int code;
+  std::string out;
+  std::string err;
+};
+
+int call_run_main(std::vector<const char*> args,
+                  const std::function<int(util::Cli&)>& body) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (const char* arg : args) {
+    argv.push_back(const_cast<char*>(arg));
+  }
+  return exp::run_main(
+      static_cast<int>(argv.size()), argv.data(),
+      scenario::with_scenario_defaults({{"sets", "5"}}, "paper-table2"), body);
+}
+
+MainRun run_main_with(std::vector<const char*> args,
+                      const std::function<int(util::Cli&)>& body) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int code = call_run_main(std::move(args), body);
+  const std::string out = testing::internal::GetCapturedStdout();
+  return {code, out, testing::internal::GetCapturedStderr()};
+}
+
+TEST(RunMain, ReturnsTheBodysCode) {
+  const auto r = run_main_with({"--sets", "3"}, [](util::Cli& cli) {
+    return static_cast<int>(cli.get_int("sets"));
+  });
+  EXPECT_EQ(r.code, 3);
+}
+
+TEST(RunMain, HelpPrintsTheOptionsAndSkipsTheBody) {
+  bool ran = false;
+  const auto r = run_main_with({"--help"}, [&](util::Cli&) {
+    ran = true;
+    return 0;
+  });
+  EXPECT_EQ(r.code, 0);
+  EXPECT_FALSE(ran);
+  EXPECT_NE(r.out.find("--sets"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("--scenario.utilization"), std::string::npos);
+}
+
+TEST(RunMain, ListScenariosIsAnsweredOnce) {
+  bool ran = false;
+  const auto r = run_main_with({"--list-scenarios"}, [&](util::Cli&) {
+    ran = true;
+    return 0;
+  });
+  EXPECT_EQ(r.code, 0);
+  EXPECT_FALSE(ran);
+  EXPECT_NE(r.out.find("paper-table2"), std::string::npos);
+}
+
+TEST(RunMain, RejectedInputExitsTwoWithTheMessageAndTheOptions) {
+  const auto parse = run_main_with({"--sets", "abc"}, [](util::Cli& cli) {
+    return static_cast<int>(cli.get_int("sets"));
+  });
+  EXPECT_EQ(parse.code, 2);
+  EXPECT_NE(parse.err.find("error: option --sets expects an integer"),
+            std::string::npos)
+      << parse.err;
+  EXPECT_NE(parse.err.find("--scenario.utilization"), std::string::npos);
+
+  // The unknown-option message names the known options itself; they
+  // are not listed a second time.
+  const auto unknown =
+      run_main_with({"--bogus"}, [](util::Cli&) { return 0; });
+  EXPECT_EQ(unknown.code, 2);
+  const auto first = unknown.err.find("--scenario.utilization");
+  ASSERT_NE(first, std::string::npos) << unknown.err;
+  EXPECT_EQ(unknown.err.find("--scenario.utilization", first + 1),
+            std::string::npos)
+      << unknown.err;
+
+  const auto body = run_main_with({}, [](util::Cli&) -> int {
+    throw std::invalid_argument("axis clash");
+  });
+  EXPECT_EQ(body.code, 2);
+  EXPECT_NE(body.err.find("error: axis clash"), std::string::npos);
+}
+
+TEST(RunMain, OtherExceptionsPropagate) {
+  EXPECT_THROW(call_run_main({}, [](util::Cli&) -> int {
+                 throw std::runtime_error("bug");
+               }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -188,13 +188,45 @@ TEST(ScenarioCli, BadOverridesThrowWithValidChoices) {
   }
 }
 
+TEST(ScenarioCli, NonFiniteNumbersAreRejected) {
+  EXPECT_THROW(scenario::from_cli(make_cli({"--scenario.utilization=nan"})),
+               std::invalid_argument);
+  EXPECT_THROW(scenario::from_cli(make_cli({"--scenario.horizon=inf"})),
+               std::invalid_argument);
+}
+
+TEST(ScenarioCli, WorkloadRangesAreCheckedAtParseTime) {
+  // tgff::validate on the effective parameters: what make_workload
+  // would reject inside job 0 fails here instead.
+  EXPECT_THROW(scenario::from_cli(make_cli({"--scenario.utilization=5"})),
+               std::invalid_argument);
+  EXPECT_THROW(scenario::from_cli(make_cli({"--scenario.graphs=0"})),
+               std::invalid_argument);
+}
+
+TEST(ScenarioCli, HorizonIsCheckedAtParseTime) {
+  // sim::validate on the effective config, as the Simulator runs it.
+  EXPECT_THROW(scenario::from_cli(make_cli({"--scenario.horizon=-1"})),
+               std::invalid_argument);
+}
+
+TEST(ScenarioCli, TraceOverrideIsLoadedWhateverTheModel) {
+  // paper-table2 releases periodically; the trace is still loaded,
+  // because a driver's trace-replay cells replay it.
+  EXPECT_THROW(scenario::from_cli(make_cli(
+                   {"--scenario.arrival.trace=@no-such-dir/trace.csv"})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      scenario::from_cli(make_cli({"--scenario.arrival.trace=0;1.5"})));
+}
+
 TEST(ScenarioCli, EngineOverrideIsAnUnknownOption) {
   // The simulator has one loop; --scenario.engine is no longer an
   // override field and fails at parse time like any unknown option.
   try {
     make_cli({"--scenario.engine=tick"});
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("unknown option --scenario.engine"),
               std::string::npos)
         << e.what();

@@ -202,7 +202,7 @@ TEST(Cli, DefaultsApply) {
 
 TEST(Cli, UnknownOptionThrows) {
   const char* argv[] = {"prog", "--nope", "1"};
-  EXPECT_THROW(util::Cli(3, argv, {{"sets", "10"}}), std::runtime_error);
+  EXPECT_THROW(util::Cli(3, argv, {{"sets", "10"}}), std::invalid_argument);
 }
 
 TEST(Cli, SummaryShowsTheEffectiveCountButCacheKeyKeepsTheParsedOne) {
@@ -218,12 +218,22 @@ TEST(Cli, SummaryShowsTheEffectiveCountButCacheKeyKeepsTheParsedOne) {
   EXPECT_EQ(cli.get_int("sets"), 12);
 }
 
+TEST(Cli, HelpIsRecognisedButNeverAnOptionValue) {
+  const char* argv[] = {"prog", "--help", "--sets", "3"};
+  util::Cli cli(4, argv, {{"sets", "10"}});
+  EXPECT_TRUE(cli.help_requested());
+  EXPECT_EQ(cli.summary(), "--sets 3");
+  EXPECT_FALSE(cli.has("help"));
+  const char* plain[] = {"prog"};
+  EXPECT_FALSE(util::Cli(1, plain, {{"sets", "10"}}).help_requested());
+}
+
 TEST(Cli, StrayArgumentThrows) {
   const char* argv[] = {"prog", "--sets", "1", "bogus"};
   try {
     util::Cli cli(4, argv, {{"sets", "10"}});
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "unexpected argument 'bogus'");
   }
 }
@@ -238,7 +248,7 @@ std::string numeric_error(T (util::Cli::*get)(const std::string&) const,
   const util::Cli cli(3, argv, {{option, "1"}});
   try {
     (cli.*get)(option);
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     return e.what();
   }
   return "";
