@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
     // --scenario.horizon override asked otherwise), drain in-flight work.
     if (cli.get("scenario.horizon").empty()) {
       base.sim.horizon_s = cli.get_double("horizon");
+      sim::validate(base.sim);
     }
     base.sim.drain = true;
     const auto proc = base.make_processor();

@@ -12,7 +12,9 @@
 // The (model x load) grid runs on the experiment engine; each job
 // discharges one fresh cell at one constant load.
 
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,10 @@ int main(int argc, char** argv) {
   using namespace bas;
   const auto defaults = util::Cli::with_bench_defaults({{"probe", "0.02"}});
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
+    const double probe = cli.get_double("probe");
+    if (!(probe > 0.0) || !std::isfinite(probe)) {
+      throw std::invalid_argument("--probe must be a finite current > 0 A");
+    }
 
     const std::vector<double> loads{0.02, 0.05, 0.1, 0.2, 0.4, 0.7,
                                     1.0,  1.4,  1.8, 2.5, 3.5, 5.0};
@@ -71,7 +77,6 @@ int main(int argc, char** argv) {
     }
     table.print();
 
-    const double probe = cli.get_double("probe");
     exp::ExperimentSpec extrapolate;
     extrapolate.title = "rate_capacity_extrapolation";
     extrapolate.config = cli.config_summary();

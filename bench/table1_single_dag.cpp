@@ -26,6 +26,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/optimal.hpp"
 #include "tgff/generator.hpp"
+#include "tgff/workload.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -57,6 +58,10 @@ int main(int argc, char** argv) {
     cli.show_effective("dags", dags);
     const int min_tasks = static_cast<int>(cli.get_int("min-tasks"));
     const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
+    tgff::WorkloadParams task_counts;
+    task_counts.min_nodes = min_tasks;
+    task_counts.max_nodes = max_tasks;
+    tgff::validate(task_counts);
 
     // Energy comparisons run on the continuous-frequency idealization so
     // the optimal search has a smooth objective (see DESIGN.md).

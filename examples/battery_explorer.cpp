@@ -14,8 +14,10 @@
 //
 //   $ ./build/examples/battery_explorer --trace --off 120
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,7 +112,19 @@ int main(int argc, char** argv) {
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
     const double pulse_a = cli.get_double("pulse");
     const double on_s = cli.get_double("on");
+    const double off_s = cli.get_double("off");
     const int cycles = static_cast<int>(cli.get_int("cycles"));
+    if (!(pulse_a >= 0.0) || !std::isfinite(pulse_a)) {
+      throw std::invalid_argument("--pulse must be a finite current >= 0 A");
+    }
+    if (!(on_s > 0.0) || !std::isfinite(on_s) || !(off_s >= 0.0) ||
+        !std::isfinite(off_s)) {
+      throw std::invalid_argument(
+          "--on must be finite and > 0 s, --off finite and >= 0 s");
+    }
+    if (cycles < 1) {
+      throw std::invalid_argument("--cycles must be >= 1");
+    }
 
     const std::vector<double> rests{0.0, 30.0, 60.0, 120.0, 240.0, 480.0};
     std::vector<std::string> rest_labels;
@@ -127,11 +141,11 @@ int main(int argc, char** argv) {
     spec.grid.add("rest_s", rest_labels);
     spec.metrics = {"kibam_mah", "diffusion_mah"};
     spec.run = [&](const exp::Job& job) -> std::vector<double> {
-      const double off_s = rests[job.at(0)];
+      const double rest_s = rests[job.at(0)];
       const auto kibam = scenario::make_battery("kibam");
       const auto diffusion = scenario::make_battery("diffusion");
-      return {train_and_drain_mah(*kibam, pulse_a, on_s, off_s, cycles),
-              train_and_drain_mah(*diffusion, pulse_a, on_s, off_s, cycles)};
+      return {train_and_drain_mah(*kibam, pulse_a, on_s, rest_s, cycles),
+              train_and_drain_mah(*diffusion, pulse_a, on_s, rest_s, cycles)};
     };
     const auto result = exp::run_experiment(spec, exp::options_from_cli(cli));
 
@@ -157,7 +171,7 @@ int main(int argc, char** argv) {
 
     exp::write_csv_option(cli, result);
     if (cli.get_flag("trace")) {
-      print_trace(pulse_a, on_s, cli.get_double("off"), cycles);
+      print_trace(pulse_a, on_s, off_s, cycles);
     }
     return 0;
   });

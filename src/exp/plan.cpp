@@ -42,6 +42,7 @@ void feed_string(std::uint64_t& hash, const std::string& text) {
 
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec) {
   std::uint64_t hash = kFnvOffset;
+  feed_u64(hash, kResultsRevision);
   feed_string(hash, spec.title);
   feed_string(hash, spec.config);
   feed_u64(hash, spec.seed);

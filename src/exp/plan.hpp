@@ -5,9 +5,11 @@
 // there is no manifest: make_job derives a job's coordinates and seeds
 // when a worker claims its index. The canonical fingerprint of the spec
 // covers everything that determines job outputs (title, config, axes,
-// metric names, replicates, root seed), so it keys the campaign store
-// (store/store.hpp): change the grid or the seed and previously stored
-// rows are ignored rather than served as wrong results.
+// metric names, replicates, root seed) and the results revision of the
+// code that computes them, so it keys the campaign store
+// (store/jsonl.hpp): change the grid, the seed or the revision and
+// previously stored rows are ignored rather than served as wrong
+// results.
 
 #include <cstddef>
 #include <cstdint>
@@ -18,11 +20,20 @@
 
 namespace bas::exp {
 
+/// The revision of every simulated number a campaign stores. A change
+/// that moves any job output (a CSV byte, a golden) bumps it, so that
+/// stores written by the older code are never served as fresh results;
+/// tests/golden/revisions.txt pairs each revision with the hash of the
+/// goldens it produced, and golden_bit_identity fails when the goldens
+/// moved without a bump.
+inline constexpr std::uint64_t kResultsRevision = 1;
+
 /// Canonical 64-bit fingerprint of a spec: FNV-1a over a
-/// length-prefixed serialization of title, config, seed, replicates,
-/// axes (names and labels) and metric names. Identical specs
-/// fingerprint identically on every platform; any change to the
-/// sweep's identity changes the fingerprint.
+/// length-prefixed serialization of kResultsRevision, title, config,
+/// seed, replicates, axes (names and labels) and metric names.
+/// Identical specs fingerprint identically on every platform; any
+/// change to the sweep's identity or to the revision changes the
+/// fingerprint.
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec);
 
 /// Fixed-width lowercase hex rendering of a fingerprint.

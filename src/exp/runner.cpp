@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -384,6 +385,17 @@ int run_main(int argc, char** argv, std::map<std::string, std::string> defaults,
     }
     if (scenario::handle_list_request(cli)) {
       return 0;
+    }
+    // Output files are written after the campaign: a path whose
+    // directory does not exist is rejected before any job runs.
+    for (const char* option : {"csv", "trace-out"}) {
+      const std::string path = cli.has(option) ? cli.get(option) : "";
+      const auto dir = std::filesystem::path(path).parent_path();
+      if (!dir.empty() && !std::filesystem::is_directory(dir)) {
+        throw std::invalid_argument("--" + std::string(option) + " " + path +
+                                    ": directory '" + dir.string() +
+                                    "' does not exist");
+      }
     }
     return body(cli);
   } catch (const std::invalid_argument& e) {

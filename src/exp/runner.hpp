@@ -116,7 +116,9 @@ RunnerOptions options_from_cli(const util::Cli& cli);
 ///   --help            prints util::Cli::usage(defaults) to stdout, exit 0
 ///   --list-scenarios  (when declared, see scenario::with_scenario_defaults)
 ///                     prints the catalogue, exit 0
-///   a rejected input  any std::invalid_argument — from parsing or from
+///   a rejected input  any std::invalid_argument — from parsing, from a
+///                     --csv or --trace-out path whose directory does
+///                     not exist (checked before body runs), or from
 ///                     the body — prints "error: <message>" and the
 ///                     known options to stderr, exit 2
 /// Otherwise it returns body's result. Every other exception propagates,

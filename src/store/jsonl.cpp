@@ -145,28 +145,21 @@ std::string format_record(const std::string& fp_hex,
 /// later success of whatever shape supersede an error row).
 constexpr std::size_t kAnyArity = static_cast<std::size_t>(-1);
 
-/// load() and load_errors() share one scan so duplicates resolve
-/// identically: directory-iteration order, last record per job index
-/// wins, and a later success/error record replaces an earlier record of
-/// the other kind.
-std::map<std::size_t, ParsedRecord> scan_directory(const std::string& dir,
-                                                   const std::string& fp_hex,
-                                                   std::size_t metric_count) {
+/// load() and load_errors() share one read so duplicates resolve
+/// identically: file order, last record per job index wins, and a later
+/// success/error record replaces an earlier record of the other kind.
+std::map<std::size_t, ParsedRecord> read_records(const std::string& path,
+                                                 const std::string& fp_hex,
+                                                 std::size_t metric_count) {
   std::map<std::size_t, ParsedRecord> records;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file() || entry.path().extension() != ".jsonl") {
-      continue;
-    }
-    std::ifstream file(entry.path());
-    std::string line;
-    while (std::getline(file, line)) {
-      ParsedRecord record;
-      if (parse_record(line, fp_hex, &record) &&
-          (record.is_error || metric_count == kAnyArity ||
-           record.metrics.size() == metric_count)) {
-        records[record.job_index] = std::move(record);
-      }
+  std::ifstream file(path);
+  std::string line;
+  while (std::getline(file, line)) {
+    ParsedRecord record;
+    if (parse_record(line, fp_hex, &record) &&
+        (record.is_error || metric_count == kAnyArity ||
+         record.metrics.size() == metric_count)) {
+      records[record.job_index] = std::move(record);
     }
   }
   return records;
@@ -174,22 +167,22 @@ std::map<std::size_t, ParsedRecord> scan_directory(const std::string& dir,
 
 }  // namespace
 
-JsonlStore::JsonlStore(std::string dir, std::uint64_t fingerprint)
-    : dir_(std::move(dir)), fingerprint_(fingerprint) {
+JsonlStore::JsonlStore(const std::string& dir, std::uint64_t fingerprint)
+    : fp_hex_(exp::fingerprint_hex(fingerprint)),
+      write_path_(dir + "/" + fp_hex_ + ".jsonl") {
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
+  std::filesystem::create_directories(dir, ec);
   if (ec) {
-    throw std::runtime_error("cannot create store directory '" + dir_ +
+    throw std::runtime_error("cannot create store directory '" + dir +
                              "': " + ec.message());
   }
-  write_path_ = dir_ + "/" + exp::fingerprint_hex(fingerprint_) + ".jsonl";
 }
 
 std::map<std::size_t, std::vector<double>> JsonlStore::load(
     std::size_t metric_count) {
   std::map<std::size_t, std::vector<double>> metrics;
   for (auto& [job_index, record] :
-       scan_directory(dir_, exp::fingerprint_hex(fingerprint_), metric_count)) {
+       read_records(write_path_, fp_hex_, metric_count)) {
     if (!record.is_error) {
       metrics[job_index] = std::move(record.metrics);
     }
@@ -200,7 +193,7 @@ std::map<std::size_t, std::vector<double>> JsonlStore::load(
 std::map<std::size_t, std::string> JsonlStore::load_errors() {
   std::map<std::size_t, std::string> errors;
   for (auto& [job_index, record] :
-       scan_directory(dir_, exp::fingerprint_hex(fingerprint_), kAnyArity)) {
+       read_records(write_path_, fp_hex_, kAnyArity)) {
     if (record.is_error) {
       errors[job_index] = std::move(record.error);
     }
@@ -209,8 +202,7 @@ std::map<std::size_t, std::string> JsonlStore::load_errors() {
 }
 
 void JsonlStore::append(const StoreRecord& record) {
-  const std::string line =
-      format_record(exp::fingerprint_hex(fingerprint_), record);
+  const std::string line = format_record(fp_hex_, record);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (!out_.is_open()) {

@@ -6,16 +6,14 @@
 //   {"fp":"<16-hex fingerprint>","job":<index>,"metrics":[<%.17g>...]}
 //   {"fp":"<16-hex fingerprint>","job":<index>,"error":"<escaped>"}
 //
+// A store directory holds one file per spec fingerprint,
+// `<fingerprint>.jsonl`; the fingerprint covers exp::kResultsRevision,
+// so rows computed by older code live in a file no current spec reads.
 // Every append() is one write + one flush, and the runner appends a
 // job's row before its worker claims the next job: a killed campaign
 // loses at most the jobs still executing, and load() simply skips a
-// torn final line. A run appends to `<fingerprint>.jsonl`. load()
-// scans every *.jsonl file in the directory and filters records by
-// fingerprint, so a store whose rows are spread over several files
-// (stores written by older builds kept one file per writer process,
-// `<fingerprint>-<tag>.jsonl`) still resumes and merges. Files without
-// the .jsonl extension (a database file an older build left behind)
-// are never read and never removed.
+// torn final line. load() reads only this writer's file; every other
+// file of the directory is never read and never removed.
 
 #include <cstdint>
 #include <fstream>
@@ -28,17 +26,16 @@
 
 namespace bas::store {
 
-/// One writer into a store directory for one spec fingerprint; load()
-/// pools every record of that fingerprint regardless of which file
-/// holds it. append() is thread-safe (one mutex); load() and
-/// load_errors() read the files without it, so the runner calls them
-/// before any append.
+/// One writer into a store directory for one spec fingerprint, reading
+/// and appending one file. append() is thread-safe (one mutex); load()
+/// and load_errors() read the file without it, so the runner calls
+/// them before any append.
 class JsonlStore {
  public:
   /// Opens the store in `dir` (created if missing) for one spec
   /// fingerprint. Throws std::runtime_error when the directory cannot
   /// be created.
-  JsonlStore(std::string dir, std::uint64_t fingerprint);
+  JsonlStore(const std::string& dir, std::uint64_t fingerprint);
 
   /// Metrics of every stored success record whose fingerprint matches
   /// and whose arity is `metric_count`. Malformed, stale-fingerprint
@@ -54,12 +51,11 @@ class JsonlStore {
   /// I/O errors.
   void append(const StoreRecord& record);
 
-  /// The file this writer appends to (inside the store directory).
+  /// The one file this store reads and appends (inside the directory).
   const std::string& write_path() const noexcept { return write_path_; }
 
  private:
-  std::string dir_;
-  std::uint64_t fingerprint_ = 0;
+  std::string fp_hex_;
   std::string write_path_;
   std::mutex mutex_;
   std::ofstream out_;

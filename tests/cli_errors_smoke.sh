@@ -13,6 +13,12 @@
 #                      a run whose BAS-2 gain is negative exits 0 and
 #                      prints no "+-"
 #   arrival_stress     an unreadable --scenario.arrival.trace: exit 2
+#   numeric options    fig6_ordering_schemes --horizon -1,
+#                      battery_explorer --pulse nan and --cycles -5,
+#                      table1_single_dag --min-tasks 0,
+#                      rate_capacity_curve --probe -1: exit 2 each
+#   output paths       a --csv or --trace-out under a missing directory:
+#                      exit 2, before any job runs
 #
 # Usage: cli_errors_smoke.sh BINARY...
 # CMake passes every binary bas_add_binaries builds, so a new main is
@@ -48,14 +54,10 @@ expect() {
   fi
 }
 
-table2=""
-arrival=""
+declare -A named
 scenario_drivers=0
 for bin in "$@"; do
-  case "$(basename "$bin")" in
-    table2_battery_lifetime) table2="$bin" ;;
-    arrival_stress) arrival="$bin" ;;
-  esac
+  named[$(basename "$bin")]="$bin"
   if expect 0 "$bin" --help && ! grep -q -- '--' "$work/out"; then
     echo "cli errors smoke: --help printed no options: $bin" >&2
     failures=$((failures + 1))
@@ -71,10 +73,15 @@ for bin in "$@"; do
   fi
 done
 
-if [[ -z "$table2" || -z "$arrival" ]]; then
-  echo "cli errors smoke: table2_battery_lifetime or arrival_stress missing" >&2
-  exit 1
-fi
+for name in table2_battery_lifetime arrival_stress fig6_ordering_schemes \
+    battery_explorer table1_single_dag rate_capacity_curve; do
+  if [[ -z "${named[$name]:-}" ]]; then
+    echo "cli errors smoke: $name missing" >&2
+    exit 1
+  fi
+done
+table2="${named[table2_battery_lifetime]}"
+arrival="${named[arrival_stress]}"
 expect 2 "$table2" --sets 0
 expect 2 "$table2" --merge
 expect 2 "$table2" --scenario.utilization=5
@@ -85,6 +92,18 @@ if expect 0 "$table2" --scenario idle-heavy --scenario.battery-window=0 \
   failures=$((failures + 1))
 fi
 expect 2 "$arrival" --scenario.arrival.trace="@$work/no-such-trace.csv"
+expect 2 "${named[fig6_ordering_schemes]}" --horizon -1
+expect 2 "${named[battery_explorer]}" --pulse nan
+expect 2 "${named[battery_explorer]}" --cycles -5
+expect 2 "${named[table1_single_dag]}" --min-tasks 0
+expect 2 "${named[rate_capacity_curve]}" --probe -1
+for output in "${named[rate_capacity_curve]} --csv $work/none/x.csv" \
+    "$table2 --sets 2 --trace-out $work/none/t.json"; do
+  if expect 2 $output && [[ -s "$work/out" ]]; then
+    echo "cli errors smoke: ran before rejecting: $output" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 if (( failures > 0 )); then
   echo "cli errors smoke: $failures failing case(s)" >&2

@@ -29,9 +29,20 @@
 #                   on the energy-only path, so it runs once, outside
 #                   the battery-mode loop.
 #
+# revisions.txt pairs each results revision (exp::kResultsRevision,
+# src/exp/plan.hpp) with the sha256 of the golden CSVs, concatenated in
+# name order. It is append-only: the revisions strictly increase, and
+# the last line names today's revision and today's goldens, so goldens
+# regenerated without a bump of the revision fail here.
+#
 # If a future change moves the bytes ON PURPOSE (a genuine semantic
-# change, not a perf transformation), regenerate with the commands below
-# and say so in the PR. The window-0 goldens should only ever be
+# change, not a perf transformation), regenerate with the commands
+# below, bump kResultsRevision, append its line to revisions.txt
+#
+#   (export LC_ALL=C; echo "<revision> $(cat tests/golden/*.csv \
+#       | sha256sum | cut -d' ' -f1)") >> tests/golden/revisions.txt
+#
+# and say so in the change. The window-0 goldens should only ever be
 # regenerated together with a written waiver:
 #
 #   table2_battery_lifetime --sets 2 --jobs 2 --csv tests/golden/table2_smoke.csv
@@ -45,16 +56,33 @@
 #   fig6_ordering_schemes --sets 2 --jobs 2 --csv tests/golden/fig6_smoke.csv
 #
 # Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress \
-#            /path/to/fig6_ordering_schemes golden_dir
+#            /path/to/fig6_ordering_schemes golden_dir /path/to/plan.hpp
 
 set -euo pipefail
+export LC_ALL=C
 
 table2="$1"
 arrival="$2"
 fig6="$3"
 golden="$4"
+plan="$5"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+
+# 0. The revision manifest: revisions strictly increase (sort -c -u on
+#    the numeric first field), and the last line names today's revision
+#    and today's goldens. LC_ALL=C makes the glob byte-sorted.
+revision=$(sed -n 's/.*kResultsRevision = \([0-9][0-9]*\);.*/\1/p' "$plan")
+hash=$(cat "$golden"/*.csv | sha256sum | cut -d' ' -f1)
+sort -c -u -n -k1,1 "$golden/revisions.txt"
+last=$(tail -n 1 "$golden/revisions.txt")
+if [ "$last" != "$revision $hash" ]; then
+  echo "revisions.txt ends in '$last', but kResultsRevision and the" \
+       "goldens give '$revision $hash': bump kResultsRevision and" \
+       "append its line" >&2
+  exit 1
+fi
+echo "golden revision $revision: OK"
 
 for mode in default window0; do
   if [ "$mode" = window0 ]; then

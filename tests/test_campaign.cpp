@@ -1,8 +1,7 @@
 // Tests for the campaign layer: plan/fingerprint, store-backed resume,
-// per-job store durability, merge collection (including stores written
-// by older builds), keep-going error rows, determinism across worker
-// counts and the coordinate-bearing runner error reports. The JSONL
-// store itself is covered by test_store.cpp.
+// per-job store durability, merge collection, keep-going error rows,
+// determinism across worker counts and the coordinate-bearing runner
+// error reports. The JSONL store itself is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +66,13 @@ void expect_bitwise_equal(const exp::ExperimentResult& a,
   EXPECT_EQ(exp::to_json(a), exp::to_json(b));
 }
 
+/// The one file of `spec`'s store in `dir`.
+std::string store_file(const exp::ExperimentSpec& spec,
+                       const std::string& dir) {
+  return dir + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
+         ".jsonl";
+}
+
 /// Runs `spec` into the store `dir` with one worker, so rows land in
 /// job order, then keeps only the first `keep` lines of the store file:
 /// what a campaign killed after `keep` jobs leaves behind.
@@ -76,9 +82,7 @@ void write_truncated_store(const exp::ExperimentSpec& spec,
   options.jobs = 1;
   options.cache_dir = dir;
   exp::run_experiment(spec, options);
-  const std::string path =
-      dir + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
-      ".jsonl";
+  const std::string path = store_file(spec, dir);
   std::string kept;
   {
     std::ifstream in(path);
@@ -162,30 +166,6 @@ TEST(Plan, DescribeNamesCoordinatesAndReplicate) {
 }
 
 // ------------------------------------------------ resumed + merged runs
-
-TEST(Campaign, LegacyShardStoresMergeBitIdentical) {
-  // Older builds split a campaign over `--shard i/2` processes, each
-  // appending to its own `<fp>-s<i>of2.jsonl`. A store they left behind
-  // must still merge: load() pools every *.jsonl file of the directory.
-  TempDir dir("legacy");
-  const auto spec = awkward_spec();
-  const auto fresh = exp::run_experiment(spec, 4);
-  const std::string fp = exp::fingerprint_hex(exp::spec_fingerprint(spec));
-  {
-    std::filesystem::create_directories(dir.path);
-    std::ofstream shard0(dir.path + "/" + fp + "-s0of2.jsonl");
-    std::ofstream shard1(dir.path + "/" + fp + "-s1of2.jsonl");
-    for (std::size_t i = 0; i < spec.job_count(); ++i) {
-      (i % 2 == 0 ? shard0 : shard1)
-          << "{\"fp\":\"" << fp << "\",\"job\":" << i << ",\"metrics\":"
-          << store::format_metrics(spec.run(exp::make_job(spec, i))) << "}\n";
-    }
-  }
-  exp::RunnerOptions merge;
-  merge.merge_only = true;
-  merge.cache_dir = dir.path;
-  expect_bitwise_equal(fresh, exp::run_experiment(spec, merge));
-}
 
 TEST(Campaign, StoreResumeMatchesFreshRunAndSkipsStoredJobs) {
   TempDir dir("resume");
@@ -429,19 +409,12 @@ TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheRun) {
 
 // ------------------------------------------------------ store durability
 
-/// Non-empty lines across every .jsonl file in `dir`.
-std::size_t stored_lines(const std::string& dir) {
+/// Non-empty lines of the store file at `path`.
+std::size_t stored_lines(const std::string& path) {
   std::size_t lines = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() != ".jsonl") {
-      continue;
-    }
-    std::ifstream file(entry.path());
-    std::string line;
-    while (std::getline(file, line)) {
-      lines += line.empty() ? 0 : 1;
-    }
+  std::ifstream file(path);
+  for (std::string line; std::getline(file, line);) {
+    lines += line.empty() ? 0 : 1;
   }
   return lines;
 }
@@ -452,10 +425,11 @@ TEST(Campaign, EachRowIsStoredBeforeTheNextJobStarts) {
   // job in flight.
   TempDir dir("durable");
   auto spec = awkward_spec();
+  const std::string path = store_file(spec, dir.path);
   std::vector<std::size_t> seen(spec.job_count(), 0);
   const auto inner = spec.run;
-  spec.run = [&seen, &dir, inner](const exp::Job& job) {
-    seen[job.index] = stored_lines(dir.path);
+  spec.run = [&seen, &path, inner](const exp::Job& job) {
+    seen[job.index] = stored_lines(path);
     return inner(job);
   };
   exp::RunnerOptions options;
@@ -465,7 +439,7 @@ TEST(Campaign, EachRowIsStoredBeforeTheNextJobStarts) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], i) << "job " << i;
   }
-  EXPECT_EQ(stored_lines(dir.path), spec.job_count());
+  EXPECT_EQ(stored_lines(path), spec.job_count());
 }
 
 TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
@@ -474,9 +448,7 @@ TEST(Campaign, UnwritableStoreFailsOnceAndNamesTheFile) {
   // the first write, name the file, and run no job twice.
   TempDir dir("unwritable");
   auto spec = awkward_spec();
-  const std::string path =
-      dir.path + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
-      ".jsonl";
+  const std::string path = store_file(spec, dir.path);
   std::filesystem::create_directories(path);
   std::vector<std::atomic<int>> executions(spec.job_count());
   const auto inner = spec.run;

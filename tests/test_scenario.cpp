@@ -242,9 +242,9 @@ TEST(ScenarioCli, BatteryWindowOverrideEntersFingerprint) {
 }
 
 TEST(ScenarioFingerprint, PaperTable2IsPinned) {
-  // The fingerprint keys every campaign store. This is
-  // the exact string caches were written under, literal engine=event
-  // token included; any change orphans every stored result.
+  // The fingerprint enters every scenario driver's store key. A change
+  // to this string orphans every stored result, as a bump of
+  // exp::kResultsRevision does, so it must not move by accident.
   EXPECT_EQ(scenario::scenario("paper-table2").fingerprint(),
             "scenario=paper-table2 graphs=3 nodes=5..15 "
             "method=fan-in-fan-out degree=3/3 wcet=1000000..10000000 "
@@ -252,8 +252,8 @@ TEST(ScenarioFingerprint, PaperTable2IsPinned) {
             "fmax=1000000000 utilization=0.69999999999999996 basis=actual "
             "battery=kibam processor=paper horizon=86400 drain=0 "
             "ac-model=per-node-mean ac=0.20000000000000001..1 "
-            "ac-jitter=0.10000000000000001 stop-on-empty=1 engine=event "
-            "battery-window=5 arrival=periodic");
+            "ac-jitter=0.10000000000000001 battery-window=5 "
+            "arrival=periodic");
 }
 
 TEST(ScenarioCli, ArrivalOverridesSelectModelAndKnobs) {

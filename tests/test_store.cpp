@@ -1,6 +1,6 @@
 // Tests for the streaming campaign store (src/store/): the %.17g
 // round-trip contract, kill-mid-write recovery, fingerprint filtering
-// and pooling every *.jsonl file of the store directory.
+// and the one-file rule: a store reads only `<fingerprint>.jsonl`.
 
 #include <gtest/gtest.h>
 
@@ -95,12 +95,12 @@ TEST(JsonlStore, IgnoresOtherFingerprintsTornLinesAndWrongArity) {
   TempDir dir("filter");
   store::JsonlStore mine(dir.path, 0x1111ULL);
   append_one(mine, 0, {1.0, 2.0});
-  store::JsonlStore other(dir.path, 0x2222ULL);
-  append_one(other, 1, {3.0, 4.0});
   append_one(mine, 2, {5.0});  // wrong arity for a 2-metric load
   {
-    std::ofstream torn(dir.path + "/torn.jsonl", std::ios::app);
-    torn << "{\"fp\":\"" << exp::fingerprint_hex(0x1111ULL)
+    std::ofstream file(mine.write_path(), std::ios::app);
+    file << "{\"fp\":\"" << exp::fingerprint_hex(0x2222ULL)
+         << "\",\"job\":1,\"metrics\":[3.0,4.0]}\n";
+    file << "{\"fp\":\"" << exp::fingerprint_hex(0x1111ULL)
          << "\",\"job\":9,\"metrics\":[1.0";  // no closing brace/newline
   }
   const auto loaded = mine.load(2);
@@ -131,21 +131,22 @@ TEST(JsonlStore, AppendHealsATornTailBeforeWriting) {
   EXPECT_FALSE(loaded.count(5));
 }
 
-TEST(JsonlStore, LoadPoolsEveryJsonlFileOfTheDirectory) {
-  // Stores written by older builds kept one file per writer process
-  // (`<fp>-<tag>.jsonl`); load() must still serve their rows alongside
-  // the rows this writer appends to `<fp>.jsonl`.
-  TempDir dir("pool");
+TEST(JsonlStore, ReadsOnlyItsOwnFile) {
+  // A store is `<fp>.jsonl` alone: rows of the same fingerprint in any
+  // other file of the directory, such as `<fp>-s1of2.jsonl`, are not
+  // served.
+  TempDir dir("one-file");
   const std::string fp = exp::fingerprint_hex(0x3333ULL);
   store::JsonlStore cache(dir.path, 0x3333ULL);
   EXPECT_EQ(cache.write_path(), dir.path + "/" + fp + ".jsonl");
   std::ofstream(dir.path + "/" + fp + "-s1of2.jsonl")
-      << "{\"fp\":\"" << fp << "\",\"job\":1,\"metrics\":[2]}\n";
+      << "{\"fp\":\"" << fp << "\",\"job\":1,\"metrics\":[2]}\n"
+      << "{\"fp\":\"" << fp << "\",\"job\":2,\"error\":\"elsewhere\"}\n";
   append_one(cache, 0, {1.0});
   const auto loaded = cache.load(1);
-  ASSERT_EQ(loaded.size(), 2u);
+  ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded.at(0), std::vector<double>{1.0});
-  EXPECT_EQ(loaded.at(1), std::vector<double>{2.0});
+  EXPECT_TRUE(cache.load_errors().empty());
 }
 
 TEST(JsonlStore, ErrorRowsRoundTripAndAreServedSeparately) {
