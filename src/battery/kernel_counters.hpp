@@ -6,10 +6,12 @@
 // compile-out switch measured 1.001x. The counters live on the
 // Battery and are cleared by Battery::reset(); the simulator copies
 // them into SimResult::perf.kernel when SimConfig::record_perf_counters
-// is set, which is how bench/perf_hotpath surfaces them per cell.
+// is set, and bench/perf_hotpath reports them per cell as its k_*
+// metrics, byte-compared against bench/perf_baseline.csv.
 //
-// The counters are instrumentation only: they never enter a sink or a
-// cache record, so they cannot perturb the byte-identity contract.
+// The counters are instrumentation only: they never change a simulated
+// number or enter a cache record, so they cannot perturb the
+// byte-identity contract.
 
 #include <cstdint>
 

@@ -386,10 +386,15 @@ int run_main(int argc, char** argv, std::map<std::string, std::string> defaults,
     if (scenario::handle_list_request(cli)) {
       return 0;
     }
-    // Output files are written after the campaign: a path whose
-    // directory does not exist is rejected before any job runs.
+    // Output files are written after the campaign: a path that names a
+    // directory, or whose directory does not exist, is rejected before
+    // any job runs.
     for (const char* option : {"csv", "trace-out"}) {
       const std::string path = cli.has(option) ? cli.get(option) : "";
+      if (std::filesystem::is_directory(path)) {
+        throw std::invalid_argument("--" + std::string(option) + " " + path +
+                                    ": is a directory");
+      }
       const auto dir = std::filesystem::path(path).parent_path();
       if (!dir.empty() && !std::filesystem::is_directory(dir)) {
         throw std::invalid_argument("--" + std::string(option) + " " + path +

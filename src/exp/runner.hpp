@@ -117,10 +117,11 @@ RunnerOptions options_from_cli(const util::Cli& cli);
 ///   --list-scenarios  (when declared, see scenario::with_scenario_defaults)
 ///                     prints the catalogue, exit 0
 ///   a rejected input  any std::invalid_argument — from parsing, from a
-///                     --csv or --trace-out path whose directory does
-///                     not exist (checked before body runs), or from
-///                     the body — prints "error: <message>" and the
-///                     known options to stderr, exit 2
+///                     --csv or --trace-out path that names a directory
+///                     or whose directory does not exist (checked
+///                     before body runs), or from the body — prints
+///                     "error: <message>" and the known options to
+///                     stderr, exit 2
 /// Otherwise it returns body's result. Every other exception propagates,
 /// so a real bug still aborts.
 int run_main(int argc, char** argv, std::map<std::string, std::string> defaults,

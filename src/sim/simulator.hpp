@@ -146,7 +146,8 @@ struct PerfCounters {
   /// Times a reused scratch buffer (status/EDF/candidate arrays,
   /// per-instance node and ready-list storage, event queue) had to
   /// allocate or grow. Steady state should hold this at a small warmup
-  /// constant — the zero-alloc property bench/perf_hotpath tracks.
+  /// constant — the zero-alloc property bench/perf_baseline.csv pins
+  /// (perf_hotpath's scratch_grows columns).
   std::uint64_t scratch_grows = 0;
   /// Events dispatched from the queue (releases, battery observations)
   /// plus completion dispatches of the running-slice register.

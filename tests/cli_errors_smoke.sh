@@ -17,8 +17,9 @@
 #                      battery_explorer --pulse nan and --cycles -5,
 #                      table1_single_dag --min-tasks 0,
 #                      rate_capacity_curve --probe -1: exit 2 each
-#   output paths       a --csv or --trace-out under a missing directory:
-#                      exit 2, before any job runs
+#   output paths       a --csv or --trace-out under a missing directory,
+#                      or naming an existing directory (perf_hotpath's
+#                      --csv too): exit 2, before any job runs
 #
 # Usage: cli_errors_smoke.sh BINARY...
 # CMake passes every binary bas_add_binaries builds, so a new main is
@@ -74,7 +75,7 @@ for bin in "$@"; do
 done
 
 for name in table2_battery_lifetime arrival_stress fig6_ordering_schemes \
-    battery_explorer table1_single_dag rate_capacity_curve; do
+    battery_explorer table1_single_dag rate_capacity_curve perf_hotpath; do
   if [[ -z "${named[$name]:-}" ]]; then
     echo "cli errors smoke: $name missing" >&2
     exit 1
@@ -97,8 +98,12 @@ expect 2 "${named[battery_explorer]}" --pulse nan
 expect 2 "${named[battery_explorer]}" --cycles -5
 expect 2 "${named[table1_single_dag]}" --min-tasks 0
 expect 2 "${named[rate_capacity_curve]}" --probe -1
+mkdir "$work/dir.csv"
 for output in "${named[rate_capacity_curve]} --csv $work/none/x.csv" \
-    "$table2 --sets 2 --trace-out $work/none/t.json"; do
+    "$table2 --sets 2 --trace-out $work/none/t.json" \
+    "${named[rate_capacity_curve]} --csv $work/dir.csv" \
+    "${named[perf_hotpath]} --csv $work/dir.csv" \
+    "$table2 --sets 2 --trace-out $work/dir.csv"; do
   if expect 2 $output && [[ -s "$work/out" ]]; then
     echo "cli errors smoke: ran before rejecting: $output" >&2
     failures=$((failures + 1))
