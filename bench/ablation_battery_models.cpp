@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
           {{"sets", "6"}, {"seed", "29"}}, "paper-table2"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets = static_cast<int>(cli.get_int("sets"));
+    const int sets = cli.get_int("sets");
 
     // The battery axis owns the cell choice; refuse the override instead
     // of silently ignoring it.

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
           {{"sets", "6"}, {"seed", "23"}}, "paper-table2"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets = static_cast<int>(cli.get_int("sets"));
+    const int sets = cli.get_int("sets");
     const auto seed = cli.get_u64("seed");
 
     const auto scn = scenario::from_cli(cli);

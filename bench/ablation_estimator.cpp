@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
           {{"sets", "8"}, {"seed", "17"}}, "paper-table2"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets = static_cast<int>(cli.get_int("sets"));
+    const int sets = cli.get_int("sets");
 
     // The ac_model axis owns the actual-computation regime; refuse the
     // override instead of silently ignoring it.

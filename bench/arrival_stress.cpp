@@ -77,12 +77,10 @@ int main(int argc, char** argv) {
   using namespace bas;
   const auto defaults =
       util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
-          {{"sets", "3"}, {"seed", "2026"}, {"full", "false"}},
+          {{"sets", "3"}, {"seed", "2026"}},
           "ippp-diurnal"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets =
-        cli.get_flag("full") ? 25 : static_cast<int>(cli.get_int("sets"));
-    cli.show_effective("sets", sets);
+    const int sets = cli.get_int("sets");
     const auto scn = scenario::from_cli(cli);
     const auto proc = scn.make_processor();
 

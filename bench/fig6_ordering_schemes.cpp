@@ -10,12 +10,12 @@
 //
 // The world comes from the scenario registry (`paper-fig6` by default;
 // --scenario / --scenario.FIELD pick or reshape it). The graph-count
-// axis overrides the scenario's graph count per cell; --horizon and the
-// figure's drain-to-completion behaviour override its lifetime-style
-// simulation window. One engine job = one (graph count, set) pair; it
-// prices the near-optimal reference once and then all four ordering
-// schemes on the same workload, so the normalization shares random
-// numbers by construction.
+// axis overrides the scenario's graph count per cell; a 60 s default
+// --scenario.horizon and the figure's drain-to-completion behaviour
+// override its lifetime-style simulation window. One engine job = one
+// (graph count, set) pair; it prices the near-optimal reference once
+// and then all four ordering schemes on the same workload, so the
+// normalization shares random numbers by construction.
 
 #include <cstdio>
 #include <stdexcept>
@@ -63,14 +63,11 @@ int main(int argc, char** argv) {
           {{"sets", "10"},
            {"seed", "6"},
            {"max-graphs", "10"},
-           {"horizon", "60"},
-           {"full", "false"}},
+           {"scenario.horizon", "60"}},
           "paper-fig6"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets =
-        cli.get_flag("full") ? 40 : static_cast<int>(cli.get_int("sets"));
-    cli.show_effective("sets", sets);
-    const int max_graphs = static_cast<int>(cli.get_int("max-graphs"));
+    const int sets = cli.get_int("sets");
+    const int max_graphs = cli.get_int("max-graphs");
 
     // The taskgraphs axis owns the graph count; refuse the override
     // instead of silently ignoring it (use --max-graphs to size the axis).
@@ -81,12 +78,8 @@ int main(int argc, char** argv) {
     }
     auto base = scenario::from_cli(cli);
     // The figure is an energy comparison over a fixed window, not a
-    // run-to-battery-death: short horizon (the --horizon flag, unless a
-    // --scenario.horizon override asked otherwise), drain in-flight work.
-    if (cli.get("scenario.horizon").empty()) {
-      base.sim.horizon_s = cli.get_double("horizon");
-      sim::validate(base.sim);
-    }
+    // run-to-battery-death: short horizon (the --scenario.horizon
+    // default above), drain in-flight work.
     base.sim.drain = true;
     const auto proc = base.make_processor();
     const std::vector<std::string> schemes{"random", "ltf", "pubs-imminent",

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     for (const auto& field : kFields) {
       spec.metrics.push_back(field.name);
     }
-    spec.replicates = static_cast<int>(cli.get_int("sets"));
+    spec.replicates = cli.get_int("sets");
     spec.run = [&](const exp::Job& job) {
       const auto perf =
           simulate(spec.grid.labels(job.cell), seed, job.replicate, nullptr)

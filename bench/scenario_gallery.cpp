@@ -40,12 +40,10 @@ int main(int argc, char** argv) {
   // --scenario.FIELD overrides keep working.
   auto defaults = util::Cli::with_bench_defaults(
       scenario::with_scenario_defaults(
-          {{"sets", "3"}, {"seed", "2026"}, {"full", "false"}}, ""));
+          {{"sets", "3"}, {"seed", "2026"}}, ""));
   defaults.erase("scenario");
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets =
-        cli.get_flag("full") ? 25 : static_cast<int>(cli.get_int("sets"));
-    cli.show_effective("sets", sets);
+    const int sets = cli.get_int("sets");
 
     // Materialize every preset with the CLI overrides applied, plus its
     // platform, up front; jobs index into these read-only vectors.

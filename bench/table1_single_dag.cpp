@@ -50,14 +50,11 @@ int main(int argc, char** argv) {
       util::Cli::with_bench_defaults({{"dags", "40"},
                                       {"seed", "1"},
                                       {"min-tasks", "5"},
-                                      {"max-tasks", "15"},
-                                      {"full", "false"}});
+                                      {"max-tasks", "15"}});
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int dags =
-        cli.get_flag("full") ? 200 : static_cast<int>(cli.get_int("dags"));
-    cli.show_effective("dags", dags);
-    const int min_tasks = static_cast<int>(cli.get_int("min-tasks"));
-    const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
+    const int dags = cli.get_int("dags");
+    const int min_tasks = cli.get_int("min-tasks");
+    const int max_tasks = cli.get_int("max-tasks");
     tgff::WorkloadParams task_counts;
     task_counts.min_nodes = min_tasks;
     task_counts.max_nodes = max_tasks;

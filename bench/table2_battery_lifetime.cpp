@@ -21,9 +21,9 @@
 //   ./table2_battery_lifetime --scenario.utilization=0.9
 //
 // Results are averaged over `--sets` random task-graph sets (the paper
-// uses 100; default here is smaller for a quick run — pass --full). The
-// (scheme x set) sweep runs on the experiment engine: --jobs N spreads it
-// across threads with bit-identical results for any N.
+// uses 100, so pass --sets 100; the default is smaller for a quick run).
+// The (scheme x set) sweep runs on the experiment engine: --jobs N
+// spreads it across threads with bit-identical results for any N.
 
 #include <cstdio>
 #include <vector>
@@ -40,12 +40,10 @@ int main(int argc, char** argv) {
   using namespace bas;
   const auto defaults =
       util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
-          {{"sets", "12"}, {"seed", "2006"}, {"full", "false"}},
+          {{"sets", "12"}, {"seed", "2006"}},
           "paper-table2"));
   return exp::run_main(argc, argv, defaults, [](util::Cli& cli) {
-    const int sets =
-        cli.get_flag("full") ? 100 : static_cast<int>(cli.get_int("sets"));
-    cli.show_effective("sets", sets);
+    const int sets = cli.get_int("sets");
     const auto scn = scenario::from_cli(cli);
     const auto proc = scn.make_processor();
 

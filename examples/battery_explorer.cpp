@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     const double pulse_a = cli.get_double("pulse");
     const double on_s = cli.get_double("on");
     const double off_s = cli.get_double("off");
-    const int cycles = static_cast<int>(cli.get_int("cycles"));
+    const int cycles = cli.get_int("cycles");
     if (!(pulse_a >= 0.0) || !std::isfinite(pulse_a)) {
       throw std::invalid_argument("--pulse must be a finite current >= 0 A");
     }

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
     sim::SimConfig life_config = config;
     life_config.horizon_s = 24.0 * 3600.0;
     life_config.drain = false;
-    life_config.record_profile = false;
     const auto life_run =
         sim::Simulator(workload, proc, scheme, life_config).run(battery.get());
     std::printf("battery: died=%s, lifetime %.1f min, delivered %.0f mAh\n",

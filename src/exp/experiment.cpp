@@ -5,12 +5,10 @@
 namespace bas::exp {
 
 ExperimentResult::ExperimentResult(std::string title, Grid grid,
-                                   std::vector<std::string> metric_names,
-                                   int replicates)
+                                   std::vector<std::string> metric_names)
     : title_(std::move(title)),
       grid_(std::move(grid)),
-      metric_names_(std::move(metric_names)),
-      replicates_(replicates) {
+      metric_names_(std::move(metric_names)) {
   cells_.resize(grid_.cell_count());
   for (auto& cell : cells_) {
     cell.metrics.resize(metric_names_.size());

@@ -18,7 +18,8 @@
 namespace bas::exp {
 
 struct ExperimentSpec {
-  /// Shown in error messages and recorded by the JSON sink.
+  /// Shown in error messages, progress lines and the campaign trace;
+  /// part of the store fingerprint (plan.hpp).
   std::string title;
   Grid grid;
   /// Names of the values every job returns, in order.
@@ -53,14 +54,12 @@ struct CellStats {
 class ExperimentResult {
  public:
   ExperimentResult(std::string title, Grid grid,
-                   std::vector<std::string> metric_names, int replicates);
+                   std::vector<std::string> metric_names);
 
-  const std::string& title() const noexcept { return title_; }
   const Grid& grid() const noexcept { return grid_; }
   const std::vector<std::string>& metric_names() const noexcept {
     return metric_names_;
   }
-  int replicates() const noexcept { return replicates_; }
   std::size_t cell_count() const noexcept { return cells_.size(); }
 
   /// Index of a metric by name; throws std::out_of_range when absent.
@@ -98,7 +97,6 @@ class ExperimentResult {
   std::string title_;
   Grid grid_;
   std::vector<std::string> metric_names_;
-  int replicates_ = 1;
   std::vector<CellStats> cells_;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 // Stage 2's progress reporter.
 //
-// Long campaigns (the paper's --full Table 2 is thousands of jobs) need
+// Long campaigns (the paper's Table 2 at --sets 100 is 500 jobs) need
 // a heartbeat: Progress counts finished jobs and prints
 //
 //   <title>: 128/1024 jobs (12.5%), elapsed 42.0s, eta 294.1s

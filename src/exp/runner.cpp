@@ -259,8 +259,7 @@ class Pool {
 ExperimentResult fold(const ExperimentSpec& spec,
                       const std::vector<std::vector<double>>& fresh,
                       const StoredMetrics& stored) {
-  ExperimentResult result(spec.title, spec.grid, spec.metrics,
-                          spec.replicates);
+  ExperimentResult result(spec.title, spec.grid, spec.metrics);
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     const std::vector<double>* metrics = nullptr;
     if (!fresh[i].empty()) {

@@ -1,8 +1,8 @@
 #pragma once
-// Machine-readable sinks for experiment results.
+// The machine-readable sink for experiment results: CSV.
 //
-// Both formats emit one record per cell with the axis labels and the
-// full per-metric statistics (count, mean, stddev, min, max, sum).
+// One row per cell with the axis labels and the full per-metric
+// statistics (count, mean, stddev, min, max, sum).
 // Doubles render with %.17g, so equal results are byte-identical files —
 // the property the determinism guarantee (runner.hpp) is verified
 // against: a sweep written at --jobs 1 and --jobs 4 diffs empty.
@@ -27,10 +27,7 @@ std::string format_double(double value);
 /// Long-format CSV: header `axis...,metric_stat...`, one row per cell.
 std::string to_csv(const ExperimentResult& result);
 
-/// JSON object with the title, axes, metric names and a cells array.
-std::string to_json(const ExperimentResult& result);
-
-/// Writes CSV — or JSON when `path` ends in ".json". Throws
+/// Writes to_csv(result) to `path`, whatever its suffix. Throws
 /// std::runtime_error when the file cannot be opened.
 void write(const ExperimentResult& result, const std::string& path);
 

@@ -69,7 +69,7 @@ int parse_int(const std::string& key, const std::string& text) {
 
 /// Shared baseline every preset tweaks: the paper's lifetime-evaluation
 /// defaults (24 h horizon, no drain, per-node-mean actuals, no
-/// profile/trace recording — battery death ends the run).
+/// trace recording — battery death ends the run).
 ScenarioSpec lifetime_base() {
   ScenarioSpec spec;
   spec.workload.graph_count = 3;
@@ -83,7 +83,6 @@ ScenarioSpec lifetime_base() {
   spec.processor = "paper";
   spec.sim.horizon_s = 24.0 * 3600.0;
   spec.sim.drain = false;
-  spec.sim.record_profile = false;
   spec.sim.record_trace = false;
   spec.sim.ac_model = sim::AcModel::kPerNodeMean;
   return spec;

@@ -24,7 +24,7 @@
 // closed-form call. The tolerance argument — why <= 5 s mean-current
 // merging moves lifetimes by < 0.1% on every calibrated kernel — is
 // written up in EXPERIMENTS.md ("Event-driven core"). With merging off
-// (window 0, a recorded profile or trace) the battery is drawn once per
+// (window 0 or a recorded trace) the battery is drawn once per
 // executed slice. When a window's flush empties the cell
 // mid-interval, the buffered slices attribute energy, charge and busy
 // time exactly up to the cutoff; discrete counters (completions,
@@ -382,11 +382,11 @@ struct Run {
   const EdfLess edf_less{inst};
   const int n_graphs = static_cast<int>(set.size());
 
-  // Audit runs (profile/trace) flush the battery per slice and stay
+  // Traced (audit) runs flush the battery per slice and stay
   // draw-for-draw identical to window-0 runs; merging applies to the
   // plain lifetime/feasibility runs campaigns are made of.
   const bool merging = battery != nullptr && cfg.battery_window_s > 0.0 &&
-                       !cfg.record_profile && !cfg.record_trace;
+                       !cfg.record_trace;
   const bool stochastic_prio = scheme.priority->stochastic();
   // pUBS is recognised by type, once per run, and scored inline (its
   // score() is a pure function of the candidate). A decorator around it
@@ -440,9 +440,6 @@ struct Run {
     res.battery_attached = battery != nullptr;
     if (cfg.record_trace) {
       res.trace.reserve(1024);
-    }
-    if (cfg.record_profile) {
-      res.profile.reserve(1024);
     }
 
     init_arrivals(s, cfg, n_graphs);
@@ -1017,9 +1014,6 @@ struct Run {
       sustained = battery->draw(current_a, dur);
       ++perf.battery_draws;
       note_emptied(t0, sustained);
-    }
-    if (cfg.record_profile && sustained > 0.0) {
-      res.profile.add(sustained, current_a);
     }
     attribute(sustained, current_a, power_w, busy);
     return sustained;

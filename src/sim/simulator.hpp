@@ -30,7 +30,6 @@
 
 #include "arrival/arrival.hpp"
 #include "battery/model.hpp"
-#include "battery/profile.hpp"
 #include "core/scheme.hpp"
 #include "dvs/processor.hpp"
 #include "sim/trace.hpp"
@@ -88,8 +87,6 @@ struct SimConfig {
   arrival::Spec arrival;
   /// Record the full execution trace (for audits and figures).
   bool record_trace = false;
-  /// Record the battery-current load profile.
-  bool record_profile = true;
   /// Copy the hot-path work counters (always counted) into
   /// SimResult::perf; otherwise it stays zero. Counters are
   /// instrumentation only — they never enter a sink or a cache record,
@@ -112,9 +109,8 @@ struct SimConfig {
   /// least this length (long idle gaps) are always evaluated exactly in
   /// a single closed-form call. 5 s shifts lifetimes by < 0.1% on every
   /// calibrated kernel (EXPERIMENTS.md, "Event-driven core"). Merging
-  /// disables itself when a load profile or trace is recorded (those
-  /// runs flush per slice and stay draw-for-draw exact); <= 0 disables
-  /// it everywhere.
+  /// disables itself when a trace is recorded (those runs flush per
+  /// slice and stay draw-for-draw exact); <= 0 disables it everywhere.
   double battery_window_s = 5.0;
   /// Optional Chrome-trace sink (obs/trace_log.hpp), not owned. When
   /// attached the simulator emits release/completion instants and
@@ -154,7 +150,7 @@ struct PerfCounters {
   std::uint64_t events_popped = 0;
   /// Executed slices whose battery evaluation was deferred into a merge
   /// window instead of an individual kernel call — per-slice draws
-  /// that were skipped. 0 with merging off (window 0, profile, trace).
+  /// that were skipped. 0 with merging off (window 0, trace).
   std::uint64_t ticks_skipped = 0;
   /// Closed-form battery advances over merged or long-constant
   /// intervals (window flushes + whole idle gaps). Every one replaces
@@ -180,8 +176,8 @@ struct SimResult {
   double end_time_s = 0.0;
   /// Core (processor-side) energy consumed by execution (J).
   double energy_j = 0.0;
-  /// Battery-side charge for execution + idle (C); equals the profile
-  /// integral when the profile is recorded.
+  /// Battery-side charge for execution + idle (C): the sum of current
+  /// times duration over executed slices and idle gaps.
   double charge_c = 0.0;
   /// Busy time (s) — everything that is not idle.
   double busy_s = 0.0;
@@ -203,7 +199,6 @@ struct SimResult {
   /// deferred-work schemes (BAS-2) pay on non-periodic traffic.
   std::size_t deadline_misses = 0;
 
-  bat::LoadProfile profile;       // when record_profile
   std::vector<ExecSlice> trace;   // when record_trace
   PerfCounters perf;              // when record_perf_counters, else 0
 

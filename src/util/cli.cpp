@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -146,9 +147,16 @@ T expect(const std::optional<T>& parsed, const std::string& name,
 
 }  // namespace
 
-long long Cli::get_int(const std::string& name) const {
+int Cli::get_int(const std::string& name) const {
   const std::string text = get(name);
-  return expect(parse_int(text), name, "an integer", text);
+  const long long value = expect(parse_int(text), name, "an integer", text);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("option --" + name +
+                                " expects an integer in int range, got '" +
+                                text + "'");
+  }
+  return static_cast<int>(value);
 }
 
 double Cli::get_double(const std::string& name) const {
@@ -166,51 +174,31 @@ std::uint64_t Cli::get_u64(const std::string& name) const {
   return expect(parse_u64(text), name, "a non-negative integer", text);
 }
 
-void Cli::show_effective(const std::string& key, long long value) {
-  get(key);  // throws on an undeclared option
-  shown_[key] = std::to_string(value);
-}
+namespace {
 
-std::string Cli::summary() const {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& [key, parsed] : values_) {
-    const auto shown = shown_.find(key);
-    const std::string& value = shown != shown_.end() ? shown->second : parsed;
-    // Unset optional values would render as a bare "--key" and make the
-    // banner ambiguous to paste back; the empty string is their default.
-    if (value.empty()) {
-      continue;
-    }
-    if (!first) {
-      out << ' ';
-    }
-    first = false;
-    out << "--" << key << ' ' << value;
-  }
-  return out.str();
-}
-
-std::string Cli::config_summary() const {
-  // Flags that steer execution, reporting or storage without changing
-  // any job's output — excluded from the cache-keying summary.
-  // --keep-going belongs here too: tolerating failed jobs must not
-  // invalidate a store full of results.
+// Flags that steer execution, reporting or storage without changing any
+// job's output — excluded from the cache-keying summary. --keep-going
+// belongs here too: tolerating failed jobs must not invalidate a store
+// full of results.
+bool is_engine_flag(const std::string& key) {
   static const char* const kEngineFlags[] = {
       "jobs",     "csv",       "cache",      "merge",
       "progress", "trace-out", "keep-going", "list-scenarios"};
+  return std::find_if(std::begin(kEngineFlags), std::end(kEngineFlags),
+                      [&key](const char* flag) { return key == flag; }) !=
+         std::end(kEngineFlags);
+}
+
+// "--key value" pairs in name order. Empty values mark unset optional
+// settings (e.g. --scenario.FIELD overrides) and are left out: they
+// would render as a bare "--key" that cannot be pasted back, and the
+// cache key stays stable when a new optional field is introduced.
+std::string render(const std::map<std::string, std::string>& values,
+                   bool skip_engine_flags) {
   std::ostringstream out;
   bool first = true;
-  for (const auto& [key, value] : values_) {
-    if (std::find_if(std::begin(kEngineFlags), std::end(kEngineFlags),
-                     [&key](const char* flag) { return key == flag; }) !=
-        std::end(kEngineFlags)) {
-      continue;
-    }
-    // Empty values mark unset optional settings (e.g. --scenario.FIELD
-    // overrides); leaving them out keeps the cache key stable when a new
-    // optional field is introduced.
-    if (value.empty()) {
+  for (const auto& [key, value] : values) {
+    if (value.empty() || (skip_engine_flags && is_engine_flag(key))) {
       continue;
     }
     if (!first) {
@@ -221,5 +209,11 @@ std::string Cli::config_summary() const {
   }
   return out.str();
 }
+
+}  // namespace
+
+std::string Cli::summary() const { return render(values_, false); }
+
+std::string Cli::config_summary() const { return render(values_, true); }
 
 }  // namespace bas::util

@@ -44,7 +44,7 @@ class Cli {
   ///   --jobs N     worker threads for the experiment engine
   ///                ("auto" = hardware concurrency; results are
   ///                bit-identical for any value)
-  ///   --csv PATH   write aggregated cells as CSV (.json for JSON)
+  ///   --csv PATH   write aggregated cells as CSV
   ///   --cache DIR  campaign store: skip jobs already recorded under
   ///                DIR, append fresh results as they finish
   ///   --merge      fold the complete result from the store alone,
@@ -71,8 +71,9 @@ class Cli {
   std::string get(const std::string& name) const;
   /// Numeric getters parse the whole value strictly (util::parse_int,
   /// parse_u64, parse_double) and throw std::invalid_argument
-  /// "option --NAME expects ..., got '...'" otherwise.
-  long long get_int(const std::string& name) const;
+  /// "option --NAME expects ..., got '...'" otherwise; get_int also
+  /// rejects a value outside `int` instead of wrapping it.
+  int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   std::uint64_t get_u64(const std::string& name) const;
@@ -81,12 +82,6 @@ class Cli {
   /// reproducibility banners at the top of each bench's output. Options
   /// whose value is empty (unset optional settings) are left out.
   std::string summary() const;
-
-  /// Makes summary() print `value` for option `key` — for drivers whose
-  /// presets (--full, --smoke) replace a parsed count, so the printed
-  /// config shows what ran. config_summary(), the campaign cache key,
-  /// keeps the parsed value, so existing caches stay valid.
-  void show_effective(const std::string& key, long long value);
 
   /// summary() minus the engine/campaign flags (--jobs, --csv, --cache,
   /// --merge, --progress, --trace-out, --keep-going,
@@ -101,7 +96,6 @@ class Cli {
 
  private:
   std::map<std::string, std::string> values_;
-  std::map<std::string, std::string> shown_;  ///< show_effective overrides
   std::vector<std::string> flags_;
   bool help_ = false;
 };

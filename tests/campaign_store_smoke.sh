@@ -36,7 +36,7 @@ trap 'rm -rf "$work"' EXIT
 if [ "$#" -gt 0 ]; then
   small="$*"
 else
-  small="--sets 2 --max-graphs 4 --horizon 10"
+  small="--sets 2 --max-graphs 4 --scenario.horizon 10"
 fi
 
 run() { "$bin" $small "$@" > /dev/null; }

@@ -13,10 +13,18 @@
 #                      a run whose BAS-2 gain is negative exits 0 and
 #                      prints no "+-"
 #   arrival_stress     an unreadable --scenario.arrival.trace: exit 2
-#   numeric options    fig6_ordering_schemes --horizon -1,
+#   removed options    --full on the five drivers that had it (the count
+#                      is --sets or --dags) and fig6's --horizon (it is
+#                      --scenario.horizon): exit 2 as unknown options
+#   numeric options    fig6_ordering_schemes --scenario.horizon=-1,
 #                      battery_explorer --pulse nan and --cycles -5,
 #                      table1_single_dag --min-tasks 0,
-#                      rate_capacity_curve --probe -1: exit 2 each
+#                      rate_capacity_curve --probe -1: exit 2 each;
+#                      an integer outside int (perf_hotpath --sets,
+#                      battery_explorer --cycles, table1_single_dag
+#                      --min-tasks, fig6 --max-graphs): exit 2, never
+#                      wrapped into a small count
+#   --csv suffix       rate_capacity_curve --csv out.json writes CSV
 #   output paths       a --csv or --trace-out under a missing directory,
 #                      or naming an existing directory (perf_hotpath's
 #                      --csv too): exit 2, before any job runs
@@ -75,7 +83,8 @@ for bin in "$@"; do
 done
 
 for name in table2_battery_lifetime arrival_stress fig6_ordering_schemes \
-    battery_explorer table1_single_dag rate_capacity_curve perf_hotpath; do
+    battery_explorer table1_single_dag rate_capacity_curve perf_hotpath \
+    scenario_gallery; do
   if [[ -z "${named[$name]:-}" ]]; then
     echo "cli errors smoke: $name missing" >&2
     exit 1
@@ -93,11 +102,31 @@ if expect 0 "$table2" --scenario idle-heavy --scenario.battery-window=0 \
   failures=$((failures + 1))
 fi
 expect 2 "$arrival" --scenario.arrival.trace="@$work/no-such-trace.csv"
-expect 2 "${named[fig6_ordering_schemes]}" --horizon -1
+fig6="${named[fig6_ordering_schemes]}"
+for name in table2_battery_lifetime table1_single_dag fig6_ordering_schemes \
+    scenario_gallery arrival_stress; do
+  expect 2 "${named[$name]}" --full
+done
+expect 2 "$fig6" --horizon 10
+expect 2 "$fig6" --scenario.horizon=-1
+expect 2 "${named[perf_hotpath]}" --sets 4294967297
+expect 2 "${named[battery_explorer]}" --cycles 4294967297
+expect 2 "${named[table1_single_dag]}" --min-tasks 4294967301
+if expect 2 "$fig6" --max-graphs 3000000000 &&
+    ! grep -q -- '^error: .*--max-graphs' "$work/err"; then
+  echo "cli errors smoke: fig6 --max-graphs 3000000000 blamed" \
+      "another option" >&2
+  failures=$((failures + 1))
+fi
 expect 2 "${named[battery_explorer]}" --pulse nan
 expect 2 "${named[battery_explorer]}" --cycles -5
 expect 2 "${named[table1_single_dag]}" --min-tasks 0
 expect 2 "${named[rate_capacity_curve]}" --probe -1
+if expect 0 "${named[rate_capacity_curve]}" --csv "$work/out.json" &&
+    ! head -n 1 "$work/out.json" | grep -q '^[a-z_]*,'; then
+  echo "cli errors smoke: --csv out.json did not write a CSV header" >&2
+  failures=$((failures + 1))
+fi
 mkdir "$work/dir.csv"
 for output in "${named[rate_capacity_curve]} --csv $work/none/x.csv" \
     "$table2 --sets 2 --trace-out $work/none/t.json" \

@@ -22,26 +22,16 @@
 namespace bas {
 namespace {
 
-/// Scheme-axis index by label, so a reordered axis fails loudly
-/// instead of silently gating on the wrong schemes.
-std::size_t scheme_index(const std::string& label) {
-  const auto& labels = exp::scheme_labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == label) {
-      return i;
-    }
-  }
-  throw std::logic_error("scheme label '" + label + "' not on the axis");
-}
-
 struct AnchorResult {
   std::vector<double> lifetime_by_scheme;
-  double edf() const { return lifetime_by_scheme.at(scheme_index("EDF")); }
+  double edf() const {
+    return lifetime_by_scheme.at(exp::scheme_index("EDF"));
+  }
   double laedf() const {
-    return lifetime_by_scheme.at(scheme_index("laEDF"));
+    return lifetime_by_scheme.at(exp::scheme_index("laEDF"));
   }
   double bas2() const {
-    return lifetime_by_scheme.at(scheme_index("BAS-2"));
+    return lifetime_by_scheme.at(exp::scheme_index("BAS-2"));
   }
 };
 

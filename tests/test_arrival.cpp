@@ -578,7 +578,6 @@ TEST(ArrivalSim, ArrivalAxisSweepIsThreadCountInvariant) {
   const auto serial = exp::run_experiment(spec, 1);
   const auto parallel = exp::run_experiment(spec, 4);
   EXPECT_EQ(exp::to_csv(serial), exp::to_csv(parallel));
-  EXPECT_EQ(exp::to_json(serial), exp::to_json(parallel));
 }
 
 }  // namespace

@@ -63,7 +63,6 @@ void expect_bitwise_equal(const exp::ExperimentResult& a,
   ASSERT_EQ(a.cell_count(), b.cell_count());
   ASSERT_EQ(a.metric_names().size(), b.metric_names().size());
   EXPECT_EQ(exp::to_csv(a), exp::to_csv(b));
-  EXPECT_EQ(exp::to_json(a), exp::to_json(b));
 }
 
 /// The one file of `spec`'s store in `dir`.

@@ -86,7 +86,6 @@ TEST(CompareSchemes, PreservesOrderAndNames) {
   const auto proc = dvs::Processor::paper_default();
   sim::SimConfig config;
   config.horizon_s = 3.0;
-  config.record_profile = false;
   const auto outcomes = analysis::compare_schemes(
       set, proc, {core::SchemeKind::kBas2, core::SchemeKind::kEdfNoDvs},
       config);
@@ -103,7 +102,6 @@ TEST(CompareSchemes, BatteryPrototypeIsNotConsumed) {
   sim::SimConfig config;
   config.horizon_s = 3.0;
   config.drain = false;
-  config.record_profile = false;
   const auto outcomes = analysis::compare_schemes(
       set, proc, core::table2_schemes(), config, &prototype);
   EXPECT_DOUBLE_EQ(prototype.charge_delivered_c(), 0.0);
@@ -121,7 +119,6 @@ TEST(CompareSchemes, CommonRandomNumbersAcrossSchemes) {
   const auto proc = dvs::Processor::paper_default();
   sim::SimConfig config;
   config.horizon_s = 4.0;
-  config.record_profile = false;
   const auto a = analysis::compare_schemes(
       set, proc, {core::SchemeKind::kEdfNoDvs}, config);
   const auto b = analysis::compare_schemes(
@@ -143,7 +140,6 @@ TEST(NearOptimal, StripPrecedenceNeverIncreasesEnergy) {
     const auto proc = dvs::Processor::paper_default();
     sim::SimConfig config;
     config.horizon_s = 6.0;
-    config.record_profile = false;
     config.seed = seed;
 
     core::Scheme constrained = core::make_custom_scheme(

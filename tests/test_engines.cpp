@@ -39,8 +39,7 @@ sim::SimResult run_scenario(const std::string& name, core::SchemeKind kind,
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(seed, 1000u));
   config.battery_window_s = window_s;
-  config.record_profile = audit;
-  config.record_trace = false;
+  config.record_trace = audit;
   config.record_perf_counters = true;
   if (horizon_s > 0.0) {
     config.horizon_s = horizon_s;
@@ -109,8 +108,8 @@ TEST(WindowEquivalence, SparseScenariosAgree) {
   }
 }
 
-TEST(WindowEquivalence, ProfileRecordingRunsMatchWindowZeroBitwise) {
-  // Recording a profile disables merging even at the default window:
+TEST(WindowEquivalence, TraceRecordingRunsMatchWindowZeroBitwise) {
+  // Recording a trace disables merging even at the default window:
   // the run then makes the window-0 run's kernel calls in the same
   // order, so every figure is bit-equal, not merely close.
   const auto audit = run_scenario("paper-table2", core::SchemeKind::kBas2,

@@ -42,7 +42,6 @@ sim::SimConfig quick_config(double horizon = 10.0) {
   c.drain = true;
   c.seed = 42;
   c.record_trace = true;
-  c.record_profile = true;
   return c;
 }
 
@@ -85,13 +84,21 @@ TEST(Simulator, CcEdfStretchesExecution) {
 }
 
 TEST(Simulator, EnergyMatchesProfileCharge) {
-  // charge_c must equal the integral of the recorded profile.
+  // charge_c must equal the trace's slice current x duration plus the
+  // idle current over the gaps between slices, up to end_time_s.
   const auto set = single_task_set(4e8, 1.0);
   const auto proc = dvs::Processor::paper_default();
   const auto result = sim::simulate_scheme(
       set, proc, core::SchemeKind::kCcEdfRandom, quick_config(5.0));
-  EXPECT_NEAR(result.charge_c, result.profile.total_charge_c(), 1e-9);
-  EXPECT_NEAR(result.profile.duration_s(), result.end_time_s, 1e-6);
+  double charge = 0.0;
+  double busy = 0.0;
+  for (const auto& slice : result.trace) {
+    charge += slice.current_a * (slice.end_s - slice.start_s);
+    busy += slice.end_s - slice.start_s;
+  }
+  charge += proc.idle_current_a() * (result.end_time_s - busy);
+  EXPECT_NEAR(result.charge_c, charge, 1e-9);
+  EXPECT_NEAR(result.busy_s, busy, 1e-9);
 }
 
 TEST(Simulator, TraceAuditCleanOnHandBuiltWorkload) {
@@ -212,7 +219,6 @@ TEST(Simulator, BatteryRunStopsAtCutoff) {
   auto config = quick_config(1e6);
   config.drain = false;
   config.record_trace = false;
-  config.record_profile = false;
   core::Scheme scheme =
       core::make_scheme(core::SchemeKind::kEdfNoDvs, proc.fmax_hz(), 1);
   sim::Simulator simulator(set, proc, scheme, config);
@@ -439,7 +445,6 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b,
   EXPECT_EQ(a.preemptions, b.preemptions) << label;
   EXPECT_EQ(a.frequency_increases, b.frequency_increases) << label;
   EXPECT_EQ(a.deadline_misses, b.deadline_misses) << label;
-  EXPECT_EQ(a.profile.size(), b.profile.size()) << label;
   EXPECT_EQ(a.trace.size(), b.trace.size()) << label;
   EXPECT_EQ(a.battery_attached, b.battery_attached) << label;
   EXPECT_EQ(a.battery_died, b.battery_died) << label;

@@ -176,11 +176,11 @@ TEST(Table, NumFormatsPrecision) {
 }
 
 TEST(Cli, ParsesValuesAndFlags) {
-  const char* argv[] = {"prog", "--sets", "25", "--full", "--seed=9"};
+  const char* argv[] = {"prog", "--sets", "25", "--merge", "--seed=9"};
   util::Cli cli(5, argv,
-                {{"sets", "10"}, {"full", "false"}, {"seed", "1"}});
+                {{"sets", "10"}, {"merge", "false"}, {"seed", "1"}});
   EXPECT_EQ(cli.get_int("sets"), 25);
-  EXPECT_TRUE(cli.get_flag("full"));
+  EXPECT_TRUE(cli.get_flag("merge"));
   EXPECT_EQ(cli.get_u64("seed"), 9u);
 }
 
@@ -188,10 +188,10 @@ TEST(Cli, ValueOptionHoldingZeroOrOneStillConsumesItsArgument) {
   // Regression: flag-ness comes from the declared default ("false" /
   // "true"), never from the current value, so --seed 7 must not be
   // misread as a bare flag just because the default is "1".
-  const char* argv[] = {"prog", "--seed", "7", "--full"};
-  util::Cli cli(4, argv, {{"seed", "1"}, {"full", "false"}});
+  const char* argv[] = {"prog", "--seed", "7", "--merge"};
+  util::Cli cli(4, argv, {{"seed", "1"}, {"merge", "false"}});
   EXPECT_EQ(cli.get_u64("seed"), 7u);
-  EXPECT_TRUE(cli.get_flag("full"));
+  EXPECT_TRUE(cli.get_flag("merge"));
 }
 
 TEST(Cli, DefaultsApply) {
@@ -203,19 +203,6 @@ TEST(Cli, DefaultsApply) {
 TEST(Cli, UnknownOptionThrows) {
   const char* argv[] = {"prog", "--nope", "1"};
   EXPECT_THROW(util::Cli(3, argv, {{"sets", "10"}}), std::invalid_argument);
-}
-
-TEST(Cli, SummaryShowsTheEffectiveCountButCacheKeyKeepsTheParsedOne) {
-  // A --full driver runs 100 sets while --sets still holds its default;
-  // the printed config must show what ran, the cache key must not move.
-  const char* argv[] = {"prog", "--full"};
-  util::Cli cli(2, argv, {{"sets", "12"}, {"full", "false"}});
-  cli.show_effective("sets", 100);
-  EXPECT_NE(cli.summary().find("--sets 100"), std::string::npos)
-      << cli.summary();
-  EXPECT_EQ(cli.summary().find("--sets 12"), std::string::npos);
-  EXPECT_NE(cli.config_summary().find("--sets 12"), std::string::npos);
-  EXPECT_EQ(cli.get_int("sets"), 12);
 }
 
 TEST(Cli, HelpIsRecognisedButNeverAnOptionValue) {
@@ -262,6 +249,18 @@ TEST(Cli, IntegerOptionRejectsAFraction) {
 TEST(Cli, IntegerOptionRejectsText) {
   EXPECT_EQ(numeric_error(&util::Cli::get_int, "sets", "abc"),
             "option --sets expects an integer, got 'abc'");
+}
+
+TEST(Cli, IntegerOptionRejectsAValueOutsideInt) {
+  // 2^32 + 1 would wrap to 1 through a cast; it must fail instead.
+  EXPECT_EQ(numeric_error(&util::Cli::get_int, "sets", "4294967297"),
+            "option --sets expects an integer in int range, got "
+            "'4294967297'");
+  EXPECT_EQ(numeric_error(&util::Cli::get_int, "sets", "-2147483649"),
+            "option --sets expects an integer in int range, got "
+            "'-2147483649'");
+  EXPECT_EQ(numeric_error(&util::Cli::get_int, "sets", "2147483647"), "");
+  EXPECT_EQ(numeric_error(&util::Cli::get_int, "sets", "-2147483648"), "");
 }
 
 TEST(Cli, SeedRejectsExponentNotation) {
